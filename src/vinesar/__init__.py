@@ -16,7 +16,7 @@ from .parcels import (EmptyStatsError, Orientation, Parcel, ParcelMask,
                       ZonalStats, erode, load_parcels, rasterize, zonal_stats)
 from .phenology import (BiomassProxy, DegreeDaySeries, WeatherRecord,
                         accumulate_cdd, biomass_proxy, fit_cdd_vs_doy, gdd,
-                        load_weather_csv, lookup_cdd)
+                        load_weather_csv)
 from .trend import (Abscissa, CorrelationResult, PairedSample, ParabolicFit,
                     TimeSeries, assemble_series, correlate_series,
                     fit_parabola, fit_quadratic, pair_dates, peak, pearson,

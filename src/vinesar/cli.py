@@ -24,14 +24,14 @@ from . import optical, parcels, phenology, sar, synth, trend
 from .raster import (AlignmentError, BundleError, GridSpec, Orbit, Raster,
                      ResampleMethod, load_bundle, load_raster, resample,
                      save_raster)
+from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
 
 C2_PREFIX = "c2"
 INDEX_PREFIXES = ("dprvi", "ndvi", "svhi", "lai")
 
-_FATAL = (ValueError, KeyError, OSError, BundleError, AlignmentError,
-          sar.CovarianceError)
+_FATAL = (ValueError, KeyError, OSError, BundleError, AlignmentError)
 
 
 @dataclass
@@ -419,12 +419,7 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                   if ot == orbit_tag and orientation.get(pid, parcels.Orientation.OTHER)
                   is orient]
             if rs:
-                group_rows.append({
-                    "orientation": orient.value,
-                    "orbit": orbit_tag,
-                    "mean_fit_r": sum(rs) / len(rs),
-                    "n_parcels": len(rs),
-                })
+                group_rows.append((orient, orbit_tag, sum(rs) / len(rs), len(rs)))
 
     corr_rows = []
     scatter_rows = []
@@ -467,13 +462,7 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     trend.write_trend_csv(trend_rows, trend_csv)
     trend.write_correlation_csv(corr_rows, cfg.out_dir / "correlation.csv")
     trend.write_scatter_csv(scatter_rows, cfg.out_dir / "scatter.csv")
-    with open(cfg.out_dir / "trend_groups.csv", "w", newline="") as f:
-        import csv as _csv
-        w = _csv.writer(f)
-        w.writerow(("orientation", "orbit", "mean_fit_r", "n_parcels"))
-        for row in group_rows:
-            w.writerow([row["orientation"], row["orbit"],
-                        repr(row["mean_fit_r"]), row["n_parcels"]])
+    write_table(cfg.out_dir / "trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER, group_rows)
     log.info("wrote trend.csv (%d rows), correlation.csv (%d), scatter.csv (%d), "
              "trend_groups.csv (%d)", len(trend_rows), len(corr_rows),
              len(scatter_rows), len(group_rows))
@@ -483,18 +472,13 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Summarize the trend and correlation CSVs as a small text report."""
-    import csv as _csv
-
-    def read_rows(name: str) -> list[dict]:
+    def read_rows(name: str, header: Sequence[str]) -> list[dict]:
         path = cfg.out_dir / name
-        if not path.exists():
-            return []
-        with open(path, newline="") as f:
-            return list(_csv.DictReader(f))
+        return read_table(path, header) if path.exists() else []
 
-    trend_rows = read_rows("trend.csv")
-    group_rows = read_rows("trend_groups.csv")
-    corr_rows = read_rows("correlation.csv")
+    trend_rows = read_rows("trend.csv", trend.TREND_CSV_HEADER)
+    group_rows = read_rows("trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER)
+    corr_rows = read_rows("correlation.csv", trend.CORRELATION_CSV_HEADER)
     if not trend_rows and not corr_rows:
         raise ValueError(f"nothing to report under {cfg.out_dir}; run trend first")
 

@@ -8,7 +8,6 @@ every center rasterizes to an empty mask rather than a guessed one.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import logging
@@ -21,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .raster import AlignmentError, GridSpec, Orbit, Raster
+from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -291,39 +291,20 @@ ZONAL_CSV_HEADER = ("parcel_id", "band", "timestamp", "orbit",
 
 
 def write_zonal_csv(stats: Sequence[ZonalStats], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(ZONAL_CSV_HEADER)
-        for s in stats:
-            w.writerow([
-                s.parcel_id,
-                s.band_name,
-                s.timestamp.isoformat() if s.timestamp else "",
-                s.orbit.value if s.orbit else "",
-                s.count,
-                repr(s.mean),
-                repr(s.std),
-                repr(s.min),
-                repr(s.max),
-            ])
+    write_table(path, ZONAL_CSV_HEADER, (
+        (s.parcel_id, s.band_name, s.timestamp, s.orbit,
+         s.count, s.mean, s.std, s.min, s.max) for s in stats))
 
 
 def read_zonal_csv(path: str | Path) -> list[ZonalStats]:
-    out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != ZONAL_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected zonal CSV header {reader.fieldnames}")
-        for row in reader:
-            out.append(ZonalStats(
-                parcel_id=row["parcel_id"],
-                band_name=row["band"],
-                timestamp=dt.date.fromisoformat(row["timestamp"]) if row["timestamp"] else None,
-                orbit=Orbit(row["orbit"]) if row["orbit"] else None,
-                count=int(row["count"]),
-                mean=float(row["mean"]),
-                std=float(row["std"]),
-                min=float(row["min"]),
-                max=float(row["max"]),
-            ))
-    return out
+    return [ZonalStats(
+        parcel_id=row["parcel_id"],
+        band_name=row["band"],
+        timestamp=dt.date.fromisoformat(row["timestamp"]) if row["timestamp"] else None,
+        orbit=Orbit(row["orbit"]) if row["orbit"] else None,
+        count=int(row["count"]),
+        mean=float(row["mean"]),
+        std=float(row["std"]),
+        min=float(row["min"]),
+        max=float(row["max"]),
+    ) for row in read_table(path, ZONAL_CSV_HEADER)]

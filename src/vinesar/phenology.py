@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from . import trend
+from .tables import write_table
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +98,7 @@ class DegreeDaySeries:
     start: dt.date
 
     def cdd_on(self, day: dt.date) -> float:
+        """Cumulative degree days on ``day``; errors outside the covered range."""
         if not self.entries:
             raise ValueError("empty degree-day series")
         first, last = self.entries[0].date, self.entries[-1].date
@@ -146,11 +148,6 @@ def accumulate_cdd(records: Sequence[WeatherRecord],
     return DegreeDaySeries(entries=entries, t_base_c=t_base_c, start=start)
 
 
-def lookup_cdd(series: DegreeDaySeries, day: dt.date) -> float:
-    """Cumulative degree days on ``day``; errors outside the covered range."""
-    return series.cdd_on(day)
-
-
 class BiomassEntry(NamedTuple):
     date: dt.date
     bb: float
@@ -186,8 +183,4 @@ DEGREE_DAYS_CSV_HEADER = ("date", "doy", "gdd", "cdd")
 
 
 def write_degree_days_csv(series: DegreeDaySeries, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(DEGREE_DAYS_CSV_HEADER)
-        for e in series.entries:
-            w.writerow([e.date.isoformat(), e.doy, repr(e.gdd), repr(e.cdd)])
+    write_table(path, DEGREE_DAYS_CSV_HEADER, series.entries)

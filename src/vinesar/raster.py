@@ -227,11 +227,12 @@ def load_bundle(path: str | Path) -> Bundle:
     if not band_names:
         raise BundleError(f"header {header_path} declares no bands")
 
-    raw = binary_path.read_bytes()
+    size = binary_path.stat().st_size
     expected = 4 * spec.width * spec.height * len(band_names)
-    if len(raw) != expected:
-        raise BundleError(f"{binary_path} holds {len(raw)} bytes, header implies {expected}")
-    values = np.frombuffer(raw, dtype="<f4").reshape(len(band_names), spec.height, spec.width)
+    if size != expected:
+        raise BundleError(f"{binary_path} holds {size} bytes, header implies {expected}")
+    values = np.fromfile(binary_path, dtype="<f4").reshape(
+        len(band_names), spec.height, spec.width)
 
     nodata_field = header.get("nodata", None)
     nodata = math.nan if nodata_field is None else float(nodata_field)
@@ -245,7 +246,7 @@ def load_bundle(path: str | Path) -> Bundle:
         except ValueError:
             raise BundleError(f"unknown orbit tag {header['orbit']!r}")
 
-    return Bundle(spec=spec, band_names=band_names, values=values.copy(),
+    return Bundle(spec=spec, band_names=band_names, values=values,
                   nodata=nodata, timestamp=timestamp, orbit=orbit)
 
 

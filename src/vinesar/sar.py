@@ -85,37 +85,31 @@ class C2Raster:
         return (np.isfinite(self.c11) & np.isfinite(self.c22)
                 & np.isfinite(self.c12_re) & np.isfinite(self.c12_im))
 
-    def validate(self) -> None:
-        """Raise CovarianceError if any valid pixel is not PSD within tolerance."""
-        valid = self.valid_mask()
-        c11 = self.c11.astype(np.float64)
-        c22 = self.c22.astype(np.float64)
-        det = c11 * c22 - (self.c12_re.astype(np.float64) ** 2
-                           + self.c12_im.astype(np.float64) ** 2)
-        half_trace = 0.5 * (c11 + c22)
-        bad = valid & ((c11 < 0) | (c22 < 0) | (det < -PSD_TOL * half_trace ** 2))
-        n_bad = int(bad.sum())
-        if n_bad:
-            raise CovarianceError(
-                f"{n_bad} of {int(valid.sum())} valid pixels violate positive "
-                f"semidefiniteness beyond tolerance")
-
 
 def save_c2(c2: C2Raster, path: str | Path) -> Path:
     bands = list(zip(C2_BAND_NAMES, (c2.c11, c2.c22, c2.c12_re, c2.c12_im)))
     return save_bundle(path, c2.spec, bands, timestamp=c2.timestamp, orbit=c2.orbit)
 
 
-def load_c2(path: str | Path, *, validate: bool = True) -> C2Raster:
+def load_c2(path: str | Path) -> C2Raster:
+    """Read a covariance bundle.
+
+    Finite pixels that fail the PSD check become nodata in all four bands
+    and are counted in a single warning, so a bad matrix can never be
+    averaged into its neighbours by multilook or boxcar.
+    """
     b = load_bundle(path)
     if tuple(b.band_names) != C2_BAND_NAMES:
         raise ValueError(f"{path} holds bands {b.band_names}, "
                          f"a covariance bundle needs {list(C2_BAND_NAMES)}")
-    c2 = C2Raster(b.spec, b.values[0], b.values[1], b.values[2], b.values[3],
-                  timestamp=b.timestamp, orbit=b.orbit)
-    if validate:
-        c2.validate()
-    return c2
+    valid = np.isfinite(b.values).all(axis=0)
+    bad = valid & _not_psd(*b.values.astype(np.float64))
+    n_bad = int(bad.sum())
+    if n_bad:
+        log.warning("%s: %d of %d valid pixels violate the covariance constraints, "
+                    "set to nodata", path, n_bad, int(valid.sum()))
+        b.values[:, bad] = np.nan
+    return C2Raster(b.spec, *b.values, timestamp=b.timestamp, orbit=b.orbit)
 
 
 def _block_mean(values: np.ndarray, valid: np.ndarray,
@@ -199,6 +193,23 @@ def boxcar_filter(c2: C2Raster, win: int) -> C2Raster:
     return C2Raster(c2.spec, *bands, timestamp=c2.timestamp, orbit=c2.orbit)
 
 
+def _not_psd(c11, c22, c12_re, c12_im):
+    """True where a covariance matrix is not PSD within PSD_TOL.
+
+    Plain arithmetic, so it takes floats or float64 arrays alike; NaN
+    entries compare false and are left to the caller's validity mask.
+    """
+    det = c11 * c22 - (c12_re ** 2 + c12_im ** 2)
+    return (c11 < 0) | (c22 < 0) | (det < -PSD_TOL * (0.5 * (c11 + c22)) ** 2)
+
+
+def _m_beta(l1, l2):
+    """Degree of polarization m and dominance beta from descending
+    eigenvalues; plain arithmetic over floats or arrays."""
+    total = l1 + l2
+    return (l1 - l2) / total, l1 / total
+
+
 def _eigen_arrays(c11: np.ndarray, c22: np.ndarray,
                   c12_re: np.ndarray, c12_im: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,12 +218,13 @@ def _eigen_arrays(c11: np.ndarray, c22: np.ndarray,
     Inputs must be float64. NaNs flow through; the violation mask marks
     finite pixels whose matrix is not PSD within tolerance.
     """
+    # checked first so its temporaries are freed before the eigenvalue ones
+    bad = _not_psd(c11, c22, c12_re, c12_im)
     trace = c11 + c22
     off_sq = c12_re ** 2 + c12_im ** 2
     det = c11 * c22 - off_sq
-    half_trace = 0.5 * trace
     finite = np.isfinite(c11) & np.isfinite(c22) & np.isfinite(off_sq)
-    bad = finite & ((c11 < 0) | (c22 < 0) | (det < -PSD_TOL * half_trace ** 2))
+    bad &= finite
 
     # discriminant written as a sum of squares, immune to cancellation
     spread = np.sqrt((c11 - c22) ** 2 + 4.0 * off_sq)
@@ -251,8 +263,7 @@ def dp_params(eigen: EigenPair) -> DpParams:
     total = eigen.lambda1 + eigen.lambda2
     if total <= 0:
         raise ValueError("zero total power, polarization parameters undefined")
-    m = (eigen.lambda1 - eigen.lambda2) / total
-    beta = eigen.lambda1 / total
+    m, beta = _m_beta(eigen.lambda1, eigen.lambda2)
     q = eigen.lambda2 / eigen.lambda1
     return DpParams(m=m, beta=beta, q=q)
 
@@ -262,8 +273,8 @@ def dprvi_from_eigen(eigen: EigenPair) -> float:
     total = eigen.lambda1 + eigen.lambda2
     if total <= 0:
         return math.nan
-    p = dp_params(eigen)
-    return 1.0 - p.m * p.beta
+    m, beta = _m_beta(eigen.lambda1, eigen.lambda2)
+    return 1.0 - m * beta
 
 
 def dprvi_grd(sigma_vh: float, sigma_vv: float) -> float:
@@ -301,11 +312,9 @@ def dprvi_raster(c2: C2Raster) -> Raster:
     if n_bad:
         log.warning("%d pixels violate the covariance constraints, set to nodata", n_bad)
 
-    total = l1 + l2
     with np.errstate(invalid="ignore", divide="ignore"):
-        m = (l1 - l2) / total
-        beta = l1 / total
+        m, beta = _m_beta(l1, l2)
         index = 1.0 - m * beta
-    index = np.where((total > 0) & ~bad, index, np.nan)
+    index = np.where((l1 + l2 > 0) & ~bad, index, np.nan)
     return Raster(c2.spec, index.astype(np.float32), band_name=DPRVI_BAND_NAME,
                   timestamp=c2.timestamp, orbit=c2.orbit)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .raster import GridSpec, Orbit
-from .sar import C2Raster, PSD_TOL
+from .sar import C2Raster, _not_psd
 
 log = logging.getLogger(__name__)
 
@@ -115,11 +115,9 @@ def _check_true_c2(c2: Sequence[float], label: str) -> None:
     c11, c22, re, im = (float(v) for v in c2)
     if not all(math.isfinite(v) for v in (c11, c22, re, im)):
         raise ValueError(f"{label}: covariance entries must be finite")
-    trace = c11 + c22
-    if c11 < 0 or c22 < 0 or trace <= 0:
+    if c11 < 0 or c22 < 0 or c11 + c22 <= 0:
         raise ValueError(f"{label}: diagonal powers must be >= 0 with positive trace")
-    det = c11 * c22 - (re * re + im * im)
-    if det < -PSD_TOL * (0.5 * trace) ** 2:
+    if _not_psd(c11, c22, re, im):
         raise ValueError(f"{label}: covariance is not positive semidefinite")
 
 

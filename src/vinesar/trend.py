@@ -1,14 +1,13 @@
 """Seasonal trend analysis over per-parcel index series.
 
 The seasonal model is a downward parabola of the index against thermal time
-(or day of year): growth up to a vertex, then senescence. Fits come from the
-3x3 normal equations solved directly; fit quality is the Pearson correlation
+(or day of year): growth up to a vertex, then senescence. Fits come from
+least squares on centred, scaled x; fit quality is the Pearson correlation
 between observed and fitted values, reported both as r and r squared.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import logging
 import math
@@ -21,6 +20,7 @@ import numpy as np
 
 from .parcels import ZonalStats
 from .raster import Orbit
+from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -114,22 +114,6 @@ class ParabolicFit:
         return (self.a * x + self.b) * x + self.c
 
 
-def _solve3(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting for a 3x3 system."""
-    M = np.hstack([A.astype(np.float64), rhs.reshape(3, 1).astype(np.float64)])
-    for col in range(3):
-        pivot = col + int(np.argmax(np.abs(M[col:, col])))
-        if M[pivot, col] == 0.0:
-            raise ValueError("singular normal equations, samples do not span a quadratic")
-        if pivot != col:
-            M[[col, pivot]] = M[[pivot, col]]
-        M[col] = M[col] / M[col, col]
-        for row in range(3):
-            if row != col:
-                M[row] -= M[row, col] * M[col]
-    return M[:, 3]
-
-
 def fit_quadratic(xs: Sequence[float], ys: Sequence[float]) -> ParabolicFit:
     """Fit y = a x^2 + b x + c by least squares on raw arrays.
 
@@ -146,20 +130,16 @@ def fit_quadratic(xs: Sequence[float], ys: Sequence[float]) -> ParabolicFit:
         raise ValueError(f"quadratic fit needs >= 3 distinct x values, "
                          f"got {len(np.unique(x))}")
 
-    # normal equations for the monomial basis [x^2, x, 1]
-    s0 = float(len(x))
-    s1 = float(x.sum())
-    s2 = float((x ** 2).sum())
-    s3 = float((x ** 3).sum())
-    s4 = float((x ** 4).sum())
-    t0 = float(y.sum())
-    t1 = float((x * y).sum())
-    t2 = float((x ** 2 * y).sum())
-    A = np.array([[s4, s3, s2],
-                  [s3, s2, s1],
-                  [s2, s1, s0]])
-    coeffs = _solve3(A, np.array([t2, t1, t0]))
-    a, b, c = (float(v) for v in coeffs)
+    # fit y = p2 u^2 + p1 u + p0 on u = (x - x0) / s in [-1, 1], where the
+    # basis is well conditioned, then expand back to the monomials in x
+    x0 = float(x.mean())
+    s = float(np.abs(x - x0).max())
+    u = (x - x0) / s
+    basis = np.stack([u * u, u, np.ones_like(u)], axis=1)
+    p2, p1, p0 = np.linalg.lstsq(basis, y, rcond=None)[0]
+    a = float(p2 / (s * s))
+    b = float(p1 / s - 2.0 * a * x0)
+    c = float(p0 - p1 * x0 / s + a * x0 * x0)
 
     yhat = (a * x + b) * x + c
     scale = max(1.0, float(np.abs(y).max()))
@@ -301,26 +281,18 @@ def scatter_export(pairs: Sequence[PairedSample], parcel_id: str,
 
 
 def write_scatter_csv(rows: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SCATTER_CSV_HEADER)
-        for row in rows:
-            w.writerow([row["parcel_id"], row["date_a"], row["date_b"],
-                        row["index_a"], repr(float(row["value_a"])),
-                        row["index_b"], repr(float(row["value_b"])), row["month"]])
+    write_table(path, SCATTER_CSV_HEADER, (
+        (row["parcel_id"], row["date_a"], row["date_b"],
+         row["index_a"], float(row["value_a"]),
+         row["index_b"], float(row["value_b"]), row["month"]) for row in rows))
 
 
 def read_scatter_csv(path: str | Path) -> list[dict]:
-    out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != SCATTER_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected scatter CSV header {reader.fieldnames}")
-        for row in reader:
-            row["value_a"] = float(row["value_a"])
-            row["value_b"] = float(row["value_b"])
-            out.append(row)
-    return out
+    rows = read_table(path, SCATTER_CSV_HEADER)
+    for row in rows:
+        row["value_a"] = float(row["value_a"])
+        row["value_b"] = float(row["value_b"])
+    return rows
 
 
 TREND_CSV_HEADER = ("parcel_id", "orbit", "peak_date", "fit_r", "fit_r2",
@@ -329,41 +301,25 @@ TREND_CSV_HEADER = ("parcel_id", "orbit", "peak_date", "fit_r", "fit_r2",
 
 def write_trend_csv(rows: Sequence[dict], path: str | Path) -> None:
     """Rows: parcel_id, orbit, peak_date, fit (may be None), n."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TREND_CSV_HEADER)
-        for row in rows:
-            fit: Optional[ParabolicFit] = row.get("fit")
-            w.writerow([
-                row["parcel_id"],
-                row["orbit"].value if row.get("orbit") else "",
-                row["peak_date"].isoformat(),
-                repr(fit.r) if fit else "",
-                repr(fit.r_squared) if fit else "",
-                repr(fit.a) if fit else "",
-                repr(fit.b) if fit else "",
-                repr(fit.c) if fit else "",
-                repr(fit.vertex_x) if fit and fit.vertex_x is not None else "",
-                row["n"],
-            ])
+    def cells(row: dict) -> tuple:
+        fit: Optional[ParabolicFit] = row.get("fit")
+        fitted = ((fit.r, fit.r_squared, fit.a, fit.b, fit.c, fit.vertex_x)
+                  if fit else (None,) * 6)
+        return (row["parcel_id"], row.get("orbit"), row["peak_date"], *fitted, row["n"])
 
+    write_table(path, TREND_CSV_HEADER, map(cells, rows))
+
+
+TREND_GROUPS_CSV_HEADER = ("orientation", "orbit", "mean_fit_r", "n_parcels")
 
 CORRELATION_CSV_HEADER = ("index_a", "index_b", "parcel_id", "orbit",
                           "n", "r", "max_gap_days")
 
 
 def write_correlation_csv(rows: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CORRELATION_CSV_HEADER)
-        for row in rows:
-            res: CorrelationResult = row["result"]
-            w.writerow([
-                res.series_a,
-                res.series_b,
-                row["parcel_id"],
-                row["orbit"].value if row.get("orbit") else "",
-                res.n,
-                repr(res.r),
-                res.max_gap_days,
-            ])
+    def cells(row: dict) -> tuple:
+        res: CorrelationResult = row["result"]
+        return (res.series_a, res.series_b, row["parcel_id"], row.get("orbit"),
+                res.n, res.r, res.max_gap_days)
+
+    write_table(path, CORRELATION_CSV_HEADER, map(cells, rows))

@@ -11,8 +11,8 @@ from conftest import (GRID, OPTICAL_DATES, PARCELS, SAR_CDD, SAR_DATES,
                       build_campaign_workspace, run_cli, seasonal_shape,
                       write_campaign_json, write_optical_inputs)
 from vinesar import cli
-from vinesar.raster import Orbit, load_raster
-from vinesar.sar import load_c2
+from vinesar.raster import GridSpec, Orbit, load_raster
+from vinesar.sar import C2Raster, dprvi_from_eigen, eigen_decompose, load_c2, save_c2
 from vinesar.synth import derive_seed, generate_scene, scene_from_dict
 
 
@@ -130,6 +130,33 @@ class TestSarIndexCommand:
         (tmp_path / "out").mkdir()
         assert run_cli("sar-index", "--out", str(tmp_path / "out")) == 1
 
+    def test_non_psd_pixel_becomes_nodata(self, tmp_path):
+        rng = np.random.default_rng(8)
+        c11 = rng.uniform(0.5, 2.0, size=(4, 4))
+        c22 = rng.uniform(0.1, 1.0, size=(4, 4))
+        re = 0.5 * np.sqrt(c11 * c22)
+        im = np.zeros((4, 4))
+        re[1, 1] = 5.0  # |c12|^2 > c11 * c22
+        c2 = C2Raster(GridSpec(4, 4, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632"),
+                      c11, c22, re, im, timestamp=dt.date(2023, 4, 21),
+                      orbit=Orbit.DESCENDING)
+        save_c2(c2, tmp_path / "c2_2023-04-21_DES")
+        assert run_cli("sar-index", "--out", str(tmp_path),
+                       "--multilook", "1x1") == 0
+        out = load_raster(tmp_path / "dprvi_2023-04-21_DES").values
+        assert np.isnan(out[1, 1])
+        assert np.isfinite(out).sum() == 15
+
+        assert run_cli("sar-index", "--out", str(tmp_path),
+                       "--multilook", "2x2") == 0
+        out = load_raster(tmp_path / "dprvi_2023-04-21_DES").values
+        good = [(0, 0), (0, 1), (1, 0)]
+        mean = [float(np.mean([band[rc] for rc in good], dtype=np.float64))
+                for band in (c2.c11, c2.c22, c2.c12_re, c2.c12_im)]
+        want = dprvi_from_eigen(eigen_decompose(*(float(np.float32(v)) for v in mean)))
+        assert out[0, 0] == np.float32(want)
+        assert np.isfinite(out).all()
+
 
 class TestOpticalCommand:
     def test_split_resolution_products(self, campaign_run):
@@ -233,8 +260,9 @@ class TestTrendCommand:
             assert float(row["a"]) < 0.0  # concave season
 
     def test_group_rows(self, campaign_run):
-        rows = list(csv.DictReader(
-            (campaign_run["out"] / "trend_groups.csv").open()))
+        reader = csv.DictReader((campaign_run["out"] / "trend_groups.csv").open())
+        assert reader.fieldnames == ["orientation", "orbit", "mean_fit_r", "n_parcels"]
+        rows = list(reader)
         assert {(r["orientation"], r["orbit"]) for r in rows} == {
             ("EW", "ASC"), ("EW", "DES"), ("NS", "ASC"), ("NS", "DES")}
         for r in rows:

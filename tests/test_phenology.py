@@ -9,7 +9,7 @@ import pytest
 from vinesar.phenology import (DEFAULT_BASE_TEMP_C, DegreeDaySeries,
                                WeatherRecord, accumulate_cdd, biomass_proxy,
                                fit_cdd_vs_doy, gdd, load_weather_csv,
-                               lookup_cdd, write_degree_days_csv)
+                               write_degree_days_csv)
 
 
 def rec(day, tmin, tmax, month=5, precip=None):
@@ -107,7 +107,7 @@ class TestLookup:
         s = self.series()
         assert s.cdd_on(dt.date(2023, 5, 1)) == 10.0
         assert s.cdd_on(dt.date(2023, 5, 10)) == 100.0
-        assert lookup_cdd(s, dt.date(2023, 5, 5)) == 50.0
+        assert s.cdd_on(dt.date(2023, 5, 5)) == 50.0
 
     def test_outside_range_raises(self):
         s = self.series()

@@ -176,10 +176,26 @@ class TestC2Raster:
         assert back.c12_re.tobytes() == c2.c12_re.tobytes()
         assert back.c12_im.tobytes() == c2.c12_im.tobytes()
 
-    def test_validate_flags_non_psd(self):
-        c2 = c2_raster([[1.0, 1.0]], [[1.0, 1.0]], [[0.0, 5.0]], [[0.0, 0.0]])
-        with pytest.raises(CovarianceError, match="1"):
-            c2.validate()
+    def test_load_masks_non_psd_pixel(self, tmp_path, caplog):
+        rng = np.random.default_rng(41)
+        c11 = rng.uniform(0.5, 2.0, size=(3, 4))
+        c22 = rng.uniform(0.1, 1.0, size=(3, 4))
+        mag = 0.5 * np.sqrt(c11 * c22)
+        re = mag.copy()
+        re[1, 2] = 5.0  # |c12|^2 > c11 * c22
+        c2 = c2_raster(c11, c22, re, -mag)
+        save_c2(c2, tmp_path / "c2_bad")
+        with caplog.at_level("WARNING"):
+            back = load_c2(tmp_path / "c2_bad")
+        good = np.ones((3, 4), dtype=bool)
+        good[1, 2] = False
+        for name in ("c11", "c22", "c12_re", "c12_im"):
+            band = getattr(back, name)
+            assert math.isnan(band[1, 2])
+            assert band[good].tobytes() == getattr(c2, name)[good].tobytes()
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert " 1 of 12 valid pixels" in warnings[0].getMessage()
 
     def test_valid_mask_requires_all_bands(self):
         c2 = c2_raster([[1.0, math.nan]], [[1.0, 1.0]], [[0.0, 0.0]], [[0.0, 0.0]])
