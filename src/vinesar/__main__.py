@@ -1,0 +1,6 @@
+"""``python -m vinesar``: the command line pipeline."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -77,10 +77,10 @@ _CONFIG_KEYS = {
 
 
 def _parse_multilook(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"multilook window must look like 4x1, got {text!r}")
-    wx, wy = int(parts[0]), int(parts[1])
+    try:
+        wx, wy = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"multilook window must look like 4x1, got {text!r}") from None
     if wx < 1 or wy < 1:
         raise ValueError(f"multilook window must be positive, got {text!r}")
     return wx, wy
@@ -105,14 +105,17 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
             if attr in ("out_dir", "rasters_dir", "parcels_path", "weather_path"):
                 value = base / str(value)
             elif attr == "multilook":
-                if isinstance(value, str):
-                    value = _parse_multilook(value)
-                else:
-                    value = (int(value[0]), int(value[1]))
-            elif attr in ("boxcar", "erode_px", "max_gap_days", "seed"):
-                value = int(value)
-            elif attr == "t_base_c":
-                value = float(value)
+                # [4, 1] is read as "4x1", so both forms meet one check
+                if isinstance(value, list):
+                    value = "x".join(str(v) for v in value)
+                value = _parse_multilook(str(value))
+            elif attr in ("boxcar", "erode_px", "max_gap_days", "seed", "t_base_c"):
+                convert = float if attr == "t_base_c" else int
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError):
+                    raise ValueError(f"{cfg_path}: {key!r} must be a number, "
+                                     f"got {value!r}") from None
             setattr(cfg, attr, value)
 
     if getattr(args, "out", None):
@@ -299,7 +302,7 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Index bundles + parcels -> one zonal statistics CSV."""
     if cfg.parcels_path is None:
         raise ValueError("zonal needs a parcels file; set \"parcels\" in the config")
-    plist = parcels.load_parcels(cfg.parcels_path)
+    plist = sorted(parcels.load_parcels(cfg.parcels_path), key=lambda p: p.id)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     paths = []
@@ -312,7 +315,7 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     rows = []
     for path in paths:
         raster = load_raster(path)
-        for parcel in sorted(plist, key=lambda p: p.id):
+        for parcel in plist:
             key = (parcel.id, raster.spec)
             mask = mask_cache.get(key)
             if mask is None:
@@ -423,12 +426,14 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     corr_rows = []
     scatter_rows = []
+    sar_keys: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
+    for key in sorted(series):
+        if key[1] == sar_band:
+            sar_keys[key[0]].append(key)
     parcel_ids = sorted({k[0] for k in series})
     optical_bands = (optical.LAI_BAND_NAME, optical.NDVI_BAND_NAME, optical.SVHI_BAND_NAME)
     for parcel_id in parcel_ids:
-        sar_keys = [k for k in sorted(series)
-                    if k[0] == parcel_id and k[1] == sar_band]
-        for key in sar_keys:
+        for key in sar_keys[parcel_id]:
             orbit_tag = key[2]
             for opt_band in optical_bands:
                 opt_key = (parcel_id, opt_band, "")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .raster import AlignmentError, GridSpec, Orbit, Raster
+from .raster import AlignmentError, GridSpec, Orbit, Raster, valid_values
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -54,6 +54,8 @@ class Parcel:
             r = np.asarray(ring, dtype=np.float64)
             if r.ndim != 2 or r.shape[1] != 2:
                 raise ValueError(f"parcel {self.id!r} ring {k} is not a list of (x, y) pairs")
+            if not np.isfinite(r).all():
+                raise ValueError(f"parcel {self.id!r} ring {k} has a non-finite coordinate")
             if r.shape[0] < 4:
                 raise ValueError(f"parcel {self.id!r} ring {k} has {r.shape[0]} vertices, "
                                  "a closed ring needs at least 4")
@@ -71,47 +73,48 @@ class Parcel:
                 float(pts[:, 0].max()), float(pts[:, 1].max()))
 
 
-def _segments_cross(p: np.ndarray, q: np.ndarray, r: np.ndarray, s: np.ndarray) -> bool:
-    """True when open segments pq and rs share a point."""
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if v == 0 else (1 if v > 0 else -1)
+# Segment pairs the ring check tests at once (a ring with more segments than
+# this takes one segment's n pairs at a time): bounds its temporaries for a
+# ring of any size while keeping numpy calls few for the usual 5-100 vertices.
+_PAIR_CHUNK = 1 << 16
 
-    def on_segment(a, b, c):
-        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
 
-    o1, o2 = orient(p, q, r), orient(p, q, s)
-    o3, o4 = orient(r, s, p), orient(r, s, q)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(p, q, r):
-        return True
-    if o2 == 0 and on_segment(p, q, s):
-        return True
-    if o3 == 0 and on_segment(r, s, p):
-        return True
-    if o4 == 0 and on_segment(r, s, q):
-        return True
-    return False
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Sign of the turn a -> b -> c for each row of (k, 2) point arrays."""
+    return np.sign((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+
+
+def _in_box(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether each point c lies in the bounding box of segment ab."""
+    return np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=1)
 
 
 def _ring_self_intersects(ring: np.ndarray) -> bool:
     """Check the open ring (closure vertex dropped) for self-intersection.
 
     Adjacent segments legitimately share an endpoint and are skipped; any
-    other contact between two segments makes the ring invalid.
+    other contact between two segments makes the ring invalid: a proper
+    crossing, or an endpoint of one that is collinear with the other and
+    within its extent (T-contacts, overlaps and repeated vertices).
     """
-    pts = ring[:-1]
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = pts[j], pts[(j + 1) % n]
-            if _segments_cross(a, b, c, d):
-                return True
+    a, b = ring[:-1], ring[1:]  # segment k runs from a[k] to b[k]
+    n = len(a)
+    rows = max(1, _PAIR_CHUNK // n)
+    for i0 in range(0, n, rows):
+        # pairs i < j with j >= i + 2 for segments i in [i0, i0 + rows)
+        di, j = np.triu_indices(min(rows, n - i0), k=i0 + 2, m=n)
+        i = di + i0
+        apart = (i != 0) | (j != n - 1)  # the last segment closes onto the first
+        i, j = i[apart], j[apart]
+        p, q, r, s = a[i], b[i], a[j], b[j]
+        o1, o2 = _orient(p, q, r), _orient(p, q, s)
+        o3, o4 = _orient(r, s, p), _orient(r, s, q)
+        touch = (((o1 != o2) & (o3 != o4))
+                 | ((o1 == 0) & _in_box(p, q, r)) | ((o2 == 0) & _in_box(p, q, s))
+                 | ((o3 == 0) & _in_box(r, s, p)) | ((o4 == 0) & _in_box(r, s, q)))
+        if touch.any():
+            return True
     return False
 
 
@@ -148,50 +151,97 @@ def load_parcels(path: str | Path) -> list[Parcel]:
     return parcels
 
 
-@dataclass
 class ParcelMask:
-    """Boolean pixel membership of one parcel on one grid."""
+    """Boolean pixel membership of one parcel on one grid.
 
-    parcel_id: str
-    spec: GridSpec
-    mask: np.ndarray
-    erosion_applied: int = 0
+    Stored as a window: ``local`` is the membership of grid rows
+    ``row0 : row0 + local.shape[0]`` and columns ``col0 : col0 +
+    local.shape[1]``, cropped to the set pixels, so a mask costs memory and
+    time in proportion to the parcel, not the grid. An empty mask has a
+    0x0 window. The constructor takes a full-grid mask.
+    """
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mask, dtype=bool)
-        if m.shape != (self.spec.height, self.spec.width):
+    def __init__(self, parcel_id: str, spec: GridSpec, mask: np.ndarray,
+                 erosion_applied: int = 0) -> None:
+        m = np.asarray(mask, dtype=bool)
+        if m.shape != (spec.height, spec.width):
             raise ValueError(f"mask shape {m.shape} does not match grid "
-                             f"{self.spec.height}x{self.spec.width}")
-        self.mask = m
+                             f"{spec.height}x{spec.width}")
+        self._set(parcel_id, spec, 0, 0, m, erosion_applied)
+
+    @classmethod
+    def _from_window(cls, parcel_id: str, spec: GridSpec, row0: int, col0: int,
+                     local: np.ndarray, erosion_applied: int = 0) -> "ParcelMask":
+        """Mask whose set pixels all lie in ``local`` placed at (row0, col0)."""
+        out = cls.__new__(cls)
+        out._set(parcel_id, spec, row0, col0, local, erosion_applied)
+        return out
+
+    def _set(self, parcel_id: str, spec: GridSpec, row0: int, col0: int,
+             local: np.ndarray, erosion_applied: int) -> None:
+        self.parcel_id = parcel_id
+        self.spec = spec
+        self.erosion_applied = erosion_applied
+        rows = np.flatnonzero(local.any(axis=1))
+        if rows.size == 0:
+            self.row0, self.col0 = 0, 0
+            self.local = np.zeros((0, 0), dtype=bool)
+            return
+        cols = np.flatnonzero(local.any(axis=0))
+        r0, c0 = int(rows[0]), int(cols[0])
+        self.row0, self.col0 = row0 + r0, col0 + c0
+        self.local = local[r0:int(rows[-1]) + 1, c0:int(cols[-1]) + 1].copy()
+
+    @property
+    def window(self) -> tuple[slice, slice]:
+        """Row and column slices of the grid that ``local`` covers."""
+        h, w = self.local.shape
+        return slice(self.row0, self.row0 + h), slice(self.col0, self.col0 + w)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Full-grid membership, built on each access."""
+        full = np.zeros((self.spec.height, self.spec.width), dtype=bool)
+        full[self.window] = self.local
+        return full
 
     @property
     def is_empty(self) -> bool:
-        return not bool(self.mask.any())
+        return not bool(self.local.any())
 
     @property
     def count(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.local))
+
+
+def _halo_span(centers: np.ndarray, lo: float, hi: float, step: float) -> slice:
+    """Indices of the centers within one pixel of [lo, hi] (empty if none)."""
+    near = np.flatnonzero((centers >= lo - step) & (centers <= hi + step))
+    return slice(int(near[0]), int(near[-1]) + 1) if near.size else slice(0, 0)
 
 
 def rasterize(parcel: Parcel, spec: GridSpec) -> ParcelMask:
     """Mask of pixels whose centers fall inside the parcel, even-odd rule.
 
     Holes subtract because their ring flips the crossing parity again. A
-    parcel that covers no pixel center yields an empty (flagged) mask.
+    parcel that covers no pixel center yields an empty (flagged) mask. Only
+    centers inside the parcel's bounding box plus a one-pixel halo are
+    tested: the halo takes the centers a rounded crossing could still count.
     """
-    xs = spec.x_centers()
-    ys = spec.y_centers()
-
     minx, miny, maxx, maxy = parcel.bounds()
     gx0, gx1 = spec.x_range()
     gy0, gy1 = spec.y_range()
     if maxx < gx0 or minx > gx1 or maxy < gy0 or miny > gy1:
         log.info("parcel %s does not overlap the grid, mask is empty", parcel.id)
-        return ParcelMask(parcel.id, spec, np.zeros((spec.height, spec.width), dtype=bool))
+        return ParcelMask._from_window(parcel.id, spec, 0, 0, np.zeros((0, 0), dtype=bool))
 
-    X = xs[None, :]
-    Y = ys[:, None]
-    inside = np.zeros((spec.height, spec.width), dtype=bool)
+    xs = spec.x_centers()
+    ys = spec.y_centers()
+    cols = _halo_span(xs, minx, maxx, abs(spec.pixel_size_x))
+    rows = _halo_span(ys, miny, maxy, abs(spec.pixel_size_y))
+    X = xs[None, cols]
+    Y = ys[rows, None]
+    inside = np.zeros((Y.shape[0], X.shape[1]), dtype=bool)
     for ring in parcel.rings:
         pts = ring[:-1]
         n = len(pts)
@@ -205,7 +255,7 @@ def rasterize(parcel: Parcel, spec: GridSpec) -> ParcelMask:
             inside ^= crosses & (X < x_at)
             j = i
 
-    m = ParcelMask(parcel.id, spec, inside)
+    m = ParcelMask._from_window(parcel.id, spec, rows.start, cols.start, inside)
     if m.is_empty:
         log.info("parcel %s rasterized to an empty mask", parcel.id)
     return m
@@ -220,7 +270,7 @@ def erode(mask: ParcelMask, pixels: int = 1) -> ParcelMask:
     """
     if pixels < 0:
         raise ValueError("erosion distance must be >= 0")
-    m = mask.mask.copy()
+    m = mask.local
     for _ in range(pixels):
         if not m.any():
             break
@@ -229,14 +279,15 @@ def erode(mask: ParcelMask, pixels: int = 1) -> ParcelMask:
         inner[:-1, :] &= m[1:, :]
         inner[:, 1:] &= m[:, :-1]
         inner[:, :-1] &= m[:, 1:]
-        # raster border has no outside neighbor, so it cannot survive
+        # the window holds every set pixel, so its edge has an unset outside
+        # neighbor, the raster border included
         inner[0, :] = False
         inner[-1, :] = False
         inner[:, 0] = False
         inner[:, -1] = False
         m = inner
-    out = ParcelMask(mask.parcel_id, mask.spec, m,
-                     erosion_applied=mask.erosion_applied + pixels)
+    out = ParcelMask._from_window(mask.parcel_id, mask.spec, mask.row0, mask.col0, m,
+                                  erosion_applied=mask.erosion_applied + pixels)
     if out.is_empty and not mask.is_empty:
         log.info("parcel %s mask became empty after eroding %d px",
                  mask.parcel_id, out.erosion_applied)
@@ -268,11 +319,11 @@ def zonal_stats(raster: Raster, mask: ParcelMask) -> ZonalStats:
     if raster.spec != mask.spec:
         raise AlignmentError(f"raster grid {raster.spec} does not match "
                              f"mask grid {mask.spec}")
-    sel = mask.mask & raster.valid_mask()
-    n = int(sel.sum())
+    vals = raster.values[mask.window][mask.local]
+    vals = vals[valid_values(vals, raster.nodata)].astype(np.float64)
+    n = vals.size
     if n == 0:
         raise EmptyStatsError(f"parcel {mask.parcel_id}: no valid pixels under the mask")
-    vals = raster.values[sel].astype(np.float64)
     return ZonalStats(
         parcel_id=mask.parcel_id,
         band_name=raster.band_name,

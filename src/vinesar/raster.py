@@ -116,9 +116,14 @@ class Raster:
 
     def valid_mask(self) -> np.ndarray:
         """Boolean mask of pixels that carry data."""
-        if math.isnan(self.nodata):
-            return np.isfinite(self.values)
-        return np.isfinite(self.values) & (self.values != np.float32(self.nodata))
+        return valid_values(self.values, self.nodata)
+
+
+def valid_values(values: np.ndarray, nodata: float) -> np.ndarray:
+    """Which of ``values`` carry data: finite and, unless NaN, not ``nodata``."""
+    if math.isnan(nodata):
+        return np.isfinite(values)
+    return np.isfinite(values) & (values != np.float32(nodata))
 
 
 @dataclass

@@ -3,6 +3,10 @@
 import csv
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +376,22 @@ class TestConfigHandling:
         assert run_cli("sar-index", "--multilook", "nope") == 1
         (tmp_path / "garbage.json").write_text("{")
         assert run_cli("synth", str(tmp_path / "garbage.json")) == 1
+
+    @pytest.mark.parametrize("doc", [{"multilook": 5}, {"multilook": [2]},
+                                     {"multilook": [4, 1, 1]}, {"multilook": [4.5, 1]},
+                                     {"boxcar": [3]}, {"t_base": {}}])
+    def test_wrong_typed_value_is_one_error_line(self, tmp_path, caplog, doc):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert run_cli("sar-index", "--config", str(tmp_path / "cfg.json")) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert next(iter(doc)) in errors[0].getMessage()
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "vinesar", "--help"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "sar-index" in proc.stdout
