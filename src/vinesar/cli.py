@@ -109,13 +109,19 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
                 if isinstance(value, list):
                     value = "x".join(str(v) for v in value)
                 value = _parse_multilook(str(value))
-            elif attr in ("boxcar", "erode_px", "max_gap_days", "seed", "t_base_c"):
-                convert = float if attr == "t_base_c" else int
+            elif attr == "t_base_c":
                 try:
-                    value = convert(value)
+                    value = float(value)
                 except (TypeError, ValueError):
                     raise ValueError(f"{cfg_path}: {key!r} must be a number, "
                                      f"got {value!r}") from None
+            elif attr in ("boxcar", "erode_px", "max_gap_days", "seed"):
+                # int() would truncate 2.9 and take true as 1; 3.0 is still 3
+                if (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not float(value).is_integer()):
+                    raise ValueError(f"{cfg_path}: {key!r} must be an integer, "
+                                     f"got {value!r}")
+                value = int(value)
             setattr(cfg, attr, value)
 
     if getattr(args, "out", None):
@@ -166,37 +172,62 @@ def _scene_name(date: Optional[dt.date], orbit: Optional[Orbit]) -> str:
 
 
 def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    """Generate covariance bundles from a scene or campaign description."""
-    doc = json.loads(Path(args.scene).read_text())
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    """Generate covariance bundles from a scene or campaign description.
+
+    Every scene is built and checked before the first one is generated.
+    """
+    path = Path(args.scene)
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
 
     flag_seed = args.seed if getattr(args, "seed", None) is not None else None
 
     if "scenes" in doc:
-        grid_doc = doc["grid"]
-        top_seed = flag_seed if flag_seed is not None else int(doc.get("seed", cfg.seed))
+        grid_doc = doc.get("grid")
+        if not isinstance(grid_doc, dict):
+            raise ValueError(f"{path}: a campaign needs a \"grid\" object")
+        if not isinstance(doc["scenes"], list):
+            raise ValueError(f"{path}: \"scenes\" must be a list")
+        top_seed = flag_seed if flag_seed is not None else doc.get("seed", cfg.seed)
+        if isinstance(top_seed, bool) or not isinstance(top_seed, int):
+            raise ValueError(f"{path}: \"seed\" must be an integer, got {top_seed!r}")
+        scenes = []
         for idx, entry in enumerate(doc["scenes"]):
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}: scene #{idx} is not a JSON object")
             scene_doc = dict(grid_doc)
             scene_doc["background"] = entry.get("background", doc.get("background"))
             if scene_doc["background"] is None:
-                raise ValueError(f"scene #{idx}: no background covariance given")
+                raise ValueError(f"{path}: scene #{idx}: no background covariance given")
             scene_doc["regions"] = entry.get("regions", doc.get("regions", []))
             scene_doc["looks"] = entry.get("looks", doc.get("looks", 1))
             scene_doc["seed"] = entry.get("seed", synth.derive_seed(top_seed, idx))
             scene_doc["timestamp"] = entry.get("date")
             scene_doc["orbit"] = entry.get("orbit")
-            scene = synth.scene_from_dict(scene_doc)
-            c2 = synth.generate_scene(scene)
-            name = _scene_name(scene.timestamp, scene.orbit)
-            sar.save_c2(c2, cfg.out_dir / name)
-            log.info("wrote %s (%dx%d, %d looks)", name, scene.spec.width,
-                     scene.spec.height, scene.looks)
+            try:
+                scenes.append(synth.scene_from_dict(scene_doc))
+            except ValueError as e:
+                raise ValueError(f"{path}: scene #{idx}: {e}") from None
     else:
         seed = flag_seed if flag_seed is not None else doc.get("seed", cfg.seed)
-        scene = synth.scene_from_dict(doc, seed=int(seed))
-        c2 = synth.generate_scene(scene)
+        try:
+            scenes = [synth.scene_from_dict(doc, seed=seed)]
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+    first_with: dict[str, int] = {}
+    for idx, scene in enumerate(scenes):
         name = _scene_name(scene.timestamp, scene.orbit)
-        sar.save_c2(c2, cfg.out_dir / name)
+        if name in first_with:
+            raise ValueError(f"{path}: scenes #{first_with[name]} and #{idx} "
+                             f"would both write {name}")
+        first_with[name] = idx
+
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, idx in first_with.items():
+        scene = scenes[idx]
+        sar.save_c2(synth.generate_scene(scene), cfg.out_dir / name)
         log.info("wrote %s (%dx%d, %d looks)", name, scene.spec.width,
                  scene.spec.height, scene.looks)
     return 0

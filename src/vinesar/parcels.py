@@ -129,21 +129,33 @@ def load_parcels(path: str | Path) -> list[Parcel]:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"{p} is not valid JSON: {e}") from e
-    if doc.get("type") != "FeatureCollection":
-        raise ValueError(f"{p}: expected a FeatureCollection, got {doc.get('type')!r}")
+    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
+    if kind != "FeatureCollection":
+        raise ValueError(f"{p}: expected a FeatureCollection, got {kind!r}")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError(f"{p}: \"features\" must be a list")
 
     parcels = []
-    for k, feature in enumerate(doc.get("features", [])):
+    for k, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ValueError(f"{p}: feature #{k} is not a JSON object")
         geom = feature.get("geometry") or {}
-        if geom.get("type") != "Polygon":
-            raise ValueError(f"{p}: feature #{k} is {geom.get('type')!r}, only "
+        gtype = geom.get("type") if isinstance(geom, dict) else type(geom).__name__
+        if gtype != "Polygon":
+            raise ValueError(f"{p}: feature #{k} is {gtype!r}, only "
                              "Polygon features are supported")
         props = feature.get("properties") or {}
-        if "id" not in props or props["id"] in (None, ""):
+        if not isinstance(props, dict) or props.get("id") in (None, ""):
             raise ValueError(f"{p}: feature #{k} lacks properties.id")
-        orientation = Orientation(props.get("orientation", "Other"))
-        rings = [np.asarray(ring, dtype=np.float64) for ring in geom["coordinates"]]
-        parcels.append(Parcel(id=str(props["id"]), rings=rings, orientation=orientation))
+        if not isinstance(geom.get("coordinates"), list):
+            raise ValueError(f"{p}: feature #{k} lacks a coordinates list")
+        try:
+            orientation = Orientation(props.get("orientation", "Other"))
+            rings = [np.asarray(ring, dtype=np.float64) for ring in geom["coordinates"]]
+            parcels.append(Parcel(id=str(props["id"]), rings=rings, orientation=orientation))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{p}: feature #{k}: {e}") from None
 
     ids = [pc.id for pc in parcels]
     if len(set(ids)) != len(ids):

@@ -13,6 +13,7 @@ import datetime as dt
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -163,7 +164,11 @@ def save_bundle(path: str | Path,
     """Write a bundle; returns the header path.
 
     Band arrays must all be (height, width). Values are stored verbatim as
-    little-endian float32, so a save/load round trip is bitwise exact.
+    little-endian float32, so a save/load round trip is bitwise exact. Both
+    files are written under temporary names in the target directory and then
+    renamed over the targets, payload first, so a failed or interrupted save
+    never leaves a header beside a missing or partial payload. (No fsync:
+    this guards against a failing process, not against a power loss.)
     """
     if not bands:
         raise BundleError("a bundle needs at least one band")
@@ -186,16 +191,26 @@ def save_bundle(path: str | Path,
     if orbit is not None:
         header["orbit"] = Orbit(orbit).value
 
-    blob = bytearray()
+    arrays = []
     for name, arr in bands:
         a = np.asarray(arr, dtype="<f4")
         if a.shape != (spec.height, spec.width):
             raise BundleError(f"band {name!r} has shape {a.shape}, grid wants "
                               f"({spec.height}, {spec.width})")
-        blob += a.tobytes(order="C")
+        arrays.append(a)
 
-    header_path.write_text(json.dumps(header, indent=2) + "\n")
-    binary_path.write_bytes(bytes(blob))
+    tmp_binary, tmp_header = (q.with_name(f".{q.name}.{os.getpid()}.tmp")
+                              for q in (binary_path, header_path))
+    try:
+        with open(tmp_binary, "wb") as f:
+            for a in arrays:
+                a.tofile(f)  # row-major whatever the array's memory order
+        tmp_header.write_text(json.dumps(header, indent=2) + "\n")
+        os.replace(tmp_binary, binary_path)
+        os.replace(tmp_header, header_path)
+    finally:
+        tmp_binary.unlink(missing_ok=True)
+        tmp_header.unlink(missing_ok=True)
     return header_path
 
 

@@ -88,6 +88,42 @@ class TestSynthCommand:
                        "--out", str(tmp_path / "out")) == 1
 
 
+    def test_duplicate_date_and_orbit_is_one_error_line(self, tmp_path, caplog):
+        scene = {"date": "2023-03-28", "orbit": "DES", "regions": []}
+        doc = {"grid": GRID, "looks": 1, "seed": 1, "background": [1.0, 0.5, 0.0, 0.0],
+               "scenes": [scene, dict(scene, orbit="ASC"), scene]}
+        (tmp_path / "dup.json").write_text(json.dumps(doc))
+        assert run_cli("synth", str(tmp_path / "dup.json"),
+                       "--out", str(tmp_path / "out")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "c2_2023-03-28_DES" in errors[0]
+        assert "#0" in errors[0] and "#2" in errors[0]
+        assert not list(tmp_path.glob("out/c2_*"))
+
+    @pytest.mark.parametrize("doc", [
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0], "scenes": [1]},
+        {"background": [1.0, 0.5, 0.0, 0.0], "scenes": [{"date": "2023-03-28"}]},
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0], "scenes": {"a": 1}},
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
+         "scenes": [{"date": "2023-03-28"}, {"date": "2023-04-01", "regions": [1]}]},
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
+         "scenes": [{"date": "2023-03-28"}, {"date": "2023-04-01", "looks": None}]},
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0], "seed": [1],
+         "scenes": [{"date": "2023-03-28"}]},
+        dict(scene_doc(), seed=[1]),
+        [1, 2],
+    ])
+    def test_malformed_campaign_is_one_error_line(self, tmp_path, caplog, doc):
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert run_cli("synth", str(tmp_path / "bad.json"),
+                       "--out", str(tmp_path / "out")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "bad.json" in errors[0]
+        # every scene is checked before the first one is generated
+        assert not list(tmp_path.glob("out/*"))
+
+
 class TestSarIndexCommand:
     def test_produces_index_bundles(self, tmp_path):
         for date, orbit, seed in (("2023-03-28", "DES", 1), ("2023-03-29", "ASC", 2)):
@@ -372,6 +408,12 @@ class TestConfigHandling:
             cli.load_config(self.parse("synth", "x.json", "--seed",
                                        str(2 ** 64)))
 
+    def test_integral_float_is_an_integer(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"erode": 3.0, "boxcar": 5}))
+        cfg = cli.load_config(self.parse("zonal", "--config", str(tmp_path / "cfg.json")))
+        assert cfg.erode_px == 3 and type(cfg.erode_px) is int
+        assert cfg.boxcar == 5
+
     def test_fatal_errors_exit_one_via_main(self, tmp_path):
         assert run_cli("sar-index", "--multilook", "nope") == 1
         (tmp_path / "garbage.json").write_text("{")
@@ -379,7 +421,9 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("doc", [{"multilook": 5}, {"multilook": [2]},
                                      {"multilook": [4, 1, 1]}, {"multilook": [4.5, 1]},
-                                     {"boxcar": [3]}, {"t_base": {}}])
+                                     {"boxcar": [3]}, {"t_base": {}},
+                                     {"erode": 2.9}, {"boxcar": True}, {"max_gap_days": 7.5},
+                                     {"seed": False}, {"seed": "12"}, {"erode": float("nan")}])
     def test_wrong_typed_value_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         assert run_cli("sar-index", "--config", str(tmp_path / "cfg.json")) == 1

@@ -118,6 +118,31 @@ class TestLoadParcels:
         with pytest.raises(ValueError, match="Polygon"):
             load_parcels(write_geojson(tmp_path / "p.geojson", doc))
 
+    @pytest.mark.parametrize("doc", [
+        {"type": "FeatureCollection", "features": [1]},
+        {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": "a"}, "geometry": {"type": "Polygon"}}]},
+        {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": "a"},
+             "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0]], [[0]]]}}]},
+        {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": "a"},
+             "geometry": {"type": "Polygon", "coordinates": [[{"x": 0}]]}}]},
+        {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": ["a"], "geometry": "Polygon"}]},
+    ])
+    def test_malformed_feature_names_file_and_index(self, tmp_path, doc):
+        path = write_geojson(tmp_path / "p.geojson", doc)
+        with pytest.raises(ValueError, match="feature #0") as exc:
+            load_parcels(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("doc", [[], {"type": "FeatureCollection", "features": {}}])
+    def test_malformed_collection_names_file(self, tmp_path, doc):
+        path = write_geojson(tmp_path / "p.geojson", doc)
+        with pytest.raises(ValueError, match="p.geojson"):
+            load_parcels(path)
+
     def test_rejects_open_or_tiny_ring(self):
         with pytest.raises(ValueError):
             Parcel(id="x", rings=[np.array([[0, 0], [1, 0], [1, 1], [0.5, 0.5]],

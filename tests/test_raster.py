@@ -85,6 +85,34 @@ class TestBundleIO:
         assert doc["timestamp"] == "2023-08-20"
         assert doc["orbit"] == "DES"
 
+    def test_save_leaves_only_the_bundle(self, tmp_path):
+        vals = np.arange(12, dtype=np.float64).reshape(4, 3).T  # not C-contiguous
+        save_bundle(tmp_path / "t", grid(w=4, h=3), [("k", vals)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin", "t.json"]
+        back = load_bundle(tmp_path / "t")
+        assert back.values[0].tobytes() == vals.astype("<f4").tobytes()
+
+    def test_failed_save_leaves_no_header(self, tmp_path, monkeypatch):
+        from vinesar import raster
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        z = np.zeros((2, 2), dtype=np.float32)
+        monkeypatch.setattr(raster.os, "replace", fail)
+        with pytest.raises(OSError):
+            save_bundle(tmp_path / "new", grid(), [("k", z)])
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+
+        # a failed overwrite keeps the previous bundle whole
+        save_bundle(tmp_path / "old", grid(), [("k", z)])
+        monkeypatch.setattr(raster.os, "replace", fail)
+        with pytest.raises(OSError):
+            save_bundle(tmp_path / "old", grid(), [("k", z + 1.0)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.bin", "old.json"]
+        assert load_bundle(tmp_path / "old").values[0].tolist() == z.tolist()
+
     def test_size_mismatch_is_flagged(self, tmp_path):
         g = grid()
         save_bundle(tmp_path / "bad", g, [("k", np.zeros((2, 2), dtype=np.float32))])

@@ -9,9 +9,9 @@ import pytest
 
 from vinesar.raster import GridSpec, Orbit
 from vinesar.sar import dprvi_raster, eigen_decompose
-from vinesar.synth import (Region, SceneSpec, _counter_normals, derive_seed,
-                           generate_scene, load_scene, sample_c2,
-                           scene_from_dict)
+from vinesar.synth import (Region, SceneSpec, _counter_normals,
+                           _counter_uniforms, derive_seed, generate_scene,
+                           load_scene, sample_c2, scene_from_dict)
 
 
 def grid(w, h):
@@ -43,6 +43,13 @@ class TestCounterNormals:
     def test_seed_changes_stream(self):
         c = np.arange(32, dtype=np.uint64)
         assert not np.array_equal(_counter_normals(1, c), _counter_normals(2, c))
+
+    def test_uniforms_lie_in_the_half_open_unit_interval(self):
+        u = _counter_uniforms(17, np.arange(200000, dtype=np.uint64))
+        assert float(u.min()) > 0.0 and float(u.max()) <= 1.0
+        assert abs(float(u.mean()) - 0.5) < 0.005
+        window = _counter_uniforms(17, np.arange(100, 110, dtype=np.uint64))
+        assert window.tolist() == u[100:110].tolist()
 
     def test_moments(self):
         n = 200000
@@ -84,8 +91,9 @@ class TestSampleC2:
 
     def test_single_look_is_rank_one(self):
         rng = np.random.default_rng(89)
-        for _ in range(200):
-            c11, c22, re, im = sample_c2((1.0, 0.5, 0.2, 0.1), 1, rng)
+        trues = [(1.0, 0.5, 0.2, 0.1), (0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.99, 0.0)]
+        for true in trues * 200:
+            c11, c22, re, im = sample_c2(true, 1, rng)
             det = c11 * c22 - (re * re + im * im)
             assert abs(det) <= 1e-12 * (c11 + c22) ** 2
             assert c11 >= 0.0 and c22 >= 0.0
@@ -193,6 +201,67 @@ class TestGenerateScene:
                          looks=1, seed=2023)
         out = dprvi_raster(generate_scene(spec))
         assert np.all(out.values == 0.0)
+
+
+class TestSamplerMoments:
+    """Scaled complex Wishart moments of a one-covariance scene.
+
+    For C = W / L with W ~ CW(L, S): E[C] = S, Var(c11) = s11^2 / L,
+    Var(c22) = s22^2 / L and E|c12 - s12|^2 = s11 s22 / L. With n = 40000
+    pixels a mean is checked to 4 standard errors and a second moment to 6%
+    relative, about four times its relative standard error at one look.
+    """
+
+    TRUE = (2.0, 0.8, 0.9, -0.4)
+
+    @pytest.mark.parametrize("looks", [1, 4, 49])
+    def test_moments_match_the_wishart(self, looks):
+        s11, s22, s_re, s_im = self.TRUE
+        out = generate_scene(SceneSpec(spec=grid(200, 200), background=self.TRUE,
+                                       looks=looks, seed=4096 + looks))
+        c11, c22, re, im = (getattr(out, b).astype(np.float64).ravel()
+                            for b in ("c11", "c22", "c12_re", "c12_im"))
+        n = c11.size
+        off = s11 * s22 / looks
+        for got, want, var in ((c11, s11, s11 ** 2 / looks), (c22, s22, s22 ** 2 / looks),
+                               (re, s_re, off / 2), (im, s_im, off / 2)):
+            assert abs(float(got.mean()) - want) <= 4.0 * math.sqrt(var / n)
+        assert float(c11.var()) == pytest.approx(s11 ** 2 / looks, rel=0.06)
+        assert float(c22.var()) == pytest.approx(s22 ** 2 / looks, rel=0.06)
+        err = float(np.mean((re - s_re) ** 2 + (im - s_im) ** 2))
+        assert err == pytest.approx(off, rel=0.06)
+
+    def test_many_looks_do_not_underflow(self):
+        # a product of 2000 uniforms underflows to 0; the sum of their logs does not
+        out = generate_scene(SceneSpec(spec=grid(8, 8), background=self.TRUE,
+                                       looks=2000, seed=5))
+        assert np.isfinite(out.c11).all() and np.isfinite(out.c22).all()
+        assert float(out.c11.mean()) == pytest.approx(2.0, rel=0.02)
+        assert float(out.c22.mean()) == pytest.approx(0.8, rel=0.02)
+
+
+class TestOrderIndependence:
+    def test_rows_do_not_depend_on_scene_height(self):
+        # 64 px rows at 49 looks span more than one row chunk, and the last
+        # chunk of each scene holds a different number of rows
+        base = dict(background=(1.0, 0.5, 0.1, -0.1), looks=49, seed=808,
+                    regions=[Region((10, 3, 40, 30), (3.0, 0.4, 0.2, 0.3))])
+        short = generate_scene(SceneSpec(spec=grid(64, 25), **base))
+        tall = generate_scene(SceneSpec(spec=grid(64, 70), **base))
+        for band in ("c11", "c22", "c12_re", "c12_im"):
+            assert getattr(short, band).tobytes() == getattr(tall, band)[:25].tobytes()
+
+    def test_background_pixel_ignores_regions_elsewhere(self):
+        base = dict(spec=grid(30, 20), background=(1.0, 0.5, 0.1, -0.1), looks=9, seed=77)
+        plain = generate_scene(SceneSpec(**base))
+        painted = generate_scene(SceneSpec(
+            regions=[Region((5, 4, 12, 15), (4.0, 2.0, 0.0, 1.0))], **base))
+        outside = np.ones((20, 30), dtype=bool)
+        outside[4:15, 5:12] = False
+        for band in ("c11", "c22", "c12_re", "c12_im"):
+            a, b = getattr(plain, band), getattr(painted, band)
+            assert a[outside].tobytes() == b[outside].tobytes()
+            assert not np.array_equal(a[~outside], b[~outside])
 
 
 class TestSceneFromDict:
