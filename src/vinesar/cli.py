@@ -22,8 +22,8 @@ import numpy as np
 
 from . import optical, parcels, phenology, sar, synth, trend
 from .raster import (AlignmentError, BundleError, GridSpec, Orbit, Raster,
-                     ResampleMethod, load_bundle, load_raster, resample,
-                     save_raster)
+                     ResampleMethod, json_int, load_bundle, load_raster,
+                     resample, save_raster)
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -116,12 +116,10 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
                     raise ValueError(f"{cfg_path}: {key!r} must be a number, "
                                      f"got {value!r}") from None
             elif attr in ("boxcar", "erode_px", "max_gap_days", "seed"):
-                # int() would truncate 2.9 and take true as 1; 3.0 is still 3
-                if (isinstance(value, bool) or not isinstance(value, (int, float))
-                        or not float(value).is_integer()):
-                    raise ValueError(f"{cfg_path}: {key!r} must be an integer, "
-                                     f"got {value!r}")
-                value = int(value)
+                try:
+                    value = json_int(value, key)
+                except ValueError as e:
+                    raise ValueError(f"{cfg_path}: {e}") from None
             setattr(cfg, attr, value)
 
     if getattr(args, "out", None):
@@ -190,8 +188,10 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         if not isinstance(doc["scenes"], list):
             raise ValueError(f"{path}: \"scenes\" must be a list")
         top_seed = flag_seed if flag_seed is not None else doc.get("seed", cfg.seed)
-        if isinstance(top_seed, bool) or not isinstance(top_seed, int):
-            raise ValueError(f"{path}: \"seed\" must be an integer, got {top_seed!r}")
+        try:
+            top_seed = json_int(top_seed, "seed")
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         scenes = []
         for idx, entry in enumerate(doc["scenes"]):
             if not isinstance(entry, dict):
@@ -234,22 +234,27 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    """Covariance bundles -> vegetation index bundles, one per acquisition."""
+    """Covariance bundles -> vegetation index bundles, one per acquisition.
+
+    Every header is checked first, so a bad or misaligned bundle stops the
+    stage before any index is written; then one scene at a time is loaded,
+    filtered, indexed and saved.
+    """
     src = cfg.inputs_dir()
     paths = sorted(src.glob(f"{C2_PREFIX}_*.json"))
     if not paths:
         raise ValueError(f"no {C2_PREFIX}_*.json bundles under {src}")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    stack = [(p, sar.load_c2(p)) for p in paths]
-    ref = stack[0][1].spec
-    for p, c2 in stack[1:]:
-        if c2.spec != ref:
+    ref = sar.read_c2_header(paths[0]).spec
+    for p in paths[1:]:
+        if sar.read_c2_header(p).spec != ref:
             raise AlignmentError(f"{p.name} is on a different grid than "
-                                 f"{stack[0][0].name}; the stack must align")
+                                 f"{paths[0].name}; the stack must align")
 
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     wx, wy = cfg.multilook
-    for p, c2 in stack:
+    for p in paths:
+        c2 = sar.load_c2(p)
         if (wx, wy) != (1, 1):
             c2 = sar.multilook(c2, wx, wy)
         if cfg.boxcar is not None and cfg.boxcar > 1:
@@ -408,6 +413,17 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                              "in the config or use abscissa \"doy\"")
         records = phenology.load_weather_csv(cfg.weather_path)
         cdd_series = phenology.accumulate_cdd(records, cfg.t_base_c)
+        # an acquisition the weather record does not cover has no thermal
+        # time; it is dropped so that it cannot stop every other fit
+        kept = [s for s in stats if s.timestamp is None or cdd_series.covers(s.timestamp)]
+        if len(kept) < len(stats):
+            dropped = sorted({s.timestamp for s in stats} - {s.timestamp for s in kept})
+            log.warning("dropped %d zonal rows dated outside the weather record "
+                        "%s..%s: %s", len(stats) - len(kept), cdd_series.entries[0].date,
+                        cdd_series.entries[-1].date, ", ".join(d.isoformat() for d in dropped))
+            if not kept:
+                raise ValueError(f"no row of {zonal_csv} falls inside the weather record")
+            stats = kept
 
     orientation = {}
     if cfg.parcels_path is not None:

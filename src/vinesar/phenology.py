@@ -97,12 +97,16 @@ class DegreeDaySeries:
     t_base_c: float
     start: dt.date
 
+    def covers(self, day: dt.date) -> bool:
+        """Whether ``day`` lies within the accumulated range."""
+        return bool(self.entries) and self.entries[0].date <= day <= self.entries[-1].date
+
     def cdd_on(self, day: dt.date) -> float:
         """Cumulative degree days on ``day``; errors outside the covered range."""
         if not self.entries:
             raise ValueError("empty degree-day series")
         first, last = self.entries[0].date, self.entries[-1].date
-        if day < first or day > last:
+        if not self.covers(day):
             raise ValueError(f"{day} outside the accumulated range {first}..{last}")
         return self.entries[(day - first).days].cdd
 

@@ -214,8 +214,36 @@ def save_bundle(path: str | Path,
     return header_path
 
 
-def load_bundle(path: str | Path) -> Bundle:
-    """Read a bundle back; raises BundleError on any header/payload mismatch."""
+def json_int(value, name: str) -> int:
+    """A JSON integer field as an int.
+
+    int() would truncate 2.9 and read true as 1, so a bool, a fraction or a
+    non-number is rejected; an integral float such as 3.0 is read as 3.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class BundleHeader:
+    """What a bundle's header declares; the payload size is already checked."""
+
+    spec: GridSpec
+    band_names: list[str]
+    nodata: float = math.nan
+    timestamp: Optional[dt.date] = None
+    orbit: Optional[Orbit] = None
+
+
+def read_header(path: str | Path) -> BundleHeader:
+    """Parse and check a bundle's header without reading its payload.
+
+    Raises BundleError on a missing file, an unparseable or incomplete
+    header, an unknown dtype or orbit, or a payload whose size does not
+    match the declared grid and bands.
+    """
     header_path, binary_path = _bundle_paths(path)
     if not header_path.exists():
         raise BundleError(f"missing header {header_path}")
@@ -234,9 +262,13 @@ def load_bundle(path: str | Path) -> Bundle:
     if header["dtype"] != DTYPE_TAG:
         raise BundleError(f"unsupported dtype {header['dtype']!r}, expected {DTYPE_TAG!r}")
 
+    try:
+        width, height = (json_int(header[k], k) for k in ("width", "height"))
+    except ValueError as e:
+        raise BundleError(f"header {header_path}: {e}") from None
     spec = GridSpec(
-        width=int(header["width"]),
-        height=int(header["height"]),
+        width=width,
+        height=height,
         origin_x=float(header["origin_x"]),
         origin_y=float(header["origin_y"]),
         pixel_size_x=float(header["pixel_size_x"]),
@@ -251,8 +283,6 @@ def load_bundle(path: str | Path) -> Bundle:
     expected = 4 * spec.width * spec.height * len(band_names)
     if size != expected:
         raise BundleError(f"{binary_path} holds {size} bytes, header implies {expected}")
-    values = np.fromfile(binary_path, dtype="<f4").reshape(
-        len(band_names), spec.height, spec.width)
 
     nodata_field = header.get("nodata", None)
     nodata = math.nan if nodata_field is None else float(nodata_field)
@@ -266,8 +296,17 @@ def load_bundle(path: str | Path) -> Bundle:
         except ValueError:
             raise BundleError(f"unknown orbit tag {header['orbit']!r}")
 
-    return Bundle(spec=spec, band_names=band_names, values=values,
-                  nodata=nodata, timestamp=timestamp, orbit=orbit)
+    return BundleHeader(spec=spec, band_names=band_names, nodata=nodata,
+                        timestamp=timestamp, orbit=orbit)
+
+
+def load_bundle(path: str | Path) -> Bundle:
+    """Read a bundle back; raises BundleError on any header/payload mismatch."""
+    h = read_header(path)
+    values = np.fromfile(_bundle_paths(path)[1], dtype="<f4").reshape(
+        len(h.band_names), h.spec.height, h.spec.width)
+    return Bundle(spec=h.spec, band_names=h.band_names, values=values,
+                  nodata=h.nodata, timestamp=h.timestamp, orbit=h.orbit)
 
 
 def save_raster(raster: Raster, path: str | Path) -> Path:
@@ -340,8 +379,13 @@ def resample(raster: Raster, target: GridSpec,
 
     col_c = np.clip(col, 0, src.width - 1)
     row_c = np.clip(row, 0, src.height - 1)
-    nearest = src_vals[row_c[:, None], col_c[None, :]]
-    nearest_ok = src_valid[row_c[:, None], col_c[None, :]]
+    # one take per axis copies whole rows, then whole columns: cheaper than
+    # indexing every pixel of the grid through broadcast index arrays
+    def grid_take(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return a.take(rows, axis=0).take(cols, axis=1)
+
+    nearest = grid_take(src_vals, row_c, col_c)
+    nearest_ok = grid_take(src_valid, row_c, col_c)
 
     if method is ResampleMethod.NEAREST:
         pick = inside & nearest_ok
@@ -358,12 +402,12 @@ def resample(raster: Raster, target: GridSpec,
         wx = gx - i0
         wy = gy - j0
 
-        v00 = src_vals[j0[:, None], i0[None, :]]
-        v01 = src_vals[j0[:, None], i1[None, :]]
-        v10 = src_vals[j1[:, None], i0[None, :]]
-        v11 = src_vals[j1[:, None], i1[None, :]]
-        ok = (src_valid[j0[:, None], i0[None, :]] & src_valid[j0[:, None], i1[None, :]]
-              & src_valid[j1[:, None], i0[None, :]] & src_valid[j1[:, None], i1[None, :]])
+        v00 = grid_take(src_vals, j0, i0)
+        v01 = grid_take(src_vals, j0, i1)
+        v10 = grid_take(src_vals, j1, i0)
+        v11 = grid_take(src_vals, j1, i1)
+        ok = (grid_take(src_valid, j0, i0) & grid_take(src_valid, j0, i1)
+              & grid_take(src_valid, j1, i0) & grid_take(src_valid, j1, i1))
 
         wxg = wx[None, :]
         wyg = wy[:, None]

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import Bundle, GridSpec, Orbit, Raster, load_bundle, save_bundle
+from .raster import (BundleHeader, GridSpec, Orbit, Raster, load_bundle, read_header,
+                     save_bundle)
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +92,19 @@ def save_c2(c2: C2Raster, path: str | Path) -> Path:
     return save_bundle(path, c2.spec, bands, timestamp=c2.timestamp, orbit=c2.orbit)
 
 
+def _require_c2_bands(path: str | Path, band_names: list[str]) -> None:
+    if tuple(band_names) != C2_BAND_NAMES:
+        raise ValueError(f"{path} holds bands {band_names}, "
+                         f"a covariance bundle needs {list(C2_BAND_NAMES)}")
+
+
+def read_c2_header(path: str | Path) -> BundleHeader:
+    """Check a covariance bundle as load_c2 does, without reading its payload."""
+    header = read_header(path)
+    _require_c2_bands(path, header.band_names)
+    return header
+
+
 def load_c2(path: str | Path) -> C2Raster:
     """Read a covariance bundle.
 
@@ -99,9 +113,7 @@ def load_c2(path: str | Path) -> C2Raster:
     averaged into its neighbours by multilook or boxcar.
     """
     b = load_bundle(path)
-    if tuple(b.band_names) != C2_BAND_NAMES:
-        raise ValueError(f"{path} holds bands {b.band_names}, "
-                         f"a covariance bundle needs {list(C2_BAND_NAMES)}")
+    _require_c2_bands(path, b.band_names)
     valid = np.isfinite(b.values).all(axis=0)
     bad = valid & _not_psd(*b.values.astype(np.float64))
     n_bad = int(bad.sum())
@@ -112,17 +124,9 @@ def load_c2(path: str | Path) -> C2Raster:
     return C2Raster(b.spec, *b.values, timestamp=b.timestamp, orbit=b.orbit)
 
 
-def _block_mean(values: np.ndarray, valid: np.ndarray,
-                win_x: int, win_y: int) -> np.ndarray:
-    """Mean over valid samples in each win_y x win_x block, NaN when none."""
-    h, w = values.shape
-    hh, ww = h // win_y, w // win_x
-    v = np.where(valid, values.astype(np.float64), 0.0)
-    v = v[:hh * win_y, :ww * win_x].reshape(hh, win_y, ww, win_x)
-    n = valid[:hh * win_y, :ww * win_x].reshape(hh, win_y, ww, win_x)
-    sums = v.sum(axis=(1, 3))
-    counts = n.sum(axis=(1, 3))
-    out = np.full((hh, ww), np.nan, dtype=np.float64)
+def _masked_mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """sums / counts where counts > 0, NaN where a window held no valid pixel."""
+    out = np.full(sums.shape, np.nan, dtype=np.float64)
     np.divide(sums, counts, out=out, where=counts > 0)
     return out
 
@@ -139,48 +143,50 @@ def multilook(c2: C2Raster, win_x: int = 4, win_y: int = 1) -> C2Raster:
     if win_x > c2.spec.width or win_y > c2.spec.height:
         raise ValueError(f"window {win_x}x{win_y} exceeds raster "
                          f"{c2.spec.width}x{c2.spec.height}")
+    hh, ww = c2.spec.height // win_y, c2.spec.width // win_x
+
+    def block_sums(a: np.ndarray) -> np.ndarray:
+        return a[:hh * win_y, :ww * win_x].reshape(hh, win_y, ww, win_x).sum(axis=(1, 3))
+
     valid = c2.valid_mask()
-    bands = [_block_mean(b, valid, win_x, win_y).astype(np.float32)
+    counts = block_sums(valid)  # one count per block, shared by the four bands
+    bands = [_masked_mean(block_sums(np.where(valid, b.astype(np.float64), 0.0)),
+                          counts).astype(np.float32)
              for b in (c2.c11, c2.c22, c2.c12_re, c2.c12_im)]
-    out_spec = replace(c2.spec,
-                       width=c2.spec.width // win_x,
-                       height=c2.spec.height // win_y,
+    out_spec = replace(c2.spec, width=ww, height=hh,
                        pixel_size_x=c2.spec.pixel_size_x * win_x,
                        pixel_size_y=c2.spec.pixel_size_y * win_y)
     return C2Raster(out_spec, *bands, timestamp=c2.timestamp, orbit=c2.orbit)
 
 
-def _window_mean(values: np.ndarray, valid: np.ndarray, win: int) -> np.ndarray:
-    """Sliding mean over the valid part of a win x win window, via integral
-    images so edges fall back to the window/raster intersection."""
-    h, w = values.shape
-    half = win // 2
-    v = np.where(valid, values.astype(np.float64), 0.0)
-    sat = np.zeros((h + 1, w + 1), dtype=np.float64)
-    sat[1:, 1:] = v.cumsum(axis=0).cumsum(axis=1)
-    cnt = np.zeros((h + 1, w + 1), dtype=np.int64)
-    cnt[1:, 1:] = valid.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+def _summed_area(a: np.ndarray) -> np.ndarray:
+    """(h+1) x (w+1) table whose [r, c] entry sums a[:r, :c]."""
+    h, w = a.shape
+    table = np.zeros((h + 1, w + 1), dtype=a.dtype)
+    table[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+    return table
 
-    rows = np.arange(h)
-    cols = np.arange(w)
-    r0 = np.clip(rows - half, 0, h)
-    r1 = np.clip(rows + half + 1, 0, h)
-    c0 = np.clip(cols - half, 0, w)
-    c1 = np.clip(cols + half + 1, 0, w)
 
-    def rect(table: np.ndarray) -> np.ndarray:
-        return (table[np.ix_(r1, c1)] - table[np.ix_(r0, c1)]
-                - table[np.ix_(r1, c0)] + table[np.ix_(r0, c0)])
+def _window_sums(table: np.ndarray, win: int) -> np.ndarray:
+    """Sum over each pixel's win x win window clipped to the raster.
 
-    sums = rect(sat)
-    counts = rect(cnt)
-    out = np.full((h, w), np.nan, dtype=np.float64)
-    np.divide(sums, counts, out=out, where=counts > 0)
-    return out
+    ``table`` is a summed-area table from ``_summed_area``. Edge-padding it
+    by win // 2 repeats its first and last rows and columns, so a window
+    reaching past the raster reads the table at the raster edge: the plain
+    slices below equal the table at the clipped window corners.
+    """
+    h, w = table.shape[0] - 1, table.shape[1] - 1
+    t = np.pad(table, win // 2, mode="edge")
+    return (t[win:win + h, win:win + w] - t[:h, win:win + w]
+            - t[win:win + h, :w] + t[:h, :w])
 
 
 def boxcar_filter(c2: C2Raster, win: int) -> C2Raster:
-    """Square sliding-mean speckle filter with an odd window size."""
+    """Square sliding-mean speckle filter with an odd window size.
+
+    Each output pixel averages the valid pixels of its window clipped to
+    the raster, NaN when there are none.
+    """
     if win < 1 or win % 2 == 0:
         raise ValueError(f"boxcar window must be odd and positive, got {win}")
     if win == 1:
@@ -188,8 +194,12 @@ def boxcar_filter(c2: C2Raster, win: int) -> C2Raster:
                         c2.c12_re.copy(), c2.c12_im.copy(),
                         timestamp=c2.timestamp, orbit=c2.orbit)
     valid = c2.valid_mask()
-    bands = [_window_mean(b, valid, win).astype(np.float32)
-             for b in (c2.c11, c2.c22, c2.c12_re, c2.c12_im)]
+    # one count table per scene, shared by the four bands
+    counts = _window_sums(_summed_area(valid.astype(np.int64)), win)
+    bands = []
+    for b in (c2.c11, c2.c22, c2.c12_re, c2.c12_im):
+        sums = _window_sums(_summed_area(np.where(valid, b.astype(np.float64), 0.0)), win)
+        bands.append(_masked_mean(sums, counts).astype(np.float32))
     return C2Raster(c2.spec, *bands, timestamp=c2.timestamp, orbit=c2.orbit)
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .raster import GridSpec, Orbit
+from .raster import GridSpec, Orbit, json_int
 from .sar import C2Raster, _not_psd
 
 log = logging.getLogger(__name__)
@@ -239,8 +239,8 @@ def scene_from_dict(doc: dict, *,
     """
     try:
         grid = GridSpec(
-            width=int(doc["width"]),
-            height=int(doc["height"]),
+            width=json_int(doc["width"], "width"),
+            height=json_int(doc["height"], "height"),
             origin_x=float(doc["origin_x"]),
             origin_y=float(doc["origin_y"]),
             pixel_size_x=float(doc["pixel_size_x"]),
@@ -248,10 +248,10 @@ def scene_from_dict(doc: dict, *,
             crs=str(doc["crs"]),
         )
         background = tuple(float(v) for v in doc["background"])
-        regions = [Region(tuple(r["rect"]), tuple(r["c2"]))
+        regions = [Region(tuple(json_int(v, "rect") for v in r["rect"]), tuple(r["c2"]))
                    for r in doc.get("regions", [])]
-        looks = int(doc.get("looks", 1))
-        seed_val = int(doc["seed"]) if seed is None else int(seed)
+        looks = json_int(doc.get("looks", 1), "looks")
+        seed_val = json_int(doc["seed"] if seed is None else seed, "seed")
         if timestamp is None and doc.get("timestamp"):
             timestamp = dt.date.fromisoformat(doc["timestamp"])
         if orbit is None and doc.get("orbit"):

@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 
 from conftest import (GRID, OPTICAL_DATES, PARCELS, SAR_CDD, SAR_DATES,
                       build_campaign_workspace, run_cli, seasonal_shape,
-                      write_campaign_json, write_optical_inputs)
+                      weather_rows, write_campaign_json, write_config,
+                      write_optical_inputs, write_parcels_geojson)
 from vinesar import cli
 from vinesar.raster import GridSpec, Orbit, load_raster
 from vinesar.sar import C2Raster, dprvi_from_eigen, eigen_decompose, load_c2, save_c2
@@ -113,6 +115,21 @@ class TestSynthCommand:
          "scenes": [{"date": "2023-03-28"}]},
         dict(scene_doc(), seed=[1]),
         [1, 2],
+        # integer fields: int() would read 2.9 as 2, true as 1 and 4.7 as 4
+        dict(scene_doc(), looks=2.9),
+        dict(scene_doc(), looks=True),
+        dict(scene_doc(), width=4.7),
+        dict(scene_doc(), height="6"),
+        dict(scene_doc(), seed=1.5),
+        dict(scene_doc(), regions=[{"rect": [1, 1, 5.5, 5], "c2": [2.0, 0.2, 0.0, 0.0]}]),
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0], "looks": 2.9,
+         "scenes": [{"date": "2023-03-28"}]},
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
+         "scenes": [{"date": "2023-03-28"}, {"date": "2023-04-01", "seed": True}]},
+        {"grid": dict(GRID, width=100.5), "background": [1.0, 0.5, 0.0, 0.0],
+         "scenes": [{"date": "2023-03-28"}]},
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0], "seed": 3.5,
+         "scenes": [{"date": "2023-03-28"}]},
     ])
     def test_malformed_campaign_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -122,6 +139,17 @@ class TestSynthCommand:
         assert len(errors) == 1 and "bad.json" in errors[0]
         # every scene is checked before the first one is generated
         assert not list(tmp_path.glob("out/*"))
+
+    def test_integral_float_fields_are_integers(self, tmp_path):
+        doc = scene_doc(looks=3)
+        floats = dict(doc, looks=3.0, width=8.0, seed=3.0,
+                      regions=[{"rect": [1.0, 1, 5, 5.0], "c2": [2.0, 0.2, 0.0, 0.0]}])
+        for name, d in (("ints", doc), ("floats", floats)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(d))
+            assert run_cli("synth", str(tmp_path / f"{name}.json"),
+                           "--out", str(tmp_path / name)) == 0
+        a, b = (tmp_path / name / "c2_2023-04-21_DES.bin" for name in ("ints", "floats"))
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestSarIndexCommand:
@@ -165,6 +193,37 @@ class TestSarIndexCommand:
             p.write_text(json.dumps(doc))
             assert run_cli("synth", str(p), "--out", str(tmp_path / "out")) == 0
         assert run_cli("sar-index", "--out", str(tmp_path / "out")) == 1
+
+    @pytest.mark.parametrize("fault", ["misaligned", "wrong bands", "truncated payload"])
+    def test_bad_bundle_sorted_last_stops_before_any_output(self, tmp_path, caplog, fault):
+        # scenes are processed one at a time, so every header is checked
+        # first: a bad last bundle must not leave the earlier indices behind
+        from vinesar.raster import save_bundle
+        rng = np.random.default_rng(4)
+        spec = GridSpec(6, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
+
+        def bands(s):
+            c11 = rng.uniform(0.5, 2.0, size=(s.height, s.width))
+            return c11, 0.5 * c11, 0.1 * c11, 0.0 * c11
+
+        for date in ("2023-04-21", "2023-05-27"):
+            save_c2(C2Raster(spec, *bands(spec), timestamp=dt.date.fromisoformat(date)),
+                    tmp_path / f"c2_{date}_DES")
+        last = tmp_path / "c2_2023-12-31_DES"
+        if fault == "misaligned":
+            wide = GridSpec(7, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
+            save_c2(C2Raster(wide, *bands(wide)), last)
+        elif fault == "wrong bands":
+            save_bundle(last, spec, list(zip(("C11", "C22", "C12_re", "X"), bands(spec))))
+        else:
+            save_c2(C2Raster(spec, *bands(spec)), last)
+            with open(last.with_suffix(".bin"), "r+b") as f:
+                f.truncate(4 * 6 * 5 * 4 - 4)
+        assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1",
+                       "--boxcar", "3") == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "c2_2023-12-31_DES" in errors[0]
+        assert not list(tmp_path.glob("dprvi_*"))
 
     def test_no_bundles_fails(self, tmp_path):
         (tmp_path / "out").mkdir()
@@ -298,6 +357,59 @@ class TestTrendCommand:
             # fitted vertex lands near the planted one in thermal time
             assert float(row["vertex_x"]) == pytest.approx(99.5, abs=25.0)
             assert float(row["a"]) < 0.0  # concave season
+
+    def test_acquisition_outside_weather_record_is_dropped(self, campaign_run, tmp_path,
+                                                           caplog):
+        from vinesar.parcels import read_zonal_csv, write_zonal_csv
+        # the record ends 2023-08-19: the ASC radar date of 08-20 and the
+        # optical date of 08-24 lie past it
+        end = dt.date(2023, 8, 19)
+        lines = ["date,tmin_c,tmax_c,precip_mm"] + [
+            f"{d},{lo!r},{hi!r},{p!r}" for d, lo, hi, p in weather_rows()
+            if dt.date.fromisoformat(d) <= end]
+        stats = read_zonal_csv(campaign_run["out"] / "zonal.csv")
+        inside = [s for s in stats if s.timestamp <= end]
+        outputs = ("trend.csv", "trend_groups.csv", "correlation.csv", "scatter.csv")
+        got = {}
+        for name, rows in (("all", stats), ("inside", inside)):
+            root = tmp_path / name
+            (root / "out").mkdir(parents=True)
+            (root / "weather.csv").write_text("\n".join(lines) + "\n")
+            write_parcels_geojson(root / "parcels.geojson")
+            write_config(root / "config.json", root / "out")
+            write_zonal_csv(rows, root / "out" / "zonal.csv")
+            caplog.clear()
+            assert run_cli("trend", "--config", str(root / "config.json")) == 0
+            warnings = [r.getMessage() for r in caplog.records
+                        if "outside the weather record" in r.getMessage()]
+            got[name] = [(root / "out" / f).read_bytes() for f in outputs]
+            if name == "all":
+                assert len(warnings) == 1
+                assert f"dropped {len(stats) - len(inside)} zonal rows" in warnings[0]
+                assert "2023-08-20, 2023-08-24" in warnings[0]
+            else:
+                assert not warnings
+        # every other acquisition is fitted as if the dropped rows never existed
+        assert got["all"] == got["inside"]
+        rows = list(csv.DictReader(io.StringIO(got["all"][0].decode())))
+        assert len(rows) == 24
+        assert {int(r["n"]) for r in rows if r["orbit"] == "ASC"} == {5}
+        assert {int(r["n"]) for r in rows if r["orbit"] == "DES"} == {6}
+
+    def test_no_acquisition_inside_weather_record_fails(self, campaign_run, tmp_path,
+                                                        caplog):
+        rows = [r for r in weather_rows() if r[0] < "2023-03-01"]
+        (tmp_path / "weather.csv").write_text("\n".join(
+            ["date,tmin_c,tmax_c,precip_mm"] + [",".join(map(str, r)) for r in rows]) + "\n")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "zonal.csv").write_bytes(
+            (campaign_run["out"] / "zonal.csv").read_bytes())
+        write_config(tmp_path / "config.json", tmp_path / "out")
+        write_parcels_geojson(tmp_path / "parcels.geojson")
+        assert run_cli("trend", "--config", str(tmp_path / "config.json")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "inside the weather record" in errors[0]
+        assert not (tmp_path / "out" / "trend.csv").exists()
 
     def test_group_rows(self, campaign_run):
         reader = csv.DictReader((campaign_run["out"] / "trend_groups.csv").open())

@@ -4,14 +4,18 @@ import datetime as dt
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vinesar.raster import (AlignmentError, BundleError, GridSpec, Orbit,
                             Raster, ResampleMethod, assert_aligned,
-                            load_bundle, load_raster, resample, save_bundle,
-                            save_raster)
+                            load_bundle, load_raster, read_header, resample,
+                            save_bundle, save_raster)
 
 
 def grid(w=2, h=2, ox=0.0, oy=0.0, px=10.0, py=-10.0, crs="EPSG:32632"):
@@ -128,6 +132,28 @@ class TestBundleIO:
         with pytest.raises(BundleError):
             load_bundle(tmp_path / "g")
 
+    def test_read_header_reads_no_payload(self, tmp_path, monkeypatch):
+        save_bundle(tmp_path / "h", grid(w=3, h=2), [("k", np.zeros((2, 3)))],
+                    timestamp=dt.date(2023, 5, 27), orbit=Orbit.ASCENDING)
+        monkeypatch.setattr(np, "fromfile", None)
+        head = read_header(tmp_path / "h")
+        assert head.spec == grid(w=3, h=2) and head.band_names == ["k"]
+        assert (head.timestamp, head.orbit) == (dt.date(2023, 5, 27), Orbit.ASCENDING)
+        # the payload size is still checked
+        (tmp_path / "h.bin").write_bytes(b"\x00" * 20)
+        with pytest.raises(BundleError, match="20 bytes"):
+            read_header(tmp_path / "h")
+
+    @pytest.mark.parametrize("width", [2.5, True, "2", None])
+    def test_header_width_must_be_an_integer(self, tmp_path, width):
+        save_bundle(tmp_path / "h", grid(), [("k", np.zeros((2, 2)))])
+        doc = json.loads((tmp_path / "h.json").read_text())
+        (tmp_path / "h.json").write_text(json.dumps(dict(doc, width=width)))
+        with pytest.raises(BundleError, match="'width' must be an integer"):
+            load_bundle(tmp_path / "h")
+        (tmp_path / "h.json").write_text(json.dumps(dict(doc, width=2.0)))
+        assert load_bundle(tmp_path / "h").spec == grid()
+
     def test_single_band_helpers(self, tmp_path):
         r = Raster(grid(), np.array([[1, 2], [3, math.nan]], dtype=np.float32),
                    band_name="DpRVI", timestamp=dt.date(2023, 6, 20),
@@ -155,6 +181,57 @@ class TestBundleIO:
         back = load_raster(tmp_path / "s")
         assert back.nodata == -9999.0
         assert back.valid_mask().tolist() == [[True, False], [True, True]]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bundles(draw):
+    """Keyword arguments of save_bundle; payload bits drawn as raw uint32, so
+    NaNs with any payload, +-inf, -0.0 and subnormals all occur."""
+    h, w, nb = (draw(st.integers(1, 6)) for _ in range(3))
+    spec = GridSpec(width=w, height=h, origin_x=draw(finite), origin_y=draw(finite),
+                    pixel_size_x=draw(finite.filter(bool)),
+                    pixel_size_y=draw(finite.filter(bool)), crs=draw(st.text(max_size=12)))
+    bits = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=nb * h * w,
+                         max_size=nb * h * w))
+    values = np.array(bits, dtype=np.uint32).view(np.float32).reshape(nb, h, w)
+    names = draw(st.lists(st.text(max_size=8), min_size=nb, max_size=nb))
+    return dict(spec=spec, bands=list(zip(names, values)),
+                nodata=draw(st.floats(allow_infinity=True, allow_nan=True)),
+                timestamp=draw(st.none() | st.dates()),
+                orbit=draw(st.none() | st.sampled_from(Orbit)))
+
+
+def same_nodata(a, b):
+    return math.isnan(a) and math.isnan(b) or repr(a) == repr(b)
+
+
+class TestBundleProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(bundles())
+    def test_round_trip_is_bitwise_exact(self, kw):
+        with tempfile.TemporaryDirectory() as d:
+            save_bundle(Path(d) / "b", **kw)
+            back = load_bundle(Path(d) / "b")
+        assert back.spec == kw["spec"]
+        assert back.band_names == [name for name, _ in kw["bands"]]
+        assert back.values.tobytes() == np.stack([v for _, v in kw["bands"]]).tobytes()
+        assert same_nodata(back.nodata, kw["nodata"])
+        assert (back.timestamp, back.orbit) == (kw["timestamp"], kw["orbit"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(bundles())
+    def test_read_header_agrees_with_load_bundle(self, kw):
+        with tempfile.TemporaryDirectory() as d:
+            save_bundle(Path(d) / "b", **kw)
+            head = read_header(Path(d) / "b.json")
+            full = load_bundle(Path(d) / "b")
+        assert head.spec == full.spec
+        assert head.band_names == full.band_names
+        assert same_nodata(head.nodata, full.nodata)
+        assert (head.timestamp, head.orbit) == (full.timestamp, full.orbit)
 
 
 class TestAssertAligned:
@@ -250,3 +327,80 @@ class TestResample:
             resample(src, grid(crs="EPSG:4326"))
         with pytest.raises(ValueError, match="disjoint"):
             resample(src, grid(ox=1000.0))
+
+
+def resample_oracle(src: Raster, target: GridSpec, method: ResampleMethod) -> np.ndarray:
+    """resample one target pixel at a time in scalar arithmetic."""
+    s = src.spec
+
+    def value(row, col):
+        v = float(src.values[row, col])
+        return v if math.isfinite(v) else None
+
+    out = np.full((target.height, target.width), np.nan)
+    for tr in range(target.height):
+        frow = (target.origin_y + (tr + 0.5) * target.pixel_size_y - s.origin_y) / s.pixel_size_y
+        for tc in range(target.width):
+            fcol = ((target.origin_x + (tc + 0.5) * target.pixel_size_x - s.origin_x)
+                    / s.pixel_size_x)
+            row, col = math.floor(frow), math.floor(fcol)
+            if not (0 <= row < s.height and 0 <= col < s.width):
+                continue
+            if method is ResampleMethod.BILINEAR:
+                gx = min(max(fcol - 0.5, 0.0), float(s.width - 1))
+                gy = min(max(frow - 0.5, 0.0), float(s.height - 1))
+                i0, j0 = math.floor(gx), math.floor(gy)
+                i1, j1 = min(i0 + 1, s.width - 1), min(j0 + 1, s.height - 1)
+                wx, wy = gx - i0, gy - j0
+                corners = [value(j0, i0), value(j0, i1), value(j1, i0), value(j1, i1)]
+                if None not in corners:
+                    v00, v01, v10, v11 = corners
+                    out[tr, tc] = ((1 - wy) * ((1 - wx) * v00 + wx * v01)
+                                   + wy * ((1 - wx) * v10 + wx * v11))
+                    continue
+            nearest = value(row, col)
+            if nearest is not None:
+                out[tr, tc] = nearest
+    return out.astype(np.float32)
+
+
+class TestResampleOracle:
+    @pytest.mark.parametrize("method", list(ResampleMethod))
+    def test_nan_neighbour_and_target_past_the_source(self, method):
+        vals = np.array([[1.0, 2.0, 3.0],
+                         [4.0, math.nan, 6.0],
+                         [7.0, 8.0, 9.0]], dtype=np.float32)
+        src = Raster(grid(w=3, h=3), vals)
+        # 4 m pixels from 6 m west and north of the source to 6 m past it
+        target = grid(w=10, h=10, ox=-6.0, oy=6.0, px=4.0, py=-4.0)
+        out = resample(src, target, method)
+        want = resample_oracle(src, target, method)
+        np.testing.assert_array_equal(out.values, want)
+        # the outer ring of target centers lies past the source
+        assert np.isnan(out.values[[0, -1]]).all() and np.isnan(out.values[:, [0, -1]]).all()
+        # centers inside the NaN pixel stay nodata under either method
+        assert np.isnan(out.values[4:6, 4:6]).all()
+        assert np.isfinite(out.values[1:-1, 1:-1]).sum() == 60
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(19)
+        done = 0
+        for _ in range(60):
+            w, h = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            vals = rng.normal(size=(h, w)).astype(np.float32)
+            vals[rng.random(size=vals.shape) < 0.2] = np.nan
+            src = Raster(grid(w=w, h=h, px=10.0, py=float(rng.choice([-10.0, 10.0]))), vals)
+            target = grid(w=int(rng.integers(1, 14)), h=int(rng.integers(1, 14)),
+                          ox=float(rng.uniform(-25, w * 10)),
+                          oy=float(rng.uniform(-h * 10, 25)),
+                          px=float(rng.choice([3.0, 7.0, 10.0, 25.0])),
+                          py=-float(rng.choice([3.0, 7.0, 10.0, 25.0])))
+            for method in ResampleMethod:
+                try:
+                    out = resample(src, target, method)
+                except ValueError:
+                    break  # disjoint draw
+                np.testing.assert_array_equal(out.values,
+                                              resample_oracle(src, target, method))
+                done += 1
+        assert done > 40

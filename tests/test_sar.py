@@ -231,6 +231,28 @@ class TestMultilook:
                     else:
                         assert math.isnan(out.c11[row, col])
 
+    def test_bands_with_different_nodata_pixels(self):
+        # each band loses its own pixels; a block averages only the pixels
+        # valid in all four, the same ones for every band
+        rng = np.random.default_rng(51)
+        c2 = random_c2(rng, 12, 9, nodata=0.4)
+        for wx, wy in ((1, 1), (3, 2), (2, 4), (9, 12)):
+            out = multilook(c2, wx, wy)
+            valid = c2.valid_mask()
+            for row in range(12 // wy):
+                for col in range(9 // wx):
+                    blk = np.s_[row * wy:(row + 1) * wy, col * wx:(col + 1) * wx]
+                    ok = valid[blk]
+                    for name in BANDS:
+                        got = getattr(out, name)[row, col]
+                        if not ok.any():
+                            assert math.isnan(got)
+                            continue
+                        vals = np.asarray(getattr(c2, name)[blk], dtype=np.float64)[ok]
+                        # float32 rounding of a float64 mean summed in another order
+                        assert got == pytest.approx(np.mean(vals), rel=1e-6,
+                                                    abs=1e-12 * np.abs(vals).max())
+
     def test_joint_validity(self):
         # NaN in one band invalidates the pixel for every band's mean
         c2 = c2_raster([[1.0, 3.0]], [[1.0, math.nan]], [[0.0, 0.0]], [[0.0, 0.0]])
@@ -252,6 +274,52 @@ class TestMultilook:
             multilook(c2, 2, 1)  # wider than the raster
 
 
+BANDS = ("c11", "c22", "c12_re", "c12_im")
+
+
+def random_c2(rng, h, w, nodata=0.15):
+    """Random PSD raster with a share of pixels NaN in one random band each."""
+    c11, c22, re, im = random_psd(rng, h * w)
+    c2 = c2_raster(*(b.reshape(h, w) for b in (c11, c22, re, im)))
+    kill = rng.random(size=(h, w)) < nodata
+    band = rng.integers(0, 4, size=(h, w))
+    for k, name in enumerate(BANDS):
+        getattr(c2, name)[kill & (band == k)] = np.nan
+    return c2
+
+
+def boxcar_oracle(c2, win):
+    """Per-pixel float64 mean of the valid pixels in each clipped window."""
+    h, w = c2.spec.height, c2.spec.width
+    r = win // 2
+    valid = c2.valid_mask()
+    out = {name: np.full((h, w), np.nan) for name in BANDS}
+    for row in range(h):
+        for col in range(w):
+            ys = slice(max(0, row - r), min(h, row + r + 1))
+            xs = slice(max(0, col - r), min(w, col + r + 1))
+            ok = valid[ys, xs]
+            if ok.any():
+                for name in BANDS:
+                    vals = np.asarray(getattr(c2, name)[ys, xs], dtype=np.float64)
+                    out[name][row, col] = np.mean(vals[ok])
+    return out
+
+
+def assert_matches_oracle(got, want):
+    for name in BANDS:
+        g = getattr(got, name)
+        w = want[name]
+        assert np.array_equal(np.isnan(g), np.isnan(w)), name
+        # float32 output of sums taken through a summed-area table; the
+        # off-diagonal bands change sign, so their means can cancel to ~0
+        atol = 0.0
+        if name.startswith("c12") and np.isfinite(w).any():
+            atol = 1e-6 * np.nanmax(np.abs(w))
+        np.testing.assert_allclose(g[np.isfinite(w)], w[np.isfinite(w)],
+                                   rtol=1e-5, atol=atol, err_msg=name)
+
+
 class TestBoxcar:
     def test_against_brute_force(self):
         rng = np.random.default_rng(60)
@@ -259,22 +327,42 @@ class TestBoxcar:
             h, w = 9, 8
             c11 = rng.uniform(0.5, 2.0, size=(h, w))
             c22 = rng.uniform(0.1, 1.0, size=(h, w))
-            c2 = c2_raster(c11, c22, np.zeros((h, w)), np.zeros((h, w)))
+            mag = rng.uniform(0.0, 0.9, size=(h, w)) * np.sqrt(c11 * c22)
+            phase = rng.uniform(-math.pi, math.pi, size=(h, w))
+            c2 = c2_raster(c11, c22, mag * np.cos(phase), mag * np.sin(phase))
             c2.c22[rng.random(size=(h, w)) < 0.2] = np.nan
-            out = boxcar_filter(c2, win)
-            r = win // 2
-            valid = c2.valid_mask()
-            for row in range(h):
-                for col in range(w):
-                    ys = slice(max(0, row - r), min(h, row + r + 1))
-                    xs = slice(max(0, col - r), min(w, col + r + 1))
-                    ok = valid[ys, xs]
-                    if not ok.any():
-                        assert math.isnan(out.c11[row, col])
-                        continue
-                    want = float(np.mean(np.asarray(
-                        c2.c11[ys, xs], dtype=np.float64)[ok]))
-                    assert out.c11[row, col] == pytest.approx(want, rel=1e-5)
+            assert_matches_oracle(boxcar_filter(c2, win), boxcar_oracle(c2, win))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (3, 3)])
+    @pytest.mark.parametrize("win", [7, 31])
+    def test_window_wider_than_the_raster(self, shape, win):
+        c2 = random_c2(np.random.default_rng(61), *shape, nodata=0.3)
+        out = boxcar_filter(c2, win)
+        assert_matches_oracle(out, boxcar_oracle(c2, win))
+        if max(shape) - 1 <= win // 2 and c2.valid_mask().any():
+            # every window holds the whole raster: one mean everywhere
+            for name in BANDS:
+                assert np.all(getattr(out, name) == getattr(out, name)[0, 0])
+
+    def test_random_rasters_against_brute_force(self):
+        rng = np.random.default_rng(62)
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(1, 14, size=2))
+            win = int(rng.choice([3, 5, 7, 9, 15, 31]))
+            c2 = random_c2(rng, h, w)
+            assert_matches_oracle(boxcar_filter(c2, win), boxcar_oracle(c2, win))
+
+    def test_all_nodata_neighbourhood_is_nodata(self):
+        rng = np.random.default_rng(63)
+        c2 = random_c2(rng, 12, 11, nodata=0.0)
+        c2.c12_im[2:9, 3:10] = np.nan  # one band enough to void the pixel
+        out = boxcar_filter(c2, 5)
+        # a 5x5 window centred inside rows 4..6, cols 5..7 sees only the hole
+        for name in BANDS:
+            band = getattr(out, name)
+            assert np.isnan(band[4:7, 5:8]).all()
+            assert np.isfinite(band).sum() == band.size - 9
+        assert_matches_oracle(out, boxcar_oracle(c2, 5))
 
     def test_window_one_is_identity(self):
         c2 = c2_raster([[1.0, 2.0]], [[0.5, 0.5]], [[0.1, 0.1]], [[0.0, 0.0]])
