@@ -13,17 +13,13 @@ import datetime as dt
 import json
 import logging
 import sys
-from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import optical, parcels, phenology, sar, synth, trend
-from .raster import (AlignmentError, BundleError, GridSpec, Orbit, Raster,
-                     ResampleMethod, json_int, load_bundle, load_raster,
-                     resample, save_raster)
+from .raster import (AlignmentError, BundleError, GridSpec, Orbit, ResampleMethod,
+                     json_float, json_int, load_raster, save_raster)
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -86,14 +82,21 @@ def _parse_multilook(text: str) -> tuple[int, int]:
     return wx, wy
 
 
+def _read_json_object(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
     if args.config:
         cfg_path = Path(args.config)
-        try:
-            doc = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{cfg_path} is not valid JSON: {e}") from e
+        doc = _read_json_object(cfg_path)
         unknown = set(doc) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"{cfg_path}: unknown config keys {sorted(unknown)}")
@@ -102,24 +105,24 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
             if key not in doc or doc[key] is None:
                 continue
             value = doc[key]
-            if attr in ("out_dir", "rasters_dir", "parcels_path", "weather_path"):
-                value = base / str(value)
-            elif attr == "multilook":
-                # [4, 1] is read as "4x1", so both forms meet one check
-                if isinstance(value, list):
-                    value = "x".join(str(v) for v in value)
-                value = _parse_multilook(str(value))
-            elif attr == "t_base_c":
-                try:
-                    value = float(value)
-                except (TypeError, ValueError):
-                    raise ValueError(f"{cfg_path}: {key!r} must be a number, "
-                                     f"got {value!r}") from None
-            elif attr in ("boxcar", "erode_px", "max_gap_days", "seed"):
-                try:
+            try:
+                if attr in ("out_dir", "rasters_dir", "parcels_path", "weather_path"):
+                    if not isinstance(value, str):
+                        raise ValueError(f"{key!r} must be a path string, got {value!r}")
+                    value = base / value
+                elif attr == "multilook":
+                    # [4, 1] is read as "4x1", so both forms meet one check
+                    if isinstance(value, list):
+                        value = "x".join(str(v) for v in value)
+                    value = _parse_multilook(str(value))
+                elif attr == "t_base_c":
+                    value = json_float(value, key)
+                elif attr == "seed":
+                    value = synth.json_seed(value, key)
+                elif attr in ("boxcar", "erode_px", "max_gap_days"):
                     value = json_int(value, key)
-                except ValueError as e:
-                    raise ValueError(f"{cfg_path}: {e}") from None
+            except ValueError as e:
+                raise ValueError(f"{cfg_path}: {e}") from None
             setattr(cfg, attr, value)
 
     if getattr(args, "out", None):
@@ -131,13 +134,11 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "erode", None) is not None:
         cfg.erode_px = args.erode
     if getattr(args, "tbase", None) is not None:
-        cfg.t_base_c = args.tbase
+        cfg.t_base_c = json_float(args.tbase, "--tbase")
     if getattr(args, "max_gap", None) is not None:
         cfg.max_gap_days = args.max_gap
     if getattr(args, "seed", None) is not None:
-        if not (0 <= args.seed < 2 ** 64):
-            raise ValueError("--seed must fit in 64 bits")
-        cfg.seed = args.seed
+        cfg.seed = synth.json_seed(args.seed, "--seed")
 
     if cfg.boxcar is not None and cfg.boxcar <= 0:
         cfg.boxcar = None
@@ -175,11 +176,8 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     Every scene is built and checked before the first one is generated.
     """
     path = Path(args.scene)
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-
-    flag_seed = args.seed if getattr(args, "seed", None) is not None else None
+    doc = _read_json_object(path)
+    flag_seed = getattr(args, "seed", None)
 
     if "scenes" in doc:
         grid_doc = doc.get("grid")
@@ -189,7 +187,7 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: \"scenes\" must be a list")
         top_seed = flag_seed if flag_seed is not None else doc.get("seed", cfg.seed)
         try:
-            top_seed = json_int(top_seed, "seed")
+            top_seed = synth.json_seed(top_seed)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
         scenes = []
@@ -266,23 +264,6 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _bandset_from_split(path10: Path, path20: Path, method: str) -> optical.BandSet:
-    b10 = load_bundle(path10)
-    b20 = load_bundle(path20)
-    for name in ("B4", "B8"):
-        if name not in b10.band_names:
-            raise ValueError(f"{path10.name} lacks band {name}")
-    for name in ("B5", "B11", "B12"):
-        if name not in b20.band_names:
-            raise ValueError(f"{path20.name} lacks band {name}")
-    target = b10.spec
-    b5 = resample(b20.band("B5"), target, method)
-    b11 = resample(b20.band("B11"), target, method)
-    b12 = resample(b20.band("B12"), target, method)
-    return optical.BandSet(b10.band("B4"), b5, b10.band("B8"), b11, b12,
-                           timestamp=b10.timestamp)
-
-
 def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Reflectance bundles -> NDVI and SVHI bundles; LAI passes validation."""
     src = cfg.inputs_dir()
@@ -290,28 +271,19 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     produced = 0
     skipped = []
 
-    for path in sorted(src.glob("bands_*.json")):
-        suffix = _bundle_suffix(path.stem, "bands")
+    # an acquisition is a bands_* bundle, or a bands10_* bundle and the
+    # bands20_* bundle of the same suffix
+    for path in sorted(src.glob("bands_*.json")) + sorted(src.glob("bands10_*.json")):
+        prefix, suffix = path.stem.split("_", 1)
         try:
-            bands = optical.bandset_from_bundle(path)
+            if prefix == "bands":
+                bands = optical.bandset_from_bundle(path)
+            else:
+                bands = optical.bandset_from_split(path, src / f"bands20_{suffix}.json",
+                                                   cfg.resample_method)
         except (ValueError, BundleError, AlignmentError) as e:
             log.error("skipping %s: %s", path.name, e)
             skipped.append(path.name)
-            continue
-        save_raster(optical.ndvi(bands), cfg.out_dir / f"ndvi_{suffix}")
-        save_raster(optical.svhi(bands), cfg.out_dir / f"svhi_{suffix}")
-        produced += 1
-
-    for path10 in sorted(src.glob("bands10_*.json")):
-        suffix = _bundle_suffix(path10.stem, "bands10")
-        path20 = src / f"bands20_{suffix}.json"
-        try:
-            if not path20.exists():
-                raise ValueError(f"no matching bands20_{suffix}.json")
-            bands = _bandset_from_split(path10, path20, cfg.resample_method)
-        except (ValueError, BundleError, AlignmentError) as e:
-            log.error("skipping %s: %s", path10.name, e)
-            skipped.append(path10.name)
             continue
         save_raster(optical.ndvi(bands), cfg.out_dir / f"ndvi_{suffix}")
         save_raster(optical.svhi(bands), cfg.out_dir / f"svhi_{suffix}")
@@ -392,10 +364,6 @@ def cmd_degree_days(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _series_key(s: parcels.ZonalStats) -> tuple[str, str, str]:
-    return (s.parcel_id, s.band_name, s.orbit.value if s.orbit else "")
-
-
 def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Zonal CSV (+ weather) -> trend, group, correlation and scatter CSVs."""
     zonal_csv = cfg.out_dir / "zonal.csv"
@@ -413,111 +381,24 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                              "in the config or use abscissa \"doy\"")
         records = phenology.load_weather_csv(cfg.weather_path)
         cdd_series = phenology.accumulate_cdd(records, cfg.t_base_c)
-        # an acquisition the weather record does not cover has no thermal
-        # time; it is dropped so that it cannot stop every other fit
-        kept = [s for s in stats if s.timestamp is None or cdd_series.covers(s.timestamp)]
-        if len(kept) < len(stats):
-            dropped = sorted({s.timestamp for s in stats} - {s.timestamp for s in kept})
-            log.warning("dropped %d zonal rows dated outside the weather record "
-                        "%s..%s: %s", len(stats) - len(kept), cdd_series.entries[0].date,
-                        cdd_series.entries[-1].date, ", ".join(d.isoformat() for d in dropped))
-            if not kept:
-                raise ValueError(f"no row of {zonal_csv} falls inside the weather record")
-            stats = kept
-
     orientation = {}
     if cfg.parcels_path is not None:
         orientation = {p.id: p.orientation for p in parcels.load_parcels(cfg.parcels_path)}
 
-    groups: dict[tuple[str, str, str], list[parcels.ZonalStats]] = defaultdict(list)
-    for s in stats:
-        groups[_series_key(s)].append(s)
-
-    series: dict[tuple[str, str, str], trend.TimeSeries] = {}
-    for key in sorted(groups):
-        series[key] = trend.assemble_series(groups[key], abscissa=abscissa,
-                                            cdd_series=cdd_series)
-
-    sar_band = sar.DPRVI_BAND_NAME
-    trend_rows = []
-    fit_by_parcel: dict[tuple[str, str], trend.ParabolicFit] = {}
-    for key in sorted(series):
-        parcel_id, band, orbit_tag = key
-        if band != sar_band:
-            continue
-        ts = series[key]
-        pk_date, _ = trend.peak(ts)
-        fit = None
-        try:
-            fit = trend.fit_parabola(ts)
-            fit_by_parcel[(parcel_id, orbit_tag)] = fit
-        except ValueError as e:
-            log.warning("%s/%s %s: no fit (%s)", parcel_id, band, orbit_tag or "-", e)
-        trend_rows.append({
-            "parcel_id": parcel_id,
-            "orbit": Orbit(orbit_tag) if orbit_tag else None,
-            "peak_date": pk_date,
-            "fit": fit,
-            "n": len(ts.samples),
-        })
-
-    group_rows = []
-    orbits = sorted({k[1] for k in fit_by_parcel})
-    for orient in parcels.Orientation:
-        for orbit_tag in orbits:
-            rs = [fit.r for (pid, ot), fit in sorted(fit_by_parcel.items())
-                  if ot == orbit_tag and orientation.get(pid, parcels.Orientation.OTHER)
-                  is orient]
-            if rs:
-                group_rows.append((orient, orbit_tag, sum(rs) / len(rs), len(rs)))
-
-    corr_rows = []
-    scatter_rows = []
-    sar_keys: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
-    for key in sorted(series):
-        if key[1] == sar_band:
-            sar_keys[key[0]].append(key)
-    parcel_ids = sorted({k[0] for k in series})
-    optical_bands = (optical.LAI_BAND_NAME, optical.NDVI_BAND_NAME, optical.SVHI_BAND_NAME)
-    for parcel_id in parcel_ids:
-        for key in sar_keys[parcel_id]:
-            orbit_tag = key[2]
-            for opt_band in optical_bands:
-                opt_key = (parcel_id, opt_band, "")
-                if opt_key not in series:
-                    continue
-                try:
-                    res = trend.correlate_series(series[key], series[opt_key],
-                                                 cfg.max_gap_days)
-                except ValueError as e:
-                    log.warning("%s: %s vs %s skipped (%s)", parcel_id, sar_band,
-                                opt_band, e)
-                    continue
-                corr_rows.append({"result": res, "parcel_id": parcel_id,
-                                  "orbit": Orbit(orbit_tag) if orbit_tag else None})
-                if opt_band == optical.LAI_BAND_NAME:
-                    pairs = trend.pair_dates(series[key], series[opt_key],
-                                             cfg.max_gap_days)
-                    scatter_rows.extend(trend.scatter_export(
-                        pairs, parcel_id, sar_band, opt_band))
-        ndvi_key = (parcel_id, optical.NDVI_BAND_NAME, "")
-        svhi_key = (parcel_id, optical.SVHI_BAND_NAME, "")
-        if ndvi_key in series and svhi_key in series:
-            try:
-                res = trend.correlate_series(series[ndvi_key], series[svhi_key],
-                                             cfg.max_gap_days)
-                corr_rows.append({"result": res, "parcel_id": parcel_id, "orbit": None})
-            except ValueError as e:
-                log.warning("%s: NDVI vs SVHI skipped (%s)", parcel_id, e)
-
+    try:
+        tables = trend.season_tables(stats, orientation, cfg.max_gap_days, abscissa,
+                                     cdd_series)
+    except ValueError as e:
+        raise ValueError(f"{zonal_csv}: {e}") from None
     trend_csv = cfg.out_dir / "trend.csv"
-    trend.write_trend_csv(trend_rows, trend_csv)
-    trend.write_correlation_csv(corr_rows, cfg.out_dir / "correlation.csv")
-    trend.write_scatter_csv(scatter_rows, cfg.out_dir / "scatter.csv")
-    write_table(cfg.out_dir / "trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER, group_rows)
+    trend.write_trend_csv(tables.trend, trend_csv)
+    trend.write_correlation_csv(tables.correlation, cfg.out_dir / "correlation.csv")
+    trend.write_scatter_csv(tables.scatter, cfg.out_dir / "scatter.csv")
+    write_table(cfg.out_dir / "trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER,
+                tables.groups)
     log.info("wrote trend.csv (%d rows), correlation.csv (%d), scatter.csv (%d), "
-             "trend_groups.csv (%d)", len(trend_rows), len(corr_rows),
-             len(scatter_rows), len(group_rows))
+             "trend_groups.csv (%d)", len(tables.trend), len(tables.correlation),
+             len(tables.scatter), len(tables.groups))
     _echo_file(trend_csv, args.stdout)
     return 0
 

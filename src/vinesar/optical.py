@@ -12,11 +12,12 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .raster import Bundle, Raster, assert_aligned, load_bundle
+from .raster import (Bundle, Raster, ResampleMethod, assert_aligned, load_bundle,
+                     resample)
 
 log = logging.getLogger(__name__)
 
@@ -70,15 +71,29 @@ class BandSet:
             self.timestamp = self.b4.timestamp
 
 
-def bandset_from_bundle(path: str | Path) -> BandSet:
-    """Load a five-band reflectance bundle (bands B4, B5, B8, B11, B12)."""
+def _load_bands(path: str | Path, names: Sequence[str]) -> tuple[Bundle, list[Raster]]:
+    """A bundle and the named bands of it; a missing band is a ValueError."""
     b = load_bundle(path)
-    missing = [n for n in BAND_NAMES if n not in b.band_names]
+    missing = [n for n in names if n not in b.band_names]
     if missing:
         raise ValueError(f"{path} lacks bands {missing}")
-    rasters = {n: b.band(n) for n in BAND_NAMES}
-    return BandSet(rasters["B4"], rasters["B5"], rasters["B8"], rasters["B11"],
-                   rasters["B12"], timestamp=b.timestamp)
+    return b, [b.band(n) for n in names]
+
+
+def bandset_from_bundle(path: str | Path) -> BandSet:
+    """Load a five-band reflectance bundle (bands B4, B5, B8, B11, B12)."""
+    b, bands = _load_bands(path, BAND_NAMES)
+    return BandSet(*bands, timestamp=b.timestamp)
+
+
+def bandset_from_split(path10: str | Path, path20: str | Path,
+                       method: ResampleMethod | str) -> BandSet:
+    """Load an acquisition split by resolution: B4 and B8 from a 10 m bundle,
+    and B5, B11 and B12 from a 20 m bundle resampled onto the 10 m grid."""
+    b10, (b4, b8) = _load_bands(path10, ("B4", "B8"))
+    _, bands20 = _load_bands(path20, ("B5", "B11", "B12"))
+    b5, b11, b12 = (resample(r, b10.spec, method) for r in bands20)
+    return BandSet(b4, b5, b8, b11, b12, timestamp=b10.timestamp)
 
 
 def _ratio_index(num: np.ndarray, den: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -226,6 +226,40 @@ def json_int(value, name: str) -> int:
     return int(value)
 
 
+def json_float(value, name: str, finite: bool = True) -> float:
+    """A JSON number field as a float.
+
+    float() would read true as 1.0 and "2" as 2.0, so a bool or a non-number
+    is rejected, and so is a NaN or an infinity unless ``finite`` is false.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name!r} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name!r} is beyond the float range") from None
+    if finite and not math.isfinite(x):
+        raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+    return x
+
+
+def grid_from_json(doc: dict) -> GridSpec:
+    """The grid a JSON object's fields declare: integer ``width`` and
+    ``height``, finite numbers for the origin and pixel sizes, a string
+    ``crs``. A missing field is a KeyError, a wrong one a ValueError."""
+    if not isinstance(doc["crs"], str):
+        raise ValueError(f"'crs' must be a string, got {doc['crs']!r}")
+    return GridSpec(
+        width=json_int(doc["width"], "width"),
+        height=json_int(doc["height"], "height"),
+        origin_x=json_float(doc["origin_x"], "origin_x"),
+        origin_y=json_float(doc["origin_y"], "origin_y"),
+        pixel_size_x=json_float(doc["pixel_size_x"], "pixel_size_x"),
+        pixel_size_y=json_float(doc["pixel_size_y"], "pixel_size_y"),
+        crs=doc["crs"],
+    )
+
+
 @dataclass(frozen=True)
 class BundleHeader:
     """What a bundle's header declares; the payload size is already checked."""
@@ -241,8 +275,11 @@ def read_header(path: str | Path) -> BundleHeader:
     """Parse and check a bundle's header without reading its payload.
 
     Raises BundleError on a missing file, an unparseable or incomplete
-    header, an unknown dtype or orbit, or a payload whose size does not
-    match the declared grid and bands.
+    header, an unknown dtype or orbit, a field of the wrong type, or a
+    payload whose size does not match the declared grid and bands. The
+    grid fields are integers (width, height), finite JSON numbers and a
+    string crs; bands is a list of objects with a string name; nodata is a
+    number or null; timestamp is an ISO date string.
     """
     header_path, binary_path = _bundle_paths(path)
     if not header_path.exists():
@@ -253,6 +290,8 @@ def read_header(path: str | Path) -> BundleHeader:
         header = json.loads(header_path.read_text())
     except json.JSONDecodeError as e:
         raise BundleError(f"unparseable header {header_path}: {e}") from e
+    if not isinstance(header, dict):
+        raise BundleError(f"header {header_path} is not a JSON object")
 
     required = ("width", "height", "origin_x", "origin_y",
                 "pixel_size_x", "pixel_size_y", "crs", "bands", "dtype")
@@ -260,22 +299,31 @@ def read_header(path: str | Path) -> BundleHeader:
     if missing:
         raise BundleError(f"header {header_path} lacks fields {missing}")
     if header["dtype"] != DTYPE_TAG:
-        raise BundleError(f"unsupported dtype {header['dtype']!r}, expected {DTYPE_TAG!r}")
+        raise BundleError(f"header {header_path}: unsupported dtype {header['dtype']!r}, "
+                          f"expected {DTYPE_TAG!r}")
 
     try:
-        width, height = (json_int(header[k], k) for k in ("width", "height"))
+        spec = grid_from_json(header)
+        bands = header["bands"]
+        if not (isinstance(bands, list) and all(isinstance(b, dict)
+                                                and isinstance(b.get("name"), str)
+                                                for b in bands)):
+            raise ValueError(f"'bands' must be a list of objects with a string "
+                             f"\"name\", got {bands!r}")
+        nodata = header.get("nodata")
+        nodata = math.nan if nodata is None else json_float(nodata, "nodata", finite=False)
+        timestamp = header.get("timestamp")
+        if timestamp is not None:
+            try:
+                timestamp = dt.date.fromisoformat(timestamp)
+            except (TypeError, ValueError):
+                raise ValueError(f"'timestamp' must be an ISO date string, "
+                                 f"got {timestamp!r}") from None
+        orbit = header.get("orbit")
+        orbit = None if orbit is None else Orbit(orbit)
     except ValueError as e:
         raise BundleError(f"header {header_path}: {e}") from None
-    spec = GridSpec(
-        width=width,
-        height=height,
-        origin_x=float(header["origin_x"]),
-        origin_y=float(header["origin_y"]),
-        pixel_size_x=float(header["pixel_size_x"]),
-        pixel_size_y=float(header["pixel_size_y"]),
-        crs=str(header["crs"]),
-    )
-    band_names = [str(b["name"]) for b in header["bands"]]
+    band_names = [b["name"] for b in bands]
     if not band_names:
         raise BundleError(f"header {header_path} declares no bands")
 
@@ -283,19 +331,6 @@ def read_header(path: str | Path) -> BundleHeader:
     expected = 4 * spec.width * spec.height * len(band_names)
     if size != expected:
         raise BundleError(f"{binary_path} holds {size} bytes, header implies {expected}")
-
-    nodata_field = header.get("nodata", None)
-    nodata = math.nan if nodata_field is None else float(nodata_field)
-    timestamp = None
-    if "timestamp" in header and header["timestamp"] is not None:
-        timestamp = dt.date.fromisoformat(header["timestamp"])
-    orbit = None
-    if "orbit" in header and header["orbit"] is not None:
-        try:
-            orbit = Orbit(header["orbit"])
-        except ValueError:
-            raise BundleError(f"unknown orbit tag {header['orbit']!r}")
-
     return BundleHeader(spec=spec, band_names=band_names, nodata=nodata,
                         timestamp=timestamp, orbit=orbit)
 

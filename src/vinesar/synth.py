@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .raster import GridSpec, Orbit, json_int
+from .raster import GridSpec, Orbit, grid_from_json, json_int
 from .sar import C2Raster, _not_psd
 
 log = logging.getLogger(__name__)
@@ -69,6 +69,15 @@ def _counter_normals(seed: int, counters: np.ndarray) -> np.ndarray:
     return out.reshape(counters.shape)
 
 
+def json_seed(value, name: str = "seed") -> int:
+    """A seed field as an int: a JSON integer (the rule of json_int) that
+    fits in 64 bits, so that no two seeds draw the same speckle."""
+    seed = json_int(value, name)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"{name!r} must fit in 64 bits, got {value!r}")
+    return seed
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Decorrelated child seed for item ``index`` under a campaign seed."""
     if index < 0:
@@ -99,12 +108,14 @@ class SceneSpec:
     orbit: Optional[Orbit] = None
 
     def __post_init__(self) -> None:
+        self.looks = json_int(self.looks, "looks")
         if self.looks < 1:
             raise ValueError(f"looks must be >= 1, got {self.looks}")
         _check_true_c2(self.background, "background")
         regions = []
         for k, reg in enumerate(self.regions):
-            reg = Region(tuple(int(v) for v in reg[0]), tuple(float(v) for v in reg[1]))
+            reg = Region(tuple(json_int(v, "rect") for v in reg[0]),
+                         tuple(float(v) for v in reg[1]))
             x0, y0, x1, y1 = reg.rect
             if not (x0 < x1 and y0 < y1):
                 raise ValueError(f"region #{k} rectangle {reg.rect} is empty")
@@ -238,26 +249,17 @@ def scene_from_dict(doc: dict, *,
     and ``orbit`` are optional and the keyword arguments override them.
     """
     try:
-        grid = GridSpec(
-            width=json_int(doc["width"], "width"),
-            height=json_int(doc["height"], "height"),
-            origin_x=float(doc["origin_x"]),
-            origin_y=float(doc["origin_y"]),
-            pixel_size_x=float(doc["pixel_size_x"]),
-            pixel_size_y=float(doc["pixel_size_y"]),
-            crs=str(doc["crs"]),
-        )
+        grid = grid_from_json(doc)
         background = tuple(float(v) for v in doc["background"])
-        regions = [Region(tuple(json_int(v, "rect") for v in r["rect"]), tuple(r["c2"]))
-                   for r in doc.get("regions", [])]
-        looks = json_int(doc.get("looks", 1), "looks")
-        seed_val = json_int(doc["seed"] if seed is None else seed, "seed")
+        regions = [Region(tuple(r["rect"]), tuple(r["c2"])) for r in doc.get("regions", [])]
+        seed_val = json_seed(doc["seed"] if seed is None else seed)
         if timestamp is None and doc.get("timestamp"):
             timestamp = dt.date.fromisoformat(doc["timestamp"])
         if orbit is None and doc.get("orbit"):
             orbit = Orbit(doc["orbit"])
         return SceneSpec(spec=grid, background=background, regions=regions,
-                         looks=looks, seed=seed_val, timestamp=timestamp, orbit=orbit)
+                         looks=doc.get("looks", 1), seed=seed_val, timestamp=timestamp,
+                         orbit=orbit)
     except KeyError as e:
         raise ValueError(f"scene JSON lacks field {e.args[0]!r}") from e
     except TypeError as e:

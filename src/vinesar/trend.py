@@ -11,16 +11,18 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .parcels import ZonalStats
+from .optical import LAI_BAND_NAME, NDVI_BAND_NAME, SVHI_BAND_NAME
+from .parcels import Orientation, ZonalStats
 from .raster import Orbit
-from .tables import read_table, write_table
+from .sar import DPRVI_BAND_NAME
+from .tables import write_table
 
 log = logging.getLogger(__name__)
 
@@ -238,13 +240,14 @@ def pair_dates(a: TimeSeries, b: TimeSeries, max_gap_days: int) -> list[PairedSa
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Correlation between two paired series."""
+    """Correlation between two paired series, and the pairs it came from."""
 
     series_a: str
     series_b: str
     n: int
     r: float
     max_gap_days: int
+    pairs: tuple[PairedSample, ...] = field(default=(), compare=False, repr=False)
 
 
 def correlate_series(a: TimeSeries, b: TimeSeries, max_gap_days: int) -> CorrelationResult:
@@ -255,7 +258,8 @@ def correlate_series(a: TimeSeries, b: TimeSeries, max_gap_days: int) -> Correla
                          "correlation needs at least 2")
     r = pearson([p.y_a for p in pairs], [p.y_b for p in pairs])
     return CorrelationResult(series_a=a.index_name, series_b=b.index_name,
-                             n=len(pairs), r=r, max_gap_days=max_gap_days)
+                             n=len(pairs), r=r, max_gap_days=max_gap_days,
+                             pairs=tuple(pairs))
 
 
 SCATTER_CSV_HEADER = ("parcel_id", "date_a", "date_b", "index_a", "value_a",
@@ -287,14 +291,6 @@ def write_scatter_csv(rows: Sequence[dict], path: str | Path) -> None:
          row["index_b"], float(row["value_b"]), row["month"]) for row in rows))
 
 
-def read_scatter_csv(path: str | Path) -> list[dict]:
-    rows = read_table(path, SCATTER_CSV_HEADER)
-    for row in rows:
-        row["value_a"] = float(row["value_a"])
-        row["value_b"] = float(row["value_b"])
-    return rows
-
-
 TREND_CSV_HEADER = ("parcel_id", "orbit", "peak_date", "fit_r", "fit_r2",
                     "a", "b", "c", "vertex_x", "n")
 
@@ -323,3 +319,102 @@ def write_correlation_csv(rows: Sequence[dict], path: str | Path) -> None:
                 res.n, res.r, res.max_gap_days)
 
     write_table(path, CORRELATION_CSV_HEADER, map(cells, rows))
+
+
+@dataclass
+class SeasonTables:
+    """The rows of the four season tables, each list in file order.
+
+    ``trend``, ``correlation`` and ``scatter`` are the rows that
+    write_trend_csv, write_correlation_csv and write_scatter_csv take; a
+    ``groups`` row holds the cells of TREND_GROUPS_CSV_HEADER.
+    """
+
+    trend: list[dict] = field(default_factory=list)
+    groups: list[tuple] = field(default_factory=list)
+    correlation: list[dict] = field(default_factory=list)
+    scatter: list[dict] = field(default_factory=list)
+
+
+def season_tables(stats: Sequence[ZonalStats], orientation: dict[str, Orientation],
+                  max_gap_days: int, abscissa: Abscissa | str,
+                  cdd_series=None) -> SeasonTables:
+    """The season analysis of zonal rows, as the rows of the four tables.
+
+    The rows form one series per (parcel, band, orbit). Each DpRVI series
+    gets its peak and parabolic fit, and is correlated with the parcel's
+    LAI, NDVI and SVHI series; the LAI pairs are also the scatter rows. Each
+    parcel's NDVI series is correlated with its SVHI series. Fit r is
+    averaged by orientation (a parcel absent from ``orientation`` counts as
+    Other) and orbit. On the degree-day abscissa, rows dated outside the
+    weather record are dropped with one warning. A fit or a correlation
+    that cannot be made is logged and left out.
+    """
+    abscissa = Abscissa(abscissa)
+    if abscissa is Abscissa.CDD and cdd_series is not None:
+        # an acquisition the weather record does not cover has no thermal
+        # time; it is dropped so that it cannot stop every other fit
+        kept = [s for s in stats if s.timestamp is None or cdd_series.covers(s.timestamp)]
+        if len(kept) < len(stats):
+            first, last = cdd_series.entries[0].date, cdd_series.entries[-1].date
+            dropped = sorted({s.timestamp for s in stats} - {s.timestamp for s in kept})
+            log.warning("dropped %d zonal rows dated outside the weather record "
+                        "%s..%s: %s", len(stats) - len(kept), first, last,
+                        ", ".join(d.isoformat() for d in dropped))
+            if not kept:
+                raise ValueError(f"no zonal row falls inside the weather record "
+                                 f"{first}..{last}")
+            stats = kept
+
+    rows_by_key: dict[tuple[str, str, str], list[ZonalStats]] = {}
+    for s in stats:
+        key = (s.parcel_id, s.band_name, s.orbit.value if s.orbit else "")
+        rows_by_key.setdefault(key, []).append(s)
+    series = {key: assemble_series(rows_by_key[key], abscissa=abscissa, cdd_series=cdd_series)
+              for key in sorted(rows_by_key)}
+
+    tables = SeasonTables()
+    fits = []  # (parcel, orbit tag, fit r) of each fitted DpRVI series
+
+    def correlate(a: TimeSeries, b: TimeSeries) -> Optional[CorrelationResult]:
+        try:
+            res = correlate_series(a, b, max_gap_days)
+        except ValueError as e:
+            log.warning("%s: %s vs %s skipped (%s)", a.parcel_id, a.index_name,
+                        b.index_name, e)
+            return None
+        tables.correlation.append({"result": res, "parcel_id": a.parcel_id,
+                                   "orbit": a.orbit})
+        return res
+
+    # the keys are sorted and "DpRVI" sorts before "LAI", "NDVI" and "SVHI",
+    # so one pass gives every table its rows in file order
+    for (parcel_id, band, orbit_tag), ts in series.items():
+        if band == DPRVI_BAND_NAME:
+            peak_date, _ = peak(ts)
+            fit = None
+            try:
+                fit = fit_parabola(ts)
+                fits.append((parcel_id, orbit_tag, fit.r))
+            except ValueError as e:
+                log.warning("%s/%s %s: no fit (%s)", parcel_id, band, orbit_tag or "-", e)
+            tables.trend.append({"parcel_id": parcel_id, "orbit": ts.orbit,
+                                 "peak_date": peak_date, "fit": fit, "n": len(ts.samples)})
+            for opt_band in (LAI_BAND_NAME, NDVI_BAND_NAME, SVHI_BAND_NAME):
+                opt = series.get((parcel_id, opt_band, ""))
+                res = correlate(ts, opt) if opt is not None else None
+                if res is not None and opt_band == LAI_BAND_NAME:
+                    tables.scatter.extend(scatter_export(res.pairs, parcel_id, band, opt_band))
+        elif band == NDVI_BAND_NAME and not orbit_tag:
+            svhi = series.get((parcel_id, SVHI_BAND_NAME, ""))
+            if svhi is not None:
+                correlate(ts, svhi)
+
+    orbit_tags = sorted({tag for _, tag, _ in fits})
+    for orient in Orientation:
+        for tag in orbit_tags:
+            rs = [r for parcel_id, t, r in fits
+                  if t == tag and orientation.get(parcel_id, Orientation.OTHER) is orient]
+            if rs:
+                tables.groups.append((orient, tag, sum(rs) / len(rs), len(rs)))
+    return tables

@@ -130,6 +130,10 @@ class TestSynthCommand:
          "scenes": [{"date": "2023-03-28"}]},
         {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0], "seed": 3.5,
          "scenes": [{"date": "2023-03-28"}]},
+        # the grid follows the bundle header's rules, so synth writes no
+        # bundle that sar-index would refuse
+        dict(scene_doc(), origin_x=float("nan")),
+        dict(scene_doc(), crs=5),
     ])
     def test_malformed_campaign_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -535,13 +539,18 @@ class TestConfigHandling:
                                      {"multilook": [4, 1, 1]}, {"multilook": [4.5, 1]},
                                      {"boxcar": [3]}, {"t_base": {}},
                                      {"erode": 2.9}, {"boxcar": True}, {"max_gap_days": 7.5},
-                                     {"seed": False}, {"seed": "12"}, {"erode": float("nan")}])
+                                     {"seed": False}, {"seed": "12"}, {"erode": float("nan")},
+                                     [{"a": 1}], [], "x", {"seed": -1}, {"seed": 2 ** 64},
+                                     {"seed": 1e30}, {"out_dir": 5}, {"parcels": []},
+                                     {"t_base": True}, {"t_base": float("nan")}])
     def test_wrong_typed_value_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         assert run_cli("sar-index", "--config", str(tmp_path / "cfg.json")) == 1
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1
-        assert next(iter(doc)) in errors[0].getMessage()
+        # the key at fault, or for a document that is no object, what it must be
+        want = next(iter(doc)) if isinstance(doc, dict) else "must hold a JSON object"
+        assert want in errors[0].getMessage()
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -154,6 +154,21 @@ class TestBundleIO:
         (tmp_path / "h.json").write_text(json.dumps(dict(doc, width=2.0)))
         assert load_bundle(tmp_path / "h").spec == grid()
 
+    @pytest.mark.parametrize("key, value", [
+        ("bands", ["k"]), ("bands", {"name": "k"}), ("pixel_size_x", [10.0]),
+        ("nodata", [0.0]), ("timestamp", 20230527), ("origin_x", math.nan),
+        ("pixel_size_x", math.inf), ("crs", 5), ("origin_x", "a"),
+        ("timestamp", "2023-13-01")])
+    def test_wrong_typed_header_field_names_the_header(self, tmp_path, key, value):
+        save_bundle(tmp_path / "h", grid(), [("k", np.zeros((2, 2)))],
+                    timestamp=dt.date(2023, 5, 27))
+        doc = json.loads((tmp_path / "h.json").read_text())
+        (tmp_path / "h.json").write_text(json.dumps(dict(doc, **{key: value})))
+        with pytest.raises(BundleError) as err:
+            read_header(tmp_path / "h")
+        assert str(tmp_path / "h.json") in str(err.value)
+        assert key in str(err.value)
+
     def test_single_band_helpers(self, tmp_path):
         r = Raster(grid(), np.array([[1, 2], [3, math.nan]], dtype=np.float32),
                    band_name="DpRVI", timestamp=dt.date(2023, 6, 20),

@@ -130,6 +130,19 @@ class TestSceneSpec:
             SceneSpec(spec=g, background=(1.0, 0.5, 0.0, 0.0),
                       regions=[Region((0, 0, 2, 2), (1.0, 1.0, 5.0, 0.0))])
 
+    def test_integer_fields_follow_the_json_rule(self):
+        # int() would paint 1.9 from column 1 and take 2.9 looks as 2
+        g = grid(4, 4)
+        with pytest.raises(ValueError, match="rect"):
+            SceneSpec(spec=g, background=(1.0, 0.5, 0.0, 0.0),
+                      regions=[Region((1.9, 1, 5, 5), (1.0, 0.5, 0.0, 0.0))])
+        with pytest.raises(ValueError, match="looks"):
+            SceneSpec(spec=g, background=(1.0, 0.5, 0.0, 0.0), looks=2.9)
+        spec = SceneSpec(spec=g, background=(1.0, 0.5, 0.0, 0.0), looks=3.0,
+                         regions=[Region((1.0, 1, 3, 3), (1.0, 0.5, 0.0, 0.0))])
+        assert spec.looks == 3 and spec.regions[0].rect == (1, 1, 3, 3)
+        assert type(spec.looks) is int and type(spec.regions[0].rect[0]) is int
+
 
 class TestGenerateScene:
     def test_bitwise_deterministic(self):

@@ -6,15 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from vinesar.parcels import ZonalStats
-from vinesar.phenology import WeatherRecord, accumulate_cdd
+from vinesar import trend
+from vinesar.parcels import Orientation, ZonalStats, load_parcels, read_zonal_csv
+from vinesar.phenology import WeatherRecord, accumulate_cdd, load_weather_csv
 from vinesar.raster import Orbit
+from vinesar.tables import read_table, write_table
 from vinesar.trend import (CORRELATION_CSV_HEADER, SCATTER_CSV_HEADER,
                            TREND_CSV_HEADER, Abscissa, CorrelationResult,
                            ParabolicFit, Sample, TimeSeries, assemble_series,
                            correlate_series, fit_parabola, fit_quadratic,
-                           pair_dates, peak, pearson, read_scatter_csv,
-                           scatter_export, write_correlation_csv,
+                           pair_dates, peak, pearson, scatter_export,
+                           season_tables, write_correlation_csv,
                            write_scatter_csv, write_trend_csv)
 
 
@@ -350,9 +352,9 @@ class TestCsvWriters:
         write_scatter_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(SCATTER_CSV_HEADER)
-        back = read_scatter_csv(path)
-        assert back[0]["value_a"] == 0.41
-        assert back[1]["value_b"] == 2.41
+        back = read_table(path, SCATTER_CSV_HEADER)
+        assert float(back[0]["value_a"]) == 0.41
+        assert float(back[1]["value_b"]) == 2.41
         assert back[0]["date_b"] == "2023-03-27"
 
     def test_month_names_are_locale_independent(self):
@@ -363,3 +365,120 @@ class TestCsvWriters:
         assert [r["month"] for r in rows] == ["Jan", "Feb", "Mar", "Apr", "May",
                                               "Jun", "Jul", "Aug", "Sep", "Oct",
                                               "Nov", "Dec"]
+
+
+def zrow(pid, band, date, mean, orbit=None):
+    return ZonalStats(pid, band, date, orbit, 10, mean, 0.0, mean, mean)
+
+
+DES, ASC = Orbit.DESCENDING, Orbit.ASCENDING
+OPTICAL_DATES = (day(3, 27), day(5, 29), day(6, 22), day(7, 25))
+SEASON_ROWS = (
+    [zrow("p1", "DpRVI", d, v, DES) for d, v in
+     ((day(3, 28), 0.40), (day(5, 27), 0.66), (day(6, 20), 0.75), (day(7, 20), 0.62))]
+    + [zrow("p1", "DpRVI", d, v, ASC) for d, v in ((day(3, 29), 0.42), (day(6, 21), 0.77))]
+    + [zrow("p1", "LAI", d, v) for d, v in zip(OPTICAL_DATES, (0.5, 2.0, 2.6, 2.2))]
+    + [zrow("p1", "NDVI", d, v) for d, v in zip(OPTICAL_DATES, (0.30, 0.60, 0.70, 0.65))]
+    + [zrow("p1", "SVHI", d, v) for d, v in zip(OPTICAL_DATES, (0.20, 0.45, 0.60, 0.50))]
+    + [zrow("p2", "DpRVI", d, v, DES) for d, v in
+       ((day(3, 28), 0.35), (day(5, 27), 0.60), (day(6, 20), 0.70), (day(7, 20), 0.66))]
+    + [zrow("p2", "NDVI", d, v) for d, v in
+       ((day(3, 27), 0.30), (day(6, 22), 0.70), (day(7, 25), 0.60))]
+    + [zrow("p3", "DpRVI", d, v, DES) for d, v in
+       ((day(3, 28), 0.30), (day(5, 27), 0.55), (day(6, 20), 0.72), (day(7, 20), 0.50))]
+    + [zrow("p3", "LAI", day(8, 30), 1.0)]
+)
+
+
+class TestSeasonTables:
+    """season_tables on hand-built zonal rows, on the day-of-year abscissa."""
+
+    orientation = {"p1": Orientation.EW, "p3": Orientation.EW}  # p2 counts as Other
+
+    def tables(self, rows=SEASON_ROWS):
+        return season_tables(list(reversed(rows)), self.orientation, 7, Abscissa.DOY)
+
+    def doy_fit(self, pid):
+        rows = [s for s in SEASON_ROWS
+                if (s.parcel_id, s.band_name, s.orbit) == (pid, "DpRVI", DES)]
+        return fit_quadratic([float(s.timestamp.timetuple().tm_yday) for s in rows],
+                             [s.mean for s in rows])
+
+    def test_trend_rows(self):
+        got = [(r["parcel_id"], r["orbit"], r["peak_date"], r["fit"], r["n"])
+               for r in self.tables().trend]
+        assert got == [("p1", ASC, day(6, 21), None, 2),  # two dates cannot be fitted
+                       ("p1", DES, day(6, 20), self.doy_fit("p1"), 4),
+                       ("p2", DES, day(6, 20), self.doy_fit("p2"), 4),
+                       ("p3", DES, day(6, 20), self.doy_fit("p3"), 4)]
+
+    def test_group_rows(self):
+        r1, r2, r3 = (self.doy_fit(p).r for p in ("p1", "p2", "p3"))
+        assert self.tables().groups == [(Orientation.EW, "DES", (r1 + r3) / 2, 2),
+                                        (Orientation.OTHER, "DES", r2, 1)]
+
+    def test_correlation_rows(self):
+        rows = self.tables().correlation
+        got = [(r["result"].series_a, r["result"].series_b, r["parcel_id"], r["orbit"],
+                r["result"].n) for r in rows]
+        # p3's only LAI date is 41 days from its radar dates: no pair, no row
+        assert got == [("DpRVI", "LAI", "p1", ASC, 2), ("DpRVI", "NDVI", "p1", ASC, 2),
+                       ("DpRVI", "SVHI", "p1", ASC, 2), ("DpRVI", "LAI", "p1", DES, 4),
+                       ("DpRVI", "NDVI", "p1", DES, 4), ("DpRVI", "SVHI", "p1", DES, 4),
+                       ("NDVI", "SVHI", "p1", None, 4), ("DpRVI", "NDVI", "p2", DES, 3)]
+        assert rows[3]["result"].r == pytest.approx(
+            pearson_oracle([0.40, 0.66, 0.75, 0.62], [0.5, 2.0, 2.6, 2.2]), abs=1e-12)
+        assert rows[7]["result"].r == pytest.approx(
+            pearson_oracle([0.35, 0.70, 0.66], [0.30, 0.70, 0.60]), abs=1e-12)
+
+    def test_scatter_rows(self):
+        got = [(r["parcel_id"], r["date_a"], r["date_b"], r["index_a"], r["value_a"],
+                r["index_b"], r["value_b"], r["month"]) for r in self.tables().scatter]
+        assert got == [
+            ("p1", "2023-03-29", "2023-03-27", "DpRVI", 0.42, "LAI", 0.5, "Mar"),
+            ("p1", "2023-06-21", "2023-06-22", "DpRVI", 0.77, "LAI", 2.6, "Jun"),
+            ("p1", "2023-03-28", "2023-03-27", "DpRVI", 0.40, "LAI", 0.5, "Mar"),
+            ("p1", "2023-05-27", "2023-05-29", "DpRVI", 0.66, "LAI", 2.0, "May"),
+            ("p1", "2023-06-20", "2023-06-22", "DpRVI", 0.75, "LAI", 2.6, "Jun"),
+            ("p1", "2023-07-20", "2023-07-25", "DpRVI", 0.62, "LAI", 2.2, "Jul")]
+
+    def test_rows_outside_weather_record_are_dropped(self, caplog):
+        records = [WeatherRecord(day(1, 1) + dt.timedelta(days=k), 15.0, 25.0)
+                   for k in range(day(7, 21).timetuple().tm_yday)]
+        cdd = accumulate_cdd(records)
+        inside = [s for s in SEASON_ROWS if s.timestamp <= day(7, 21)]
+        got = season_tables(SEASON_ROWS, self.orientation, 7, Abscissa.CDD, cdd)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"
+                    and "weather record" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "dropped 5 zonal rows" in warnings[0]
+        assert warnings[0].endswith("2023-07-25, 2023-08-30")
+        assert got == season_tables(inside, self.orientation, 7, Abscissa.CDD, cdd)
+        with pytest.raises(ValueError, match="inside the weather record"):
+            season_tables(SEASON_ROWS, self.orientation, 7, Abscissa.CDD,
+                          accumulate_cdd(records[:30]))
+
+    def test_campaign_pairs_each_series_once(self, campaign_run, tmp_path, monkeypatch):
+        root, out = campaign_run["root"], campaign_run["out"]
+        stats = read_zonal_csv(out / "zonal.csv")
+        cdd = accumulate_cdd(load_weather_csv(root / "weather.csv"), 10.0)
+        orientation = {p.id: p.orientation for p in load_parcels(root / "parcels.geojson")}
+        calls = []
+        real = trend.pair_dates
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(trend, "pair_dates", counted)
+        tables = season_tables(stats, orientation, 7, Abscissa.CDD, cdd)
+        # 12 parcels x (DpRVI on 2 orbits x LAI, NDVI, SVHI + NDVI x SVHI); the
+        # scatter rows reuse the DpRVI x LAI pairs
+        assert len(calls) == 84
+        write_trend_csv(tables.trend, tmp_path / "trend.csv")
+        write_correlation_csv(tables.correlation, tmp_path / "correlation.csv")
+        write_scatter_csv(tables.scatter, tmp_path / "scatter.csv")
+        write_table(tmp_path / "trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER,
+                    tables.groups)
+        for name in ("trend.csv", "correlation.csv", "scatter.csv", "trend_groups.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
