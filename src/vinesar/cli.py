@@ -12,14 +12,17 @@ import argparse
 import datetime as dt
 import json
 import logging
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from . import optical, parcels, phenology, sar, synth, trend
+from . import optical, parcels, phenology, raster, sar, synth, trend
 from .raster import (AlignmentError, BundleError, GridSpec, Orbit, ResampleMethod,
-                     json_float, json_int, load_raster, save_raster)
+                     json_float, json_int, load_raster, read_header, save_raster)
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -28,6 +31,10 @@ C2_PREFIX = "c2"
 INDEX_PREFIXES = ("dprvi", "ndvi", "svhi", "lai")
 
 _FATAL = (ValueError, KeyError, OSError, BundleError, AlignmentError)
+
+# Most threads a stage runs its scenes on: each thread holds one scene's
+# working set in memory, so the cap bounds a stage's memory on a large host.
+_MAX_JOBS = 4
 
 
 @dataclass
@@ -82,6 +89,13 @@ def _parse_multilook(text: str) -> tuple[int, int]:
     return wx, wy
 
 
+def _json_choice(enum: type[Enum], value, name: str) -> str:
+    choices = [m.value for m in enum]
+    if value not in choices:
+        raise ValueError(f"{name!r} must be one of {choices}, got {value!r}")
+    return value
+
+
 def _read_json_object(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text())
@@ -121,6 +135,10 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
                     value = synth.json_seed(value, key)
                 elif attr in ("boxcar", "erode_px", "max_gap_days"):
                     value = json_int(value, key)
+                elif attr == "abscissa":
+                    value = _json_choice(trend.Abscissa, value, key)
+                elif attr == "resample_method":
+                    value = _json_choice(ResampleMethod, value, key)
             except ValueError as e:
                 raise ValueError(f"{cfg_path}: {e}") from None
             setattr(cfg, attr, value)
@@ -148,9 +166,37 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         raise ValueError("erode must be >= 0")
     if cfg.max_gap_days < 0:
         raise ValueError("max_gap_days must be >= 0")
-    trend.Abscissa(cfg.abscissa)
-    ResampleMethod(cfg.resample_method)
     return cfg
+
+
+def _pool_size(n_scenes: int, scene_px: int) -> int:
+    """Threads for a stage over ``n_scenes`` scenes of ``scene_px`` pixels:
+    the CPUs this process may run on, capped by _MAX_JOBS and the scene
+    count. A scene that fits in one kernel block gets one thread: blocking
+    cannot shrink its working set, so a second thread would double it, and
+    such scenes are over too fast to gain from the pool."""
+    if scene_px <= raster.BLOCK_PX:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_JOBS, n_scenes))
+
+
+def _map_scenes(fn: Callable[[Path], object], scenes: Sequence[Path],
+                scene_px: int) -> Iterator:
+    """``fn`` over ``scenes`` of ``scene_px`` pixels, results in scene order.
+
+    With one thread this is plain ``map``; otherwise the scenes run on a
+    bounded thread pool (numpy releases the GIL in the kernels). The first
+    scene in order that raises ends the iteration with its exception, and
+    scenes not yet started are cancelled.
+    """
+    n = _pool_size(len(scenes), scene_px)
+    if n == 1:
+        yield from map(fn, scenes)
+        return
+    with ThreadPoolExecutor(max_workers=n, thread_name_prefix="vinesar-scene") as pool:
+        yield from pool.map(fn, scenes)
 
 
 def _echo_file(path: Path, wanted: bool) -> None:
@@ -235,8 +281,8 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Covariance bundles -> vegetation index bundles, one per acquisition.
 
     Every header is checked first, so a bad or misaligned bundle stops the
-    stage before any index is written; then one scene at a time is loaded,
-    filtered, indexed and saved.
+    stage before any index is written; then each scene is loaded, filtered,
+    indexed and saved as one task of a bounded thread pool.
     """
     src = cfg.inputs_dir()
     paths = sorted(src.glob(f"{C2_PREFIX}_*.json"))
@@ -251,7 +297,8 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     wx, wy = cfg.multilook
-    for p in paths:
+
+    def index_scene(p: Path) -> str:
         c2 = sar.load_c2(p)
         if (wx, wy) != (1, 1):
             c2 = sar.multilook(c2, wx, wy)
@@ -260,20 +307,26 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         index = sar.dprvi_raster(c2)
         name = f"dprvi_{_bundle_suffix(p.stem, C2_PREFIX)}"
         save_raster(index, cfg.out_dir / name)
+        return name
+
+    for name in _map_scenes(index_scene, paths, ref.width * ref.height):
         log.info("wrote %s", name)
     return 0
 
 
 def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    """Reflectance bundles -> NDVI and SVHI bundles; LAI passes validation."""
+    """Reflectance bundles -> NDVI and SVHI bundles; LAI passes validation.
+
+    Each reflectance acquisition is one task of a bounded thread pool;
+    skips are reported in acquisition order.
+    """
     src = cfg.inputs_dir()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     produced = 0
     skipped = []
 
-    # an acquisition is a bands_* bundle, or a bands10_* bundle and the
-    # bands20_* bundle of the same suffix
-    for path in sorted(src.glob("bands_*.json")) + sorted(src.glob("bands10_*.json")):
+    def index_acquisition(path: Path) -> Optional[str]:
+        """Write the acquisition's NDVI and SVHI; why it was skipped, or None."""
         prefix, suffix = path.stem.split("_", 1)
         try:
             if prefix == "bands":
@@ -282,12 +335,35 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                 bands = optical.bandset_from_split(path, src / f"bands20_{suffix}.json",
                                                    cfg.resample_method)
         except (ValueError, BundleError, AlignmentError) as e:
-            log.error("skipping %s: %s", path.name, e)
-            skipped.append(path.name)
-            continue
+            return str(e)
         save_raster(optical.ndvi(bands), cfg.out_dir / f"ndvi_{suffix}")
         save_raster(optical.svhi(bands), cfg.out_dir / f"svhi_{suffix}")
-        produced += 1
+        return None
+
+    # an acquisition is a bands_* bundle, or a bands10_* bundle and the
+    # bands20_* bundle of the same suffix; both would write one ndvi_/svhi_ pair
+    single = sorted(src.glob("bands_*.json"))
+    split = sorted(src.glob("bands10_*.json"))
+    both = sorted({p.stem[len("bands_"):] for p in single}
+                  & {p.stem[len("bands10_"):] for p in split})
+    if both:
+        raise ValueError(f"bands_{both[0]} and bands10_{both[0]} under {src} would both "
+                         f"write ndvi_{both[0]}; keep one")
+    paths = single + split
+    scene_px = 0
+    if paths:
+        try:
+            spec = read_header(paths[0]).spec
+            scene_px = spec.width * spec.height
+        except BundleError:
+            pass  # the acquisition's task reports the bad header
+    results = _map_scenes(index_acquisition, paths, scene_px)
+    for path, reason in zip(paths, results, strict=True):
+        if reason is None:
+            produced += 1
+        else:
+            log.error("skipping %s: %s", path.name, reason)
+            skipped.append(path.name)
 
     for path in sorted(src.glob("lai_*.json")):
         suffix = _bundle_suffix(path.stem, "lai")

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .raster import (Bundle, Raster, ResampleMethod, assert_aligned, load_bundle,
-                     resample)
+                     resample, row_blocks, valid_values)
 
 log = logging.getLogger(__name__)
 
@@ -96,34 +96,52 @@ def bandset_from_split(path10: str | Path, path20: str | Path,
     return BandSet(b4, b5, b8, b11, b12, timestamp=b10.timestamp)
 
 
-def _ratio_index(num: np.ndarray, den: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    out = np.full(num.shape, np.nan, dtype=np.float64)
-    ok = valid & (den != 0)
-    np.divide(num, den, out=out, where=ok)
-    return out
+def _ratio_index(rasters: Sequence[Raster], formula, band_name: str,
+                 timestamp: Optional[dt.date]) -> Raster:
+    """num / den with ``(num, den) = formula(*band blocks)``, one block of
+    rows at a time; NaN where any band carries nodata or den is 0.
+
+    ``formula`` gets the float32 blocks and returns float64 terms: it starts
+    each sum from a float64 copy of its first band, and numpy widens the
+    other float32 operands exactly, so no float64 copy of each band is made.
+    """
+    spec = rasters[0].spec
+    out = np.empty((spec.height, spec.width), dtype=np.float32)
+    for rows in row_blocks(spec.height, spec.width):
+        num, den = formula(*(r.values[rows] for r in rasters))
+        ok = den != 0
+        for r in rasters:
+            ok &= valid_values(r.values[rows], r.nodata)
+        np.divide(num, den, out=num, where=ok)
+        num[~ok] = np.nan
+        out[rows] = num
+    return Raster(spec, out, band_name=band_name, timestamp=timestamp)
+
+
+def _ndvi_terms(nir, red):
+    nir = nir.astype(np.float64)
+    return nir - red, nir + red
 
 
 def ndvi(bands: BandSet) -> Raster:
     """Normalized difference of NIR and red, in [-1, 1]."""
-    nir = bands.b8.values.astype(np.float64)
-    red = bands.b4.values.astype(np.float64)
-    valid = bands.b8.valid_mask() & bands.b4.valid_mask()
-    values = _ratio_index(nir - red, nir + red, valid)
-    return Raster(bands.b8.spec, values.astype(np.float32), band_name=NDVI_BAND_NAME,
-                  timestamp=bands.timestamp)
+    return _ratio_index((bands.b8, bands.b4), _ndvi_terms, NDVI_BAND_NAME, bands.timestamp)
+
+
+def _svhi_terms(nir, b4, b5, b11, b12):
+    absorb = b4.astype(np.float64)
+    absorb += b5
+    absorb += b11
+    absorb += b12
+    nir4 = 4.0 * nir.astype(np.float64)
+    return nir4 - absorb, nir4 + absorb
 
 
 def svhi(bands: BandSet) -> Raster:
     """Vegetation-health index contrasting NIR against red plus red-edge
     and the two shortwave infrared bands, in [-1, 1]."""
-    nir = bands.b8.values.astype(np.float64)
-    absorb = (bands.b4.values.astype(np.float64) + bands.b5.values.astype(np.float64)
-              + bands.b11.values.astype(np.float64) + bands.b12.values.astype(np.float64))
-    valid = (bands.b8.valid_mask() & bands.b4.valid_mask() & bands.b5.valid_mask()
-             & bands.b11.valid_mask() & bands.b12.valid_mask())
-    values = _ratio_index(4.0 * nir - absorb, 4.0 * nir + absorb, valid)
-    return Raster(bands.b8.spec, values.astype(np.float32), band_name=SVHI_BAND_NAME,
-                  timestamp=bands.timestamp)
+    return _ratio_index((bands.b8, bands.b4, bands.b5, bands.b11, bands.b12), _svhi_terms,
+                        SVHI_BAND_NAME, bands.timestamp)
 
 
 def ingest_lai(raster: Raster) -> Raster:

@@ -9,6 +9,7 @@ every center rasterizes to an empty mask rather than a guessed one.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import json
 import logging
 import math
@@ -90,6 +91,26 @@ def _in_box(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=1)
 
 
+def _segment_pairs(n: int, i0: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-adjacent pairs (i, j), i < j, of a ring's n segments for
+    segments i in [i0, i0 + rows)."""
+    di, j = np.triu_indices(min(rows, n - i0), k=i0 + 2, m=n)
+    i = di + i0
+    apart = (i != 0) | (j != n - 1)  # the last segment closes onto the first
+    return i[apart], j[apart]
+
+
+@functools.lru_cache(maxsize=64)
+def _all_segment_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-adjacent pair of a ring's n segments, read-only: parcel
+    files repeat a few vertex counts, and building the pairs is about a
+    third of the check's cost for a small ring."""
+    pairs = _segment_pairs(n, 0, n)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def _ring_self_intersects(ring: np.ndarray) -> bool:
     """Check the open ring (closure vertex dropped) for self-intersection.
 
@@ -102,11 +123,7 @@ def _ring_self_intersects(ring: np.ndarray) -> bool:
     n = len(a)
     rows = max(1, _PAIR_CHUNK // n)
     for i0 in range(0, n, rows):
-        # pairs i < j with j >= i + 2 for segments i in [i0, i0 + rows)
-        di, j = np.triu_indices(min(rows, n - i0), k=i0 + 2, m=n)
-        i = di + i0
-        apart = (i != 0) | (j != n - 1)  # the last segment closes onto the first
-        i, j = i[apart], j[apart]
+        i, j = _all_segment_pairs(n) if rows >= n else _segment_pairs(n, i0, rows)
         p, q, r, s = a[i], b[i], a[j], b[j]
         o1, o2 = _orient(p, q, r), _orient(p, q, s)
         o3, o4 = _orient(r, s, p), _orient(r, s, q)

@@ -14,16 +14,23 @@ import json
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 DTYPE_TAG = "f32le"
+
+# Pixels an elementwise kernel handles at once: each of its float64
+# temporaries then takes 256 KB whatever the raster size, so scenes
+# processed side by side cost little more memory than one. On 640x640
+# scenes, 2^15 ran as fast as 2^16 and 2^14 about 8% slower.
+BLOCK_PX = 1 << 15
 
 
 class BundleError(Exception):
@@ -199,7 +206,9 @@ def save_bundle(path: str | Path,
                               f"({spec.height}, {spec.width})")
         arrays.append(a)
 
-    tmp_binary, tmp_header = (q.with_name(f".{q.name}.{os.getpid()}.tmp")
+    # one writer per process and thread, so pooled saves never share a file
+    tag = f"{os.getpid()}.{threading.get_native_id()}"
+    tmp_binary, tmp_header = (q.with_name(f".{q.name}.{tag}.tmp")
                               for q in (binary_path, header_path))
     try:
         with open(tmp_binary, "wb") as f:
@@ -372,6 +381,14 @@ def assert_aligned(rasters: Sequence[Raster]) -> None:
             raise AlignmentError(f"{label} is on grid {r.spec}, expected {ref}")
 
 
+def row_blocks(height: int, width: int) -> Iterator[slice]:
+    """Row slices covering ``range(height)`` in order, each about BLOCK_PX
+    pixels of a ``width``-pixel row (at least one row)."""
+    step = max(1, BLOCK_PX // width)
+    for r0 in range(0, height, step):
+        yield slice(r0, min(r0 + step, height))
+
+
 def _require_overlap(source: GridSpec, target: GridSpec) -> None:
     if source.crs != target.crs:
         raise ValueError(f"cannot resample across CRS ({source.crs!r} vs {target.crs!r})")
@@ -406,26 +423,13 @@ def resample(raster: Raster, target: GridSpec,
     row = np.floor(frow).astype(np.int64)
     in_x = (col >= 0) & (col < src.width)
     in_y = (row >= 0) & (row < src.height)
-    inside = in_y[:, None] & in_x[None, :]
 
-    values = np.full((target.height, target.width), np.nan, dtype=np.float64)
     src_valid = raster.valid_mask()
     src_vals = raster.values.astype(np.float64)
 
     col_c = np.clip(col, 0, src.width - 1)
     row_c = np.clip(row, 0, src.height - 1)
-    # one take per axis copies whole rows, then whole columns: cheaper than
-    # indexing every pixel of the grid through broadcast index arrays
-    def grid_take(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return a.take(rows, axis=0).take(cols, axis=1)
-
-    nearest = grid_take(src_vals, row_c, col_c)
-    nearest_ok = grid_take(src_valid, row_c, col_c)
-
-    if method is ResampleMethod.NEAREST:
-        pick = inside & nearest_ok
-        values[pick] = nearest[pick]
-    else:
+    if method is ResampleMethod.BILINEAR:
         # continuous index in source-center coordinates, clamped to the hull
         # of centers so the half-pixel rim reuses the edge value
         gx = np.clip(fcol - 0.5, 0.0, float(src.width - 1))
@@ -434,25 +438,42 @@ def resample(raster: Raster, target: GridSpec,
         j0 = np.floor(gy).astype(np.int64)
         i1 = np.minimum(i0 + 1, src.width - 1)
         j1 = np.minimum(j0 + 1, src.height - 1)
-        wx = gx - i0
+        wxg = (gx - i0)[None, :]
         wy = gy - j0
 
-        v00 = grid_take(src_vals, j0, i0)
-        v01 = grid_take(src_vals, j0, i1)
-        v10 = grid_take(src_vals, j1, i0)
-        v11 = grid_take(src_vals, j1, i1)
-        ok = (grid_take(src_valid, j0, i0) & grid_take(src_valid, j0, i1)
-              & grid_take(src_valid, j1, i0) & grid_take(src_valid, j1, i1))
+    # one take per axis copies whole rows, then whole columns: cheaper than
+    # indexing every pixel of the grid through broadcast index arrays
+    def grid_take(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return a.take(rows, axis=0).take(cols, axis=1)
 
-        wxg = wx[None, :]
-        wyg = wy[:, None]
-        blend = ((1 - wyg) * ((1 - wxg) * v00 + wxg * v01)
-                 + wyg * ((1 - wxg) * v10 + wxg * v11))
+    out = np.empty((target.height, target.width), dtype=np.float32)
+    for rows in row_blocks(target.height, target.width):
+        inside = in_y[rows, None] & in_x[None, :]
+        values = np.full(inside.shape, np.nan, dtype=np.float64)
+        nearest = grid_take(src_vals, row_c[rows], col_c)
+        nearest_ok = grid_take(src_valid, row_c[rows], col_c)
 
-        use_blend = inside & ok
-        use_near = inside & ~ok & nearest_ok
-        values[use_blend] = blend[use_blend]
-        values[use_near] = nearest[use_near]
+        if method is ResampleMethod.NEAREST:
+            pick = inside & nearest_ok
+            values[pick] = nearest[pick]
+        else:
+            r0, r1 = j0[rows], j1[rows]
+            v00 = grid_take(src_vals, r0, i0)
+            v01 = grid_take(src_vals, r0, i1)
+            v10 = grid_take(src_vals, r1, i0)
+            v11 = grid_take(src_vals, r1, i1)
+            ok = (grid_take(src_valid, r0, i0) & grid_take(src_valid, r0, i1)
+                  & grid_take(src_valid, r1, i0) & grid_take(src_valid, r1, i1))
 
-    return Raster(target, values.astype(np.float32), band_name=raster.band_name,
+            wyg = wy[rows, None]
+            blend = ((1 - wyg) * ((1 - wxg) * v00 + wxg * v01)
+                     + wyg * ((1 - wxg) * v10 + wxg * v11))
+
+            use_blend = inside & ok
+            use_near = inside & ~ok & nearest_ok
+            values[use_blend] = blend[use_blend]
+            values[use_near] = nearest[use_near]
+        out[rows] = values
+
+    return Raster(target, out, band_name=raster.band_name,
                   nodata=math.nan, timestamp=raster.timestamp, orbit=raster.orbit)

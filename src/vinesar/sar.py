@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .raster import (BundleHeader, GridSpec, Orbit, Raster, load_bundle, read_header,
-                     save_bundle)
+                     row_blocks, save_bundle)
 
 log = logging.getLogger(__name__)
 
@@ -114,21 +114,27 @@ def load_c2(path: str | Path) -> C2Raster:
     """
     b = load_bundle(path)
     _require_c2_bands(path, b.band_names)
-    valid = np.isfinite(b.values).all(axis=0)
-    bad = valid & _not_psd(*b.values.astype(np.float64))
-    n_bad = int(bad.sum())
+    n_valid = n_bad = 0
+    for rows in row_blocks(b.spec.height, b.spec.width):
+        block = b.values[:, rows]  # a view: nodata is written into the bundle
+        valid = np.isfinite(block).all(axis=0)
+        bad = valid & _not_psd(*block.astype(np.float64))
+        n_valid += int(valid.sum())
+        n_bad += int(bad.sum())
+        block[:, bad] = np.nan
     if n_bad:
         log.warning("%s: %d of %d valid pixels violate the covariance constraints, "
-                    "set to nodata", path, n_bad, int(valid.sum()))
-        b.values[:, bad] = np.nan
+                    "set to nodata", path, n_bad, n_valid)
     return C2Raster(b.spec, *b.values, timestamp=b.timestamp, orbit=b.orbit)
 
 
 def _masked_mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """sums / counts where counts > 0, NaN where a window held no valid pixel."""
-    out = np.full(sums.shape, np.nan, dtype=np.float64)
-    np.divide(sums, counts, out=out, where=counts > 0)
-    return out
+    """sums / counts where counts > 0, NaN where a window held no valid
+    pixel; written over the float64 ``sums``, which is returned."""
+    held = counts > 0
+    np.divide(sums, counts, out=sums, where=held)
+    sums[~held] = np.nan
+    return sums
 
 
 def multilook(c2: C2Raster, win_x: int = 4, win_y: int = 1) -> C2Raster:
@@ -159,33 +165,57 @@ def multilook(c2: C2Raster, win_x: int = 4, win_y: int = 1) -> C2Raster:
     return C2Raster(out_spec, *bands, timestamp=c2.timestamp, orbit=c2.orbit)
 
 
-def _summed_area(a: np.ndarray) -> np.ndarray:
-    """(h+1) x (w+1) table whose [r, c] entry sums a[:r, :c]."""
-    h, w = a.shape
-    table = np.zeros((h + 1, w + 1), dtype=a.dtype)
-    table[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-    return table
+def _padded_summed_area(a: np.ndarray, dtype: type, pad: int,
+                        keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """Summed-area table of ``a`` in ``dtype``, edge-padded by ``pad``.
 
-
-def _window_sums(table: np.ndarray, win: int) -> np.ndarray:
-    """Sum over each pixel's win x win window clipped to the raster.
-
-    ``table`` is a summed-area table from ``_summed_area``. Edge-padding it
-    by win // 2 repeats its first and last rows and columns, so a window
-    reaching past the raster reads the table at the raster edge: the plain
-    slices below equal the table at the clipped window corners.
+    The table's [r, c] entry sums a[:r, :c], counting only pixels where
+    ``keep`` is true when it is given. The pad repeats the table's first and
+    last rows and columns, as ``np.pad(table, pad, mode="edge")`` would, so a
+    window reaching past the raster reads the table at the raster edge. The
+    table is built inside the padded array, and the column sums run over row
+    blocks, each block's first row carrying the sum above it: this adds in
+    the same order as one cumsum over the whole array.
     """
-    h, w = table.shape[0] - 1, table.shape[1] - 1
-    t = np.pad(table, win // 2, mode="edge")
-    return (t[win:win + h, win:win + w] - t[:h, win:win + w]
-            - t[win:win + h, :w] + t[:h, :w])
+    h, w = a.shape
+    t = np.zeros((h + 1 + 2 * pad, w + 1 + 2 * pad), dtype=dtype)
+    inner = t[pad + 1:pad + 1 + h, pad + 1:pad + 1 + w]
+    for rows in row_blocks(h, w):
+        block = a[rows].astype(dtype)
+        if keep is not None:
+            block[~keep[rows]] = 0
+        if rows.start:
+            block[0] += inner[rows.start - 1]
+        np.cumsum(block, axis=0, out=inner[rows])
+    np.cumsum(inner, axis=1, out=inner)
+    # the table's first row and column are zeros, and so is the pad before
+    # them; the pad after repeats the last column, then the last row
+    t[:, pad + 1 + w:] = t[:, pad + w:pad + w + 1]
+    t[pad + 1 + h:] = t[pad + h]
+    return t
+
+
+def _window_sums(table: np.ndarray, win: int, rows: slice) -> np.ndarray:
+    """Sums over the win x win windows, clipped to the raster, of the
+    pixels in ``rows``.
+
+    ``table`` is a summed-area table edge-padded by win // 2, so each
+    clipped window sum is four plain slices.
+    """
+    w = table.shape[1] - win
+    lo, hi = rows.start, rows.stop
+    sums = table[win + lo:win + hi, win:win + w] - table[lo:hi, win:win + w]
+    sums -= table[win + lo:win + hi, :w]
+    sums += table[lo:hi, :w]
+    return sums
 
 
 def boxcar_filter(c2: C2Raster, win: int) -> C2Raster:
     """Square sliding-mean speckle filter with an odd window size.
 
     Each output pixel averages the valid pixels of its window clipped to
-    the raster, NaN when there are none.
+    the raster, NaN when there are none. Each band's means are taken over
+    row blocks of its summed-area table.
     """
     if win < 1 or win % 2 == 0:
         raise ValueError(f"boxcar window must be odd and positive, got {win}")
@@ -193,13 +223,17 @@ def boxcar_filter(c2: C2Raster, win: int) -> C2Raster:
         return C2Raster(c2.spec, c2.c11.copy(), c2.c22.copy(),
                         c2.c12_re.copy(), c2.c12_im.copy(),
                         timestamp=c2.timestamp, orbit=c2.orbit)
+    h, w = c2.spec.height, c2.spec.width
     valid = c2.valid_mask()
-    # one count table per scene, shared by the four bands
-    counts = _window_sums(_summed_area(valid.astype(np.int64)), win)
+    # one count per window, shared by the four bands
+    counts = _window_sums(_padded_summed_area(valid, np.int64, win // 2), win, slice(0, h))
     bands = []
     for b in (c2.c11, c2.c22, c2.c12_re, c2.c12_im):
-        sums = _window_sums(_summed_area(np.where(valid, b.astype(np.float64), 0.0)), win)
-        bands.append(_masked_mean(sums, counts).astype(np.float32))
+        table = _padded_summed_area(b, np.float64, win // 2, keep=valid)
+        out = np.empty((h, w), dtype=np.float32)
+        for rows in row_blocks(h, w):
+            out[rows] = _masked_mean(_window_sums(table, win, rows), counts[rows])
+        bands.append(out)
     return C2Raster(c2.spec, *bands, timestamp=c2.timestamp, orbit=c2.orbit)
 
 
@@ -208,9 +242,12 @@ def _not_psd(c11, c22, c12_re, c12_im):
 
     Plain arithmetic, so it takes floats or float64 arrays alike; NaN
     entries compare false and are left to the caller's validity mask.
+    Squares are products: a float's ``x ** 2`` goes through C ``pow``,
+    which can round differently from numpy's square of an array.
     """
-    det = c11 * c22 - (c12_re ** 2 + c12_im ** 2)
-    return (c11 < 0) | (c22 < 0) | (det < -PSD_TOL * (0.5 * (c11 + c22)) ** 2)
+    det = c11 * c22 - (c12_re * c12_re + c12_im * c12_im)
+    half_trace = 0.5 * (c11 + c22)
+    return (c11 < 0) | (c22 < 0) | (det < -PSD_TOL * (half_trace * half_trace))
 
 
 def _m_beta(l1, l2):
@@ -220,32 +257,29 @@ def _m_beta(l1, l2):
     return (l1 - l2) / total, l1 / total
 
 
-def _eigen_arrays(c11: np.ndarray, c22: np.ndarray,
-                  c12_re: np.ndarray, c12_im: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized closed-form eigenvalues; returns (l1, l2, psd_violation).
+def _eigen(c11, c22, c12_re, c12_im, sqrt):
+    """Closed-form eigenvalues (lambda1, lambda2), descending, of
+    [[c11, c12], [conj(c12), c22]].
 
-    Inputs must be float64. NaNs flow through; the violation mask marks
-    finite pixels whose matrix is not PSD within tolerance.
+    Plain arithmetic, so it takes floats with ``math.sqrt`` or float64
+    arrays with ``np.sqrt`` alike; finiteness and the PSD check are the
+    caller's. lambda2 is det / lambda1, set to 0 when that ratio is below
+    RANK1_TOL (float32 storage noise on a rank-one matrix) or negative (a
+    determinant negative within PSD_TOL). lambda1 <= 0 only for the zero
+    matrix, whose lambda2 is 0, and for matrices _not_psd rejects, whose
+    lambda2 means nothing. Squares are products, as in _not_psd.
     """
-    # checked first so its temporaries are freed before the eigenvalue ones
-    bad = _not_psd(c11, c22, c12_re, c12_im)
-    trace = c11 + c22
-    off_sq = c12_re ** 2 + c12_im ** 2
+    off_sq = c12_re * c12_re + c12_im * c12_im
     det = c11 * c22 - off_sq
-    finite = np.isfinite(c11) & np.isfinite(c22) & np.isfinite(off_sq)
-    bad &= finite
-
+    diff = c11 - c22
     # discriminant written as a sum of squares, immune to cancellation
-    spread = np.sqrt((c11 - c22) ** 2 + 4.0 * off_sq)
-    l1 = 0.5 * (trace + spread)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        l2 = np.where(l1 > 0, np.maximum(det, 0.0) / np.where(l1 > 0, l1, 1.0), 0.0)
-        # rank-one snap: ratios below tolerance are storage noise
-        l2 = np.where(l2 < RANK1_TOL * l1, 0.0, l2)
-    l1 = np.where(finite, l1, np.nan)
-    l2 = np.where(finite, l2, np.nan)
-    return l1, l2, bad
+    l1 = 0.5 * ((c11 + c22) + sqrt(diff * diff + 4.0 * off_sq))
+    # dividing by 1 where lambda1 <= 0 keeps a float caller clear of
+    # ZeroDivisionError
+    l2 = det / (l1 + (l1 <= 0))
+    # a comparison multiplies as 0 or 1; adding 0.0 turns the -0.0 a
+    # negative ratio leaves into 0.0
+    return l1, l2 * (l2 >= RANK1_TOL * l1) + 0.0
 
 
 def eigen_decompose(c11: float, c22: float,
@@ -259,13 +293,12 @@ def eigen_decompose(c11: float, c22: float,
     vals = (c11, c22, c12_re, c12_im)
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"covariance entries must be finite, got {vals}")
-    arr = [np.asarray([float(v)], dtype=np.float64) for v in vals]
-    l1, l2, bad = _eigen_arrays(*arr)
-    if bad[0]:
+    vals = tuple(float(v) for v in vals)
+    if _not_psd(*vals):
         raise CovarianceError(
             f"matrix (c11={c11}, c22={c22}, c12={c12_re}{c12_im:+}j) "
             "is not positive semidefinite within tolerance")
-    return EigenPair(float(l1[0]), float(l2[0]))
+    return EigenPair(*_eigen(*vals, math.sqrt))
 
 
 def dp_params(eigen: EigenPair) -> DpParams:
@@ -308,23 +341,25 @@ def dprvi_grd(sigma_vh: float, sigma_vv: float) -> float:
 
 
 def dprvi_raster(c2: C2Raster) -> Raster:
-    """Per-pixel index over a covariance raster.
+    """Per-pixel index over a covariance raster, one block of rows at a time.
 
     Nodata pixels stay nodata. Finite pixels that fail the PSD check are set
     to nodata and counted in a single warning instead of aborting the scene.
     """
-    c11 = c2.c11.astype(np.float64)
-    c22 = c2.c22.astype(np.float64)
-    re = c2.c12_re.astype(np.float64)
-    im = c2.c12_im.astype(np.float64)
-    l1, l2, bad = _eigen_arrays(c11, c22, re, im)
-    n_bad = int(bad.sum())
+    out = np.empty((c2.spec.height, c2.spec.width), dtype=np.float32)
+    n_bad = 0
+    for rows in row_blocks(c2.spec.height, c2.spec.width):
+        c11, c22, re, im = (b[rows].astype(np.float64)
+                            for b in (c2.c11, c2.c22, c2.c12_re, c2.c12_im))
+        finite = np.isfinite(c11) & np.isfinite(c22) & np.isfinite(re) & np.isfinite(im)
+        keep = finite & ~_not_psd(c11, c22, re, im)
+        n_bad += int(np.count_nonzero(finite & ~keep))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            l1, l2 = _eigen(c11, c22, re, im, np.sqrt)
+            m, beta = _m_beta(l1, l2)
+            index = 1.0 - m * beta
+        out[rows] = np.where((l1 + l2 > 0) & keep, index, np.nan)
     if n_bad:
         log.warning("%d pixels violate the covariance constraints, set to nodata", n_bad)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m, beta = _m_beta(l1, l2)
-        index = 1.0 - m * beta
-    index = np.where((l1 + l2 > 0) & ~bad, index, np.nan)
-    return Raster(c2.spec, index.astype(np.float32), band_name=DPRVI_BAND_NAME,
+    return Raster(c2.spec, out, band_name=DPRVI_BAND_NAME,
                   timestamp=c2.timestamp, orbit=c2.orbit)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vinesar import cli
+from vinesar import cli, raster
 from vinesar.raster import GridSpec, save_bundle
 
 # (date, orbit) of the two interleaved radar stacks
@@ -93,6 +93,22 @@ PARCELS = [
     ("NS1", "NS", 4, 34, 14, 54), ("NS2", "NS", 28, 34, 38, 54), ("NS3", "NS", 52, 34, 62, 54),
     ("NS4", "NS", 4, 58, 14, 78), ("NS5", "NS", 28, 58, 38, 78), ("NS6", "NS", 52, 58, 62, 78),
 ]
+
+# (height, width, BLOCK_PX) for the row-blocked kernels: one row, one column,
+# rows wider than a block, a height that does not divide into blocks, and the
+# real block size over uneven blocks
+BLOCK_CASES = [(1, 37, 16), (29, 1, 16), (5, 40, 16), (23, 7, 16), (300, 257, None)]
+
+
+@pytest.fixture(params=BLOCK_CASES, ids=lambda c: "{}x{}-block{}".format(*c))
+def block_shape(request, monkeypatch) -> tuple[int, int]:
+    """(height, width) of a raster for a blocked kernel, with BLOCK_PX set
+    for the case."""
+    h, w, block_px = request.param
+    if block_px is not None:
+        monkeypatch.setattr(raster, "BLOCK_PX", block_px)
+    return h, w
+
 
 GRID = dict(width=100, height=100, origin_x=500000.0, origin_y=5000000.0,
             pixel_size_x=10.0, pixel_size_y=-10.0, crs="EPSG:32632")

@@ -5,8 +5,10 @@ import datetime as dt
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,9 @@ from conftest import (GRID, OPTICAL_DATES, PARCELS, SAR_CDD, SAR_DATES,
                       build_campaign_workspace, run_cli, seasonal_shape,
                       weather_rows, write_campaign_json, write_config,
                       write_optical_inputs, write_parcels_geojson)
-from vinesar import cli
-from vinesar.raster import GridSpec, Orbit, load_raster
+from vinesar import cli, raster, sar
+from vinesar.optical import BAND_NAMES
+from vinesar.raster import GridSpec, Orbit, load_raster, save_bundle
 from vinesar.sar import C2Raster, dprvi_from_eigen, eigen_decompose, load_c2, save_c2
 from vinesar.synth import derive_seed, generate_scene, scene_from_dict
 
@@ -233,6 +236,81 @@ class TestSarIndexCommand:
         (tmp_path / "out").mkdir()
         assert run_cli("sar-index", "--out", str(tmp_path / "out")) == 1
 
+    @staticmethod
+    def write_small_stack(tmp_path, dates):
+        spec = GridSpec(6, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
+        c11 = np.full((5, 6), 1.5)
+        for date in dates:
+            save_c2(C2Raster(spec, c11, 0.5 * c11, 0.1 * c11, 0.0 * c11,
+                             timestamp=dt.date.fromisoformat(date)), tmp_path / f"c2_{date}_DES")
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_first_scene_failing_after_the_header_pass_is_the_one_error(
+            self, tmp_path, caplog, monkeypatch, threads):
+        dates = [f"2023-0{m}-01" for m in range(3, 8)]
+        self.write_small_stack(tmp_path, dates)
+        # the payloads of scenes 1 and 3 become unreadable once their headers
+        # have passed; on the pool, scene 1 fails only after scene 3 has failed,
+        # so it is last in time but first in sorted order
+        real_load = sar.load_bundle
+        attempted = []
+        scene3_failed = threading.Event()
+
+        def load(path):
+            attempted.append(dates.index(Path(path).stem.split("_")[1]))
+            if dates[1] in str(path) and threads > 1:
+                assert scene3_failed.wait(timeout=30)
+            if dates[1] in str(path) or dates[3] in str(path):
+                if dates[3] in str(path):
+                    scene3_failed.set()
+                binary = Path(path).with_suffix(".bin")
+                raise PermissionError(13, "Permission denied", str(binary))
+            return real_load(path)
+
+        monkeypatch.setattr(sar, "load_bundle", load)
+        monkeypatch.setattr(cli, "_pool_size", lambda n, px: min(threads, n))
+        assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1") == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and f"c2_{dates[1]}_DES" in errors[0], errors
+        assert (tmp_path / f"dprvi_{dates[0]}_DES.json").exists()
+        if threads == 1:
+            assert attempted == [0, 1]
+        else:
+            # scene 4 may start on a thread freed before the failure is read
+            assert {0, 1, 2, 3} <= set(attempted) <= {0, 1, 2, 3, 4}, attempted
+
+    def test_scenes_not_started_are_cancelled_after_a_failure(self, tmp_path, monkeypatch):
+        dates = [f"2023-05-0{day}" for day in range(1, 9)]
+        self.write_small_stack(tmp_path, dates)
+        shutting_down = threading.Event()
+
+        class Pool(cli.ThreadPoolExecutor):
+            """Tells the scenes when the stage has stopped handing out work."""
+
+            def shutdown(self, *args, **kwargs):
+                shutting_down.set()
+                super().shutdown(*args, **kwargs)
+
+        real_load = sar.load_bundle
+        attempted = []
+
+        def load(path):
+            attempted.append(dates.index(Path(path).stem.split("_")[1]))
+            if dates[0] in str(path):
+                raise OSError(f"cannot read {path}")
+            # every other scene holds its thread until the stage has read the
+            # failure and cancelled what had not started
+            assert shutting_down.wait(timeout=30)
+            return real_load(path)
+
+        monkeypatch.setattr(sar, "load_bundle", load)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_pool_size", lambda n, px: 2)
+        assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1") == 1
+        # scene 1 runs on the second thread; the first thread may take scene 2
+        # before the failure is read; scenes 3 to 7 never start
+        assert {0, 1} <= set(attempted) <= {0, 1, 2}, attempted
+
     def test_non_psd_pixel_becomes_nodata(self, tmp_path):
         rng = np.random.default_rng(8)
         c11 = rng.uniform(0.5, 2.0, size=(4, 4))
@@ -297,6 +375,90 @@ class TestOpticalCommand:
         assert run_cli("optical-index", "--out", str(ws["out"])) == 0
         assert not (ws["out"] / "ndvi_2023-04-26.json").exists()
         assert (ws["out"] / "ndvi_2023-03-27.json").exists()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_single_and_split_bundles_of_one_suffix_are_refused(
+            self, tmp_path, caplog, monkeypatch, threads):
+        ws = build_campaign_workspace(tmp_path / "w")
+        write_optical_inputs(ws["out"])
+        tag = OPTICAL_DATES[1].isoformat()
+        spec = GridSpec(**GRID)
+        save_bundle(ws["out"] / f"bands_{tag}", spec,
+                    [(name, np.full((spec.height, spec.width), 0.2, dtype=np.float32))
+                     for name in BAND_NAMES], timestamp=OPTICAL_DATES[1])
+        monkeypatch.setattr(cli, "_pool_size", lambda n, px: min(threads, n))
+        # both would write ndvi_<tag> and svhi_<tag>
+        assert run_cli("optical-index", "--out", str(ws["out"])) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1, errors
+        assert f"bands_{tag}" in errors[0] and f"bands10_{tag}" in errors[0]
+        assert not list(ws["out"].glob("ndvi_*")) and not list(ws["out"].glob("svhi_*"))
+
+
+def test_index_stages_write_the_same_bytes_on_one_thread_and_on_three(
+        tmp_path, monkeypatch):
+    ws = build_campaign_workspace(tmp_path / "w")
+    assert run_cli("synth", str(ws["campaign"]), "--config", str(ws["config"])) == 0
+    write_optical_inputs(ws["out"])
+    outs = {}
+    for threads in (1, 3):
+        monkeypatch.setattr(cli, "_pool_size", lambda n, px: min(threads, n))
+        out = shutil.copytree(ws["out"], tmp_path / f"threads{threads}")
+        for stage in ("sar-index", "optical-index"):
+            assert run_cli(stage, "--config", str(ws["config"]), "--out", str(out)) == 0
+        outs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len([n for n in outs[1] if n.startswith(("dprvi_", "ndvi_", "svhi_"))]) == 2 * (
+        len(SAR_DATES) + 2 * len(OPTICAL_DATES))
+    assert outs[1] == outs[3]
+
+
+class TestScenePool:
+    def test_pool_size_is_capped_by_max_jobs_and_scene_count(self, monkeypatch):
+        before = threading.active_count()
+        cpus = len(os.sched_getaffinity(0))
+        big = raster.BLOCK_PX + 1
+        assert cli._pool_size(10 ** 6, big) == min(cpus, cli._MAX_JOBS)
+        assert cli._pool_size(1, big) == 1
+        assert cli._pool_size(0, big) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10 ** 9))
+        assert cli._pool_size(3, big) == 3
+        assert cli._pool_size(10 ** 6, big) == cli._MAX_JOBS
+        # a scene that fits in one kernel block runs on the calling thread
+        assert cli._pool_size(10 ** 6, raster.BLOCK_PX) == 1
+        assert threading.active_count() == before
+
+    def test_pool_of_a_huge_host_is_clamped_to_the_scene_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Runs the tasks on the calling thread; records the pool size."""
+
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+        for seed, date in ((1, "2023-03-28"), (2, "2023-04-21"), (3, "2023-05-27")):
+            (tmp_path / "s.json").write_text(json.dumps(scene_doc(seed=seed, date=date)))
+            assert run_cli("synth", str(tmp_path / "s.json"), "--out", str(tmp_path)) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10 ** 9))
+        before = threading.active_count()
+        # 8x6 scenes fit in one block: no pool
+        assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1") == 0
+        assert sizes == []
+        monkeypatch.setattr(raster, "BLOCK_PX", 16)
+        assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1") == 0
+        assert threading.active_count() == before
+        assert sizes == [3]
+        assert len(list(tmp_path.glob("dprvi_*.json"))) == 3
 
 
 class TestZonalCommand:
@@ -542,7 +704,9 @@ class TestConfigHandling:
                                      {"seed": False}, {"seed": "12"}, {"erode": float("nan")},
                                      [{"a": 1}], [], "x", {"seed": -1}, {"seed": 2 ** 64},
                                      {"seed": 1e30}, {"out_dir": 5}, {"parcels": []},
-                                     {"t_base": True}, {"t_base": float("nan")}])
+                                     {"t_base": True}, {"t_base": float("nan")},
+                                     {"abscissa": 5}, {"abscissa": ["cdd"]},
+                                     {"resample": "cubic"}])
     def test_wrong_typed_value_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         assert run_cli("sar-index", "--config", str(tmp_path / "cfg.json")) == 1
@@ -551,6 +715,7 @@ class TestConfigHandling:
         # the key at fault, or for a document that is no object, what it must be
         want = next(iter(doc)) if isinstance(doc, dict) else "must hold a JSON object"
         assert want in errors[0].getMessage()
+        assert "cfg.json" in errors[0].getMessage()
 
 
 def test_module_entry_point_runs(tmp_path):

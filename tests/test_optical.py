@@ -159,3 +159,31 @@ class TestLai:
         out = ingest_lai(src)
         assert out.values[0, 0] == 0.0
         assert out.values[0, 1] == np.float32(10.0)
+
+
+def ratio_reference(num, den, valid):
+    """The whole-raster ratio index in float64, cast once to float32."""
+    out = np.full(num.shape, np.nan, dtype=np.float64)
+    np.divide(num, den, out=out, where=valid & (den != 0))
+    return out.astype(np.float32)
+
+
+class TestBlockedIndices:
+    def test_ndvi_and_svhi_are_byte_equal_to_whole_raster(self, block_shape):
+        h, w = block_shape
+        rng = np.random.default_rng(h * 1000 + w)
+        arrs = [rng.uniform(-0.05, 1.25, size=(h, w)).astype(np.float32) for _ in range(5)]
+        for a in arrs:
+            a[rng.random(size=(h, w)) < 0.1] = np.nan
+        zero = rng.random(size=(h, w)) < 0.1  # a zero NDVI denominator
+        arrs[0][zero] = arrs[2][zero] = 0.0
+        bs = bandset(*arrs)
+        b4, b5, b8, b11, b12 = (getattr(bs, n).values.astype(np.float64)
+                                for n in ("b4", "b5", "b8", "b11", "b12"))
+        valid = {n: getattr(bs, n).valid_mask() for n in ("b4", "b5", "b8", "b11", "b12")}
+        want_ndvi = ratio_reference(b8 - b4, b8 + b4, valid["b8"] & valid["b4"])
+        absorb = b4 + b5 + b11 + b12
+        want_svhi = ratio_reference(4.0 * b8 - absorb, 4.0 * b8 + absorb,
+                                    np.logical_and.reduce(list(valid.values())))
+        assert ndvi(bs).values.tobytes() == want_ndvi.tobytes()
+        assert svhi(bs).values.tobytes() == want_svhi.tobytes()

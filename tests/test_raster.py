@@ -4,7 +4,9 @@ import datetime as dt
 import json
 import math
 import struct
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,35 @@ class TestBundleIO:
             save_bundle(tmp_path / "old", grid(), [("k", z + 1.0)])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.bin", "old.json"]
         assert load_bundle(tmp_path / "old").values[0].tolist() == z.tolist()
+
+    def test_threads_saving_one_bundle_never_share_a_temporary(self, tmp_path):
+        g = grid(4, 3)
+        values = [np.full((3, 4), k, dtype=np.float32) for k in range(8)]
+        errors = []
+
+        def save(k):
+            try:
+                for _ in range(25):
+                    save_bundle(tmp_path / "shared", g, [("v", values[k])])
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=save, args=(k,)) for k in range(len(values))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # the bundle is whole: one writer's payload, and no temporary left
+        got = load_bundle(tmp_path / "shared").values[0]
+        assert any(np.array_equal(got, v) for v in values)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.bin", "shared.json"]
 
     def test_size_mismatch_is_flagged(self, tmp_path):
         g = grid()
@@ -419,3 +450,19 @@ class TestResampleOracle:
                                               resample_oracle(src, target, method))
                 done += 1
         assert done > 40
+
+
+class TestBlockedResample:
+    @pytest.mark.parametrize("method", list(ResampleMethod))
+    def test_byte_equal_to_the_per_pixel_oracle(self, block_shape, method):
+        # the target has the case's shape; the source has half the
+        # resolution, NaN pixels, and ends a few target pixels early
+        h, w = block_shape
+        rng = np.random.default_rng(h * 1000 + w)
+        sh, sw = max(1, (h - 2) // 2), max(1, (w - 2) // 2)
+        vals = rng.normal(size=(sh, sw)).astype(np.float32)
+        vals[rng.random(size=vals.shape) < 0.15] = np.nan
+        src = Raster(grid(w=sw, h=sh, px=20.0, py=-20.0), vals)
+        target = grid(w=w, h=h, ox=-5.0, oy=5.0)
+        got = resample(src, target, method).values
+        assert got.tobytes() == resample_oracle(src, target, method).tobytes()

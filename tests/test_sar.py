@@ -2,15 +2,17 @@
 
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
 
-from vinesar.raster import GridSpec, Orbit
-from vinesar.sar import (DPRVI_BAND_NAME, C2Raster, CovarianceError, EigenPair,
-                         boxcar_filter, dp_params, dprvi_from_eigen, dprvi_grd,
-                         dprvi_raster, eigen_decompose, load_c2, multilook,
-                         save_c2)
+from vinesar import raster
+from vinesar.raster import GridSpec, Orbit, load_bundle, row_blocks
+from vinesar.sar import (DPRVI_BAND_NAME, PSD_TOL, RANK1_TOL, C2Raster, CovarianceError,
+                         EigenPair, boxcar_filter, dp_params, dprvi_from_eigen,
+                         dprvi_grd, dprvi_raster, eigen_decompose, load_c2,
+                         multilook, save_c2)
 
 
 def grid(w, h):
@@ -83,6 +85,20 @@ class TestEigen:
             got = eigen_decompose(float(f(c11)), float(f(c22)),
                                   float(f(re)), float(f(im)))
             assert got.lambda2 == 0.0
+
+    def test_zero_matrix_and_negative_determinant_give_positive_zero(self):
+        # the determinant of [[1, 1 + 1e-8], [1 + 1e-8, 1]] is negative
+        # within PSD_TOL
+        for entries in ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0 + 1e-8, 0.0)):
+            lambda2 = eigen_decompose(*entries).lambda2
+            assert lambda2 == 0.0 and math.copysign(1.0, lambda2) == 1.0, entries
+
+    def test_scalar_eigen_is_bit_equal_to_the_array_reference(self):
+        c11, c22, re, im = random_psd(np.random.default_rng(77), 5000)
+        l1, l2, _ = eigen_reference(c11, c22, re, im)
+        for k in range(5000):
+            pair = eigen_decompose(float(c11[k]), float(c22[k]), float(re[k]), float(im[k]))
+            assert (pair.lambda1, pair.lambda2) == (l1[k], l2[k]), k
 
     def test_rejects_non_psd_and_nonfinite(self):
         with pytest.raises(CovarianceError):
@@ -409,3 +425,132 @@ class TestDprviRaster:
                                    float(c2.c12_re.flat[i]), float(c2.c12_im.flat[i]))
             want = dprvi_from_eigen(pair)
             assert out.values.flat[i] == pytest.approx(want, rel=1e-6, abs=1e-7)
+
+
+def not_psd_reference(c11, c22, re, im):
+    det = c11 * c22 - (re ** 2 + im ** 2)
+    return (c11 < 0) | (c22 < 0) | (det < -PSD_TOL * (0.5 * (c11 + c22)) ** 2)
+
+
+def eigen_reference(c11, c22, re, im):
+    """Whole-array eigenvalues (l1, l2, finite) of float64 arrays."""
+    trace = c11 + c22
+    off_sq = re ** 2 + im ** 2
+    det = c11 * c22 - off_sq
+    finite = np.isfinite(c11) & np.isfinite(c22) & np.isfinite(off_sq)
+    spread = np.sqrt((c11 - c22) ** 2 + 4.0 * off_sq)
+    l1 = 0.5 * (trace + spread)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l2 = np.where(l1 > 0, np.maximum(det, 0.0) / np.where(l1 > 0, l1, 1.0), 0.0)
+        l2 = np.where(l2 < RANK1_TOL * l1, 0.0, l2)
+        l1 = np.where(finite, l1, np.nan)
+        l2 = np.where(finite, l2, np.nan)
+    return l1, l2, finite
+
+
+def dprvi_reference(c2):
+    """The whole-raster index: (values, count of non-PSD pixels)."""
+    c11, c22, re, im = (getattr(c2, name).astype(np.float64) for name in BANDS)
+    bad = not_psd_reference(c11, c22, re, im)
+    l1, l2, finite = eigen_reference(c11, c22, re, im)
+    bad &= finite
+    with np.errstate(invalid="ignore", divide="ignore"):
+        index = 1.0 - (l1 - l2) / (l1 + l2) * (l1 / (l1 + l2))
+    index = np.where((l1 + l2 > 0) & ~bad, index, np.nan)
+    return index.astype(np.float32), int(bad.sum())
+
+
+def blocked_c2(rng, h, w):
+    """random_c2 with NaN pixels, non-PSD pixels, negative powers, zero
+    matrices, exact rank-one and in-tolerance negative determinants."""
+    c2 = random_c2(rng, h, w)
+    flat = {name: getattr(c2, name).reshape(-1) for name in BANDS}
+    n = h * w
+    for i, k in enumerate(rng.choice(n, size=max(5, n // 10), replace=False)):
+        kind = i % 5
+        c11 = float(flat["c11"][k]) if math.isfinite(flat["c11"][k]) else 1.0
+        if kind == 0:    # |c12|^2 > c11 * c22
+            flat["c12_re"][k] = 3.0 * c11
+            flat["c22"][k] = c11
+        elif kind == 1:  # negative power
+            flat["c11"][k] = -c11
+        elif kind == 2:  # zero matrix
+            for name in BANDS:
+                flat[name][k] = 0.0
+        elif kind == 3:  # rank one, or a hair past it
+            flat["c22"][k] = c11
+            flat["c12_re"][k] = c11 * float(rng.choice([1.0, 1.0 + 1e-7]))
+            flat["c12_im"][k] = 0.0
+        else:
+            flat["c11"][k] = np.nan
+    return c2
+
+
+def boxcar_reference(c2, win):
+    """The whole-scene summed-area boxcar: float64 tables padded by np.pad,
+    one division per band, cast once to float32."""
+    valid = c2.valid_mask()
+    h, w = valid.shape
+
+    def window_sums(a):
+        table = np.zeros((h + 1, w + 1), dtype=a.dtype)
+        table[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+        t = np.pad(table, win // 2, mode="edge")
+        return (t[win:win + h, win:win + w] - t[:h, win:win + w]
+                - t[win:win + h, :w] + t[:h, :w])
+
+    counts = window_sums(valid.astype(np.int64))
+    out = {}
+    for name in BANDS:
+        sums = window_sums(np.where(valid, getattr(c2, name).astype(np.float64), 0.0))
+        mean = np.full((h, w), np.nan)
+        np.divide(sums, counts, out=mean, where=counts > 0)
+        out[name] = mean.astype(np.float32)
+    return out
+
+
+class TestBlockedKernels:
+
+    def test_row_blocks_cover_the_rows_in_order(self, block_shape):
+        h, w = block_shape
+        blocks = list(row_blocks(h, w))
+        assert [r for rows in blocks for r in range(h)[rows]] == list(range(h))
+        assert all((rows.stop - rows.start) * w <= max(raster.BLOCK_PX, w) for rows in blocks)
+
+    def test_dprvi_raster_is_byte_equal_to_whole_raster(self, block_shape, caplog):
+        h, w = block_shape
+        c2 = blocked_c2(np.random.default_rng(h * 1000 + w), h, w)
+        want, n_bad = dprvi_reference(c2)
+        with caplog.at_level("WARNING"):
+            got = dprvi_raster(c2)
+        assert got.values.tobytes() == want.tobytes()
+        assert n_bad > 0
+        counts = [int(re.match(r"(\d+) pixels", r.getMessage()).group(1))
+                  for r in caplog.records if r.levelname == "WARNING"]
+        assert counts == [n_bad]
+
+    @pytest.mark.parametrize("win", [3, 7])
+    def test_boxcar_is_byte_equal_to_whole_raster(self, block_shape, win):
+        h, w = block_shape
+        c2 = blocked_c2(np.random.default_rng(h * 1000 + w + 2), h, w)
+        assert not c2.valid_mask().all()
+        want = boxcar_reference(c2, win)
+        got = boxcar_filter(c2, win)
+        for name in BANDS:
+            assert getattr(got, name).tobytes() == want[name].tobytes(), name
+
+    def test_load_c2_is_byte_equal_to_whole_raster(self, block_shape, tmp_path, caplog):
+        h, w = block_shape
+        c2 = blocked_c2(np.random.default_rng(h * 1000 + w + 1), h, w)
+        save_c2(c2, tmp_path / "c2_blocks")
+        want = load_bundle(tmp_path / "c2_blocks").values
+        valid = np.isfinite(want).all(axis=0)
+        bad = valid & not_psd_reference(*want.astype(np.float64))
+        want[:, bad] = np.nan
+        with caplog.at_level("WARNING"):
+            got = load_c2(tmp_path / "c2_blocks")
+        for k, name in enumerate(BANDS):
+            assert getattr(got, name).tobytes() == want[k].tobytes(), name
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert f" {int(bad.sum())} of {int(valid.sum())} valid pixels" in warnings[0]
