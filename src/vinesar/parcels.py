@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .raster import AlignmentError, GridSpec, Orbit, Raster, valid_values
+from .raster import BLOCK_PX, AlignmentError, GridSpec, Orbit, Raster, valid_values
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -48,25 +48,21 @@ class Parcel:
     orientation: Orientation = Orientation.OTHER
 
     def __post_init__(self) -> None:
-        if not self.rings:
-            raise ValueError(f"parcel {self.id!r} has no rings")
-        cleaned = []
-        for k, ring in enumerate(self.rings):
-            r = np.asarray(ring, dtype=np.float64)
-            if r.ndim != 2 or r.shape[1] != 2:
-                raise ValueError(f"parcel {self.id!r} ring {k} is not a list of (x, y) pairs")
-            if not np.isfinite(r).all():
-                raise ValueError(f"parcel {self.id!r} ring {k} has a non-finite coordinate")
-            if r.shape[0] < 4:
-                raise ValueError(f"parcel {self.id!r} ring {k} has {r.shape[0]} vertices, "
-                                 "a closed ring needs at least 4")
-            if not np.array_equal(r[0], r[-1]):
-                raise ValueError(f"parcel {self.id!r} ring {k} is not closed "
-                                 "(first vertex must repeat last)")
-            if _ring_self_intersects(r):
-                raise ValueError(f"parcel {self.id!r} ring {k} self-intersects")
-            cleaned.append(r)
-        self.rings = cleaned
+        rings, error = _shaped_rings(self.id, self.rings)
+        k = _first_crossing(rings)
+        if k is not None:
+            raise ValueError(f"parcel {self.id!r} ring {k} self-intersects")
+        if error is not None:
+            raise error
+        self.rings = rings
+
+    @classmethod
+    def _checked(cls, pid: str, rings: list[np.ndarray],
+                 orientation: Orientation) -> "Parcel":
+        """Parcel from rings that already passed the shape and ring checks."""
+        out = cls.__new__(cls)
+        out.id, out.rings, out.orientation = pid, rings, orientation
+        return out
 
     def bounds(self) -> tuple[float, float, float, float]:
         pts = np.vstack(self.rings)
@@ -74,9 +70,10 @@ class Parcel:
                 float(pts[:, 0].max()), float(pts[:, 1].max()))
 
 
-# Segment pairs the ring check tests at once (a ring with more segments than
-# this takes one segment's n pairs at a time): bounds its temporaries for a
-# ring of any size while keeping numpy calls few for the usual 5-100 vertices.
+# Segment pairs the ring check tests per batch, gathered across the rings of
+# a file (a ring with more segments than this gives each batch whole rows of
+# its pairs): bounds the temporaries for rings of any size and number while
+# keeping numpy calls few for files of many 5-100 vertex rings.
 _PAIR_CHUNK = 1 << 16
 
 
@@ -111,28 +108,94 @@ def _all_segment_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _ring_self_intersects(ring: np.ndarray) -> bool:
-    """Check the open ring (closure vertex dropped) for self-intersection.
+def _shaped_rings(pid: str, rings: Sequence) -> tuple[list[np.ndarray], Optional[Exception]]:
+    """The leading rings of a parcel that are closed (n >= 4, 2) float64
+    arrays of finite vertices, and the error for the first ring that is not
+    (None when every ring is)."""
+    if not rings:
+        return [], ValueError(f"parcel {pid!r} has no rings")
+    out = []
+    for k, ring in enumerate(rings):
+        try:
+            r = np.asarray(ring, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            return out, e
+        if r.ndim != 2 or r.shape[1] != 2:
+            problem = "is not a list of (x, y) pairs"
+        elif not np.isfinite(r).all():
+            problem = "has a non-finite coordinate"
+        elif r.shape[0] < 4:
+            problem = f"has {r.shape[0]} vertices, a closed ring needs at least 4"
+        elif not np.array_equal(r[0], r[-1]):
+            problem = "is not closed (first vertex must repeat last)"
+        else:
+            out.append(r)
+            continue
+        return out, ValueError(f"parcel {pid!r} ring {k} {problem}")
+    return out, None
+
+
+def _self_intersecting(rings: Sequence[np.ndarray]) -> np.ndarray:
+    """Whether each closed ring touches itself, for every ring at once.
 
     Adjacent segments legitimately share an endpoint and are skipped; any
-    other contact between two segments makes the ring invalid: a proper
+    other contact between two segments of a ring makes it invalid: a proper
     crossing, or an endpoint of one that is collinear with the other and
-    within its extent (T-contacts, overlaps and repeated vertices).
+    within its extent (T-contacts, overlaps and repeated vertices). The
+    non-adjacent segment pairs of all rings are tested together, about
+    ``_PAIR_CHUNK`` pairs per batch of numpy calls. A pair whose closed
+    bounding boxes are disjoint cannot touch and is dropped before the
+    orientation tests.
     """
-    a, b = ring[:-1], ring[1:]  # segment k runs from a[k] to b[k]
-    n = len(a)
-    rows = max(1, _PAIR_CHUNK // n)
-    for i0 in range(0, n, rows):
-        i, j = _all_segment_pairs(n) if rows >= n else _segment_pairs(n, i0, rows)
+    bad = np.zeros(len(rings), dtype=bool)
+    if not rings:
+        return bad
+    a = np.concatenate([r[:-1] for r in rings])  # segment k runs from a[k] to b[k]
+    b = np.concatenate([r[1:] for r in rings])
+    # box corners per coordinate: contiguous 1-D gathers beat an all(axis=1)
+    (lox, loy), (hix, hiy) = np.minimum(a, b).T.copy(), np.maximum(a, b).T.copy()
+
+    def check(batch: list[tuple[int, int, np.ndarray, np.ndarray]]) -> None:
+        sizes = [i.size for _, _, i, _ in batch]
+        shift = np.repeat([start for _, start, _, _ in batch], sizes)
+        i = np.concatenate([i for _, _, i, _ in batch]) + shift
+        j = np.concatenate([j for _, _, _, j in batch]) + shift
+        near = np.flatnonzero((lox[i] <= hix[j]) & (lox[j] <= hix[i])
+                              & (loy[i] <= hiy[j]) & (loy[j] <= hiy[i]))
+        if near.size == 0:
+            return
+        i, j = i[near], j[near]
         p, q, r, s = a[i], b[i], a[j], b[j]
         o1, o2 = _orient(p, q, r), _orient(p, q, s)
         o3, o4 = _orient(r, s, p), _orient(r, s, q)
         touch = (((o1 != o2) & (o3 != o4))
                  | ((o1 == 0) & _in_box(p, q, r)) | ((o2 == 0) & _in_box(p, q, s))
                  | ((o3 == 0) & _in_box(r, s, p)) | ((o4 == 0) & _in_box(r, s, q)))
-        if touch.any():
-            return True
-    return False
+        owner = np.repeat([k for k, _, _, _ in batch], sizes)[near]
+        bad[owner[touch]] = True
+
+    batch: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    pairs = start = 0
+    for k, ring in enumerate(rings):
+        n = len(ring) - 1
+        rows = max(1, _PAIR_CHUNK // n)
+        for i0 in range(0, n, rows):
+            i, j = _all_segment_pairs(n) if rows >= n else _segment_pairs(n, i0, rows)
+            batch.append((k, start, i, j))
+            pairs += i.size
+            if pairs >= _PAIR_CHUNK:
+                check(batch)
+                batch, pairs = [], 0
+        start += n
+    if batch:
+        check(batch)
+    return bad
+
+
+def _first_crossing(rings: Sequence[np.ndarray]) -> Optional[int]:
+    """Index of the first ring that touches itself, None if none does."""
+    bad = np.flatnonzero(_self_intersecting(rings))
+    return int(bad[0]) if bad.size else None
 
 
 def load_parcels(path: str | Path) -> list[Parcel]:
@@ -153,31 +216,61 @@ def load_parcels(path: str | Path) -> list[Parcel]:
     if not isinstance(features, list):
         raise ValueError(f"{p}: \"features\" must be a list")
 
-    parcels = []
+    # Every feature's rings are shape-checked in file order up to the first
+    # error; the rings read before it then take one batched ring check, so the
+    # error reported is the first in file order, as one check per ring gives.
+    found = []
+    rings: list[np.ndarray] = []
+    owners: list[tuple[int, str, int]] = []  # (feature, parcel id, ring) of each ring
+    error = None
     for k, feature in enumerate(features):
-        if not isinstance(feature, dict):
-            raise ValueError(f"{p}: feature #{k} is not a JSON object")
-        geom = feature.get("geometry") or {}
-        gtype = geom.get("type") if isinstance(geom, dict) else type(geom).__name__
-        if gtype != "Polygon":
-            raise ValueError(f"{p}: feature #{k} is {gtype!r}, only "
-                             "Polygon features are supported")
-        props = feature.get("properties") or {}
-        if not isinstance(props, dict) or props.get("id") in (None, ""):
-            raise ValueError(f"{p}: feature #{k} lacks properties.id")
-        if not isinstance(geom.get("coordinates"), list):
-            raise ValueError(f"{p}: feature #{k} lacks a coordinates list")
         try:
-            orientation = Orientation(props.get("orientation", "Other"))
-            rings = [np.asarray(ring, dtype=np.float64) for ring in geom["coordinates"]]
-            parcels.append(Parcel(id=str(props["id"]), rings=rings, orientation=orientation))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{p}: feature #{k}: {e}") from None
+            pid, raw, orientation = _feature_parts(p, k, feature)
+        except ValueError as e:
+            error = e
+            break
+        shaped, bad = _shaped_rings(pid, raw)
+        rings.extend(shaped)
+        owners.extend((k, pid, j) for j in range(len(shaped)))
+        if bad is not None:
+            error = ValueError(f"{p}: feature #{k}: {bad}")
+            break
+        found.append((pid, shaped, orientation))
+    first = _first_crossing(rings)
+    if first is not None:
+        k, pid, j = owners[first]
+        raise ValueError(f"{p}: feature #{k}: parcel {pid!r} ring {j} self-intersects")
+    if error is not None:
+        raise error
+    parcels = [Parcel._checked(*parts) for parts in found]
 
     ids = [pc.id for pc in parcels]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{p}: duplicate parcel ids")
     return parcels
+
+
+def _feature_parts(p: Path, k: int, feature) -> tuple[str, list[np.ndarray], Orientation]:
+    """Id, ring arrays and orientation of feature #k of file p; the rings'
+    shapes are not checked yet."""
+    if not isinstance(feature, dict):
+        raise ValueError(f"{p}: feature #{k} is not a JSON object")
+    geom = feature.get("geometry") or {}
+    gtype = geom.get("type") if isinstance(geom, dict) else type(geom).__name__
+    if gtype != "Polygon":
+        raise ValueError(f"{p}: feature #{k} is {gtype!r}, only "
+                         "Polygon features are supported")
+    props = feature.get("properties") or {}
+    if not isinstance(props, dict) or props.get("id") in (None, ""):
+        raise ValueError(f"{p}: feature #{k} lacks properties.id")
+    if not isinstance(geom.get("coordinates"), list):
+        raise ValueError(f"{p}: feature #{k} lacks a coordinates list")
+    try:
+        orientation = Orientation(props.get("orientation", "Other"))
+        rings = [np.asarray(ring, dtype=np.float64) for ring in geom["coordinates"]]
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{p}: feature #{k}: {e}") from None
+    return str(props["id"]), rings, orientation
 
 
 class ParcelMask:
@@ -236,7 +329,7 @@ class ParcelMask:
 
     @property
     def is_empty(self) -> bool:
-        return not bool(self.local.any())
+        return self.local.size == 0  # the window is cropped to the set pixels
 
     @property
     def count(self) -> int:
@@ -271,18 +364,20 @@ def rasterize(parcel: Parcel, spec: GridSpec) -> ParcelMask:
     X = xs[None, cols]
     Y = ys[rows, None]
     inside = np.zeros((Y.shape[0], X.shape[1]), dtype=bool)
+    # edges per pass: an (edges, rows, cols) crossing array of about one block
+    step = max(1, BLOCK_PX // max(1, inside.size))
     for ring in parcel.rings:
-        pts = ring[:-1]
-        n = len(pts)
-        j = n - 1
-        for i in range(n):
-            xi, yi = pts[i]
-            xj, yj = pts[j]
+        pi = ring[:-1]  # edge k runs from vertex k - 1 (pj) to vertex k (pi)
+        pj = np.roll(pi, 1, axis=0)
+        for e0 in range(0, len(pi), step):
+            xi, yi = pi[e0:e0 + step, 0, None, None], pi[e0:e0 + step, 1, None, None]
+            xj, yj = pj[e0:e0 + step, 0, None, None], pj[e0:e0 + step, 1, None, None]
             crosses = (yi > Y) != (yj > Y)
             with np.errstate(invalid="ignore", divide="ignore"):
                 x_at = (xj - xi) * (Y - yi) / (yj - yi) + xi
-            inside ^= crosses & (X < x_at)
-            j = i
+            # an edge that does not cross a row counts for no center of it
+            x_at[~crosses] = -np.inf
+            inside ^= np.logical_xor.reduce(X < x_at, axis=0)
 
     m = ParcelMask._from_window(parcel.id, spec, rows.start, cols.start, inside)
     if m.is_empty:
@@ -349,20 +444,27 @@ def zonal_stats(raster: Raster, mask: ParcelMask) -> ZonalStats:
         raise AlignmentError(f"raster grid {raster.spec} does not match "
                              f"mask grid {mask.spec}")
     vals = raster.values[mask.window][mask.local]
-    vals = vals[valid_values(vals, raster.nodata)].astype(np.float64)
-    n = vals.size
+    ok = valid_values(vals, raster.nodata)
+    n = int(np.count_nonzero(ok))
     if n == 0:
         raise EmptyStatsError(f"parcel {mask.parcel_id}: no valid pixels under the mask")
+    x = (vals if n == vals.size else vals[ok]).astype(np.float64)
+    # numpy's mean and std(ddof=0), operation for operation, without their
+    # per-call dispatch: the same pairwise sums, so the same bits
+    total = np.add.reduce(x)
+    lo, hi = np.minimum.reduce(x), np.maximum.reduce(x)
+    np.subtract(x, total / n, out=x)
+    np.multiply(x, x, out=x)
     return ZonalStats(
         parcel_id=mask.parcel_id,
         band_name=raster.band_name,
         timestamp=raster.timestamp,
         orbit=raster.orbit,
         count=n,
-        mean=float(vals.mean()),
-        std=float(vals.std(ddof=0)),
-        min=float(vals.min()),
-        max=float(vals.max()),
+        mean=float(total / n),
+        std=math.sqrt(np.add.reduce(x) / n),
+        min=float(lo),
+        max=float(hi),
     )
 
 

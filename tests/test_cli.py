@@ -461,10 +461,14 @@ class TestScenePool:
         assert len(list(tmp_path.glob("dprvi_*.json"))) == 3
 
 
+def read_rows(path):
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
 class TestZonalCommand:
     def test_row_population(self, campaign_run):
-        rows = list(csv.DictReader(
-            (campaign_run["out"] / "zonal.csv").open()))
+        rows = read_rows(campaign_run["out"] / "zonal.csv")
         # 12 radar acquisitions + 3 optical products on 6 dates, 12 parcels
         assert len(rows) == 12 * 12 + 3 * 6 * 12
         bands = {r["band"] for r in rows}
@@ -493,8 +497,7 @@ class TestZonalCommand:
 
 class TestDegreeDaysCommand:
     def test_hits_pinned_accumulations(self, campaign_run):
-        rows = list(csv.DictReader(
-            (campaign_run["out"] / "degree_days.csv").open()))
+        rows = read_rows(campaign_run["out"] / "degree_days.csv")
         assert rows[0]["date"] == "2023-01-01"
         assert rows[-1]["date"] == "2023-09-30"
         assert len(rows) == 273
@@ -511,7 +514,7 @@ class TestDegreeDaysCommand:
 
 class TestTrendCommand:
     def test_trend_rows(self, campaign_run):
-        rows = list(csv.DictReader((campaign_run["out"] / "trend.csv").open()))
+        rows = read_rows(campaign_run["out"] / "trend.csv")
         assert len(rows) == 24  # 12 parcels x 2 orbits
         for row in rows:
             assert row["orbit"] in ("ASC", "DES")
@@ -578,9 +581,10 @@ class TestTrendCommand:
         assert not (tmp_path / "out" / "trend.csv").exists()
 
     def test_group_rows(self, campaign_run):
-        reader = csv.DictReader((campaign_run["out"] / "trend_groups.csv").open())
-        assert reader.fieldnames == ["orientation", "orbit", "mean_fit_r", "n_parcels"]
-        rows = list(reader)
+        with (campaign_run["out"] / "trend_groups.csv").open(newline="") as f:
+            reader = csv.DictReader(f)
+            assert reader.fieldnames == ["orientation", "orbit", "mean_fit_r", "n_parcels"]
+            rows = list(reader)
         assert {(r["orientation"], r["orbit"]) for r in rows} == {
             ("EW", "ASC"), ("EW", "DES"), ("NS", "ASC"), ("NS", "DES")}
         for r in rows:
@@ -588,8 +592,7 @@ class TestTrendCommand:
             assert float(r["mean_fit_r"]) > 0.9
 
     def test_correlation_rows(self, campaign_run):
-        rows = list(csv.DictReader(
-            (campaign_run["out"] / "correlation.csv").open()))
+        rows = read_rows(campaign_run["out"] / "correlation.csv")
         # per parcel: DpRVI x {LAI, NDVI, SVHI} on two orbits, plus NDVI x SVHI
         assert len(rows) == 12 * 7
         pairs = {(r["index_a"], r["index_b"]) for r in rows}
@@ -601,7 +604,7 @@ class TestTrendCommand:
                 assert int(r["n"]) == 6
 
     def test_scatter_rows(self, campaign_run):
-        rows = list(csv.DictReader((campaign_run["out"] / "scatter.csv").open()))
+        rows = read_rows(campaign_run["out"] / "scatter.csv")
         assert len(rows) == 12 * 2 * 6  # parcels x orbits x season dates
         assert {r["index_b"] for r in rows} == {"LAI"}
         assert {r["month"] for r in rows} == {"Mar", "Apr", "May", "Jun",

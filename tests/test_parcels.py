@@ -513,6 +513,11 @@ def ring_self_intersects_oracle(ring):
     return False
 
 
+def self_intersects(ring):
+    """The batched ring check on one ring."""
+    return bool(parcels._self_intersecting([ring])[0])
+
+
 class TestRingCheck:
     def closed(self, *pts):
         return np.array(ring(*pts), dtype=float)
@@ -536,7 +541,7 @@ class TestRingCheck:
         }
         for name, (r, want) in cases.items():
             assert ring_self_intersects_oracle(r) is want, name
-            assert parcels._ring_self_intersects(r) is want, name
+            assert self_intersects(r) is want, name
 
     @pytest.mark.parametrize("chunk", [parcels._PAIR_CHUNK, 5, 23])
     def test_matches_scalar_oracle_on_lattice_rings(self, chunk, monkeypatch):
@@ -544,24 +549,31 @@ class TestRingCheck:
         # T-contacts and repeated vertices often
         monkeypatch.setattr(parcels, "_PAIR_CHUNK", chunk)
         rng = np.random.default_rng(45)
-        seen = set()
+        rings, wants = [], []
         for _ in range(400):
             pts = rng.integers(0, 5, size=(int(rng.integers(3, 12)), 2)).astype(float)
             r = np.vstack([pts, pts[:1]])
             want = ring_self_intersects_oracle(r)
-            seen.add(want)
-            assert parcels._ring_self_intersects(r) is want, r.tolist()
-        assert seen == {True, False}
+            assert self_intersects(r) is want, r.tolist()
+            rings.append(r)
+            wants.append(want)
+        assert set(wants) == {True, False}
+        assert parcels._self_intersecting(rings).tolist() == wants
 
     def test_matches_scalar_oracle_on_star_rings(self):
         rng = np.random.default_rng(46)
+        rings, wants = [], []
         for _ in range(60):
             r = star_ring(rng, 0.0, 0.0, 10.0, int(rng.integers(3, 40)))
             if rng.random() < 0.5:  # swapping two vertices folds the ring
                 k = int(rng.integers(0, len(r) - 2))
                 r[[k, k + 1]] = r[[k + 1, k]]
                 r[-1] = r[0]
-            assert parcels._ring_self_intersects(r) is ring_self_intersects_oracle(r)
+            want = ring_self_intersects_oracle(r)
+            assert self_intersects(r) is want
+            rings.append(r)
+            wants.append(want)
+        assert parcels._self_intersecting(rings).tolist() == wants
 
     def test_fold_found_at_every_position_across_chunks(self, monkeypatch):
         monkeypatch.setattr(parcels, "_PAIR_CHUNK", 100)  # 2 segments per chunk
@@ -569,12 +581,12 @@ class TestRingCheck:
         angles = np.sort(np.random.default_rng(48).uniform(0.0, 2.0 * math.pi, size=n))
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
         convex = np.vstack([pts, pts[:1]])
-        assert parcels._ring_self_intersects(convex) is False
+        assert self_intersects(convex) is False
         for k in range(n - 1):  # segments k - 1 and k + 1 cross, nothing else
             folded = convex.copy()
             folded[[k, k + 1]] = folded[[k + 1, k]]
             folded[-1] = folded[0]
-            assert parcels._ring_self_intersects(folded) is True, k
+            assert self_intersects(folded) is True, k
 
     def test_ring_larger_than_one_chunk(self):
         n = 400
@@ -582,10 +594,315 @@ class TestRingCheck:
         angles = np.sort(np.random.default_rng(47).uniform(0.0, 2.0 * math.pi, size=n))
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
         convex = np.vstack([pts, pts[:1]])
-        assert parcels._ring_self_intersects(convex) is False
+        assert self_intersects(convex) is False
         assert ring_self_intersects_oracle(convex) is False
         for k in (3, n - 5):  # a fold found in the first and in the last chunk
             folded = convex.copy()
             folded[[k, k + 1]] = folded[[k + 1, k]]
-            assert parcels._ring_self_intersects(folded) is True
+            assert self_intersects(folded) is True
             assert ring_self_intersects_oracle(folded) is True
+
+
+def mixed_rings(rng, count):
+    """Star rings of 4-300 vertices, about half folded by one vertex swap."""
+    rings = []
+    for _ in range(count):
+        n = int(np.exp(rng.uniform(np.log(3), np.log(299))))
+        r = star_ring(rng, rng.uniform(-50, 50), rng.uniform(-50, 50), 10.0, n)
+        if rng.random() < 0.5:
+            k = int(rng.integers(0, n - 1))
+            r[[k, k + 1]] = r[[k + 1, k]]
+            r[-1] = r[0]
+        rings.append(r)
+    return rings
+
+
+@pytest.fixture(scope="module")
+def mixed_file_rings():
+    """Rings of a mixed parcel file with their scalar-oracle verdicts."""
+    rings = mixed_rings(np.random.default_rng(49), 40)
+    rings.append(star_ring(np.random.default_rng(50), 0.0, 0.0, 10.0, 299))
+    return rings, [ring_self_intersects_oracle(r) for r in rings]
+
+
+class TestBatchedRingCheck:
+    """One batched check per parcel file gives the per-ring verdicts and the
+    first error in file order."""
+
+    @pytest.mark.parametrize("chunk", [parcels._PAIR_CHUNK, 7, 97, 1000])
+    def test_mixed_sizes_match_the_oracle(self, chunk, mixed_file_rings, monkeypatch):
+        monkeypatch.setattr(parcels, "_PAIR_CHUNK", chunk)
+        rings, wants = mixed_file_rings
+        assert {len(r) for r in rings} >= {300} and set(wants) == {True, False}
+        assert parcels._self_intersecting(rings).tolist() == wants
+        bad = [k for k, w in enumerate(wants) if w]
+        assert parcels._first_crossing(rings) == bad[0]
+        assert parcels._first_crossing([r for r, w in zip(rings, wants) if not w]) is None
+
+    @pytest.mark.parametrize("chunk", [parcels._PAIR_CHUNK, 7, 97])
+    def test_load_names_the_first_bad_ring_of_a_mixed_file(self, chunk, mixed_file_rings,
+                                                           tmp_path, monkeypatch):
+        monkeypatch.setattr(parcels, "_PAIR_CHUNK", chunk)
+        rings, wants = mixed_file_rings
+        first = wants.index(True)
+        doc = collection(*[feature(f"p{k}", [r.tolist()]) for k, r in enumerate(rings)])
+        path = write_geojson(tmp_path / "p.geojson", doc)
+        with pytest.raises(ValueError) as exc:
+            load_parcels(path)
+        assert str(exc.value) == (f"{path}: feature #{first}: parcel 'p{first}' "
+                                  "ring 0 self-intersects")
+        good = [r for r, w in zip(rings, wants) if not w]
+        doc = collection(*[feature(f"p{k}", [r.tolist()]) for k, r in enumerate(good)])
+        loaded = load_parcels(write_geojson(tmp_path / "good.geojson", doc))
+        assert [len(pc.rings[0]) for pc in loaded] == [len(r) for r in good]
+
+    def test_empty_list_and_triangles(self):
+        assert parcels._self_intersecting([]).tolist() == []
+        tri = np.array(ring((0, 0), (1, 0), (0, 1)), dtype=float)
+        assert parcels._self_intersecting([tri, tri]).tolist() == [False, False]
+
+    @pytest.mark.parametrize("pts", [
+        ((0, 0), (4, 0), (4, 2), (2, 0), (0, 2)),                  # T-contact
+        ((0, 0), (3, 0), (3, 1), (1, 0), (2, 0), (0, 1)),          # collinear overlap
+        ((0, 0), (2, 0), (2, 0), (2, 2), (0, 2)),                  # repeated vertex
+    ])
+    def test_contacts_caught_among_simple_rings(self, pts, tmp_path):
+        square = ring((10, 10), (12, 10), (12, 12), (10, 12))
+        bad = ring(*pts)
+        doc = collection(feature("a", [square]), feature("b", [square, bad]),
+                         feature("c", [square]))
+        path = write_geojson(tmp_path / "p.geojson", doc)
+        with pytest.raises(ValueError, match="feature #1: parcel 'b' ring 1 self-intersects"):
+            load_parcels(path)
+
+    def test_collinear_split_edge_is_simple(self):
+        # a straight edge split at non-representable points: the rounded
+        # orientation signs of its two outer pieces may disagree, but their
+        # bounding boxes are disjoint, so they cannot touch
+        rng = np.random.default_rng(51)
+        rings = []
+        for _ in range(200):
+            p0, p1 = rng.uniform(-100, 100, 2), rng.uniform(-100, 100, 2)
+            t0, t1 = np.sort(rng.uniform(0.05, 0.95, 2))
+            apex = (p0 + p1) / 2 + np.array([p0[1] - p1[1], p1[0] - p0[0]])
+            rings.append(np.array([p0, p0 + (p1 - p0) * t0, p0 + (p1 - p0) * t1,
+                                   p1, apex, p0]))
+        assert not parcels._self_intersecting(rings).any()
+
+    UNCLOSED = [[0, 0], [2, 0], [2, 2], [0, 2], [0, 1]]
+    BOW_TIE = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]
+
+    def order_file(self, tmp_path, bad2, bad5):
+        square = ring((0, 0), (1, 0), (1, 1), (0, 1))
+        feats = [feature(f"p{k}", [square]) for k in range(7)]
+        feats[2] = feature("p2", [square, bad2])
+        feats[5] = feature("p5", [bad5])
+        return write_geojson(tmp_path / "p.geojson", collection(*feats))
+
+    def test_crossing_before_a_shape_error_is_reported(self, tmp_path):
+        path = self.order_file(tmp_path, self.BOW_TIE, self.UNCLOSED)
+        with pytest.raises(ValueError) as exc:
+            load_parcels(path)
+        assert str(exc.value) == f"{path}: feature #2: parcel 'p2' ring 1 self-intersects"
+
+    def test_shape_error_before_a_crossing_is_reported(self, tmp_path):
+        path = self.order_file(tmp_path, self.UNCLOSED, self.BOW_TIE)
+        with pytest.raises(ValueError) as exc:
+            load_parcels(path)
+        assert str(exc.value) == (f"{path}: feature #2: parcel 'p2' ring 1 is not closed "
+                                  "(first vertex must repeat last)")
+
+    def test_crossing_before_a_feature_error_is_reported(self, tmp_path):
+        path = self.order_file(tmp_path, self.BOW_TIE, self.UNCLOSED)
+        doc = json.loads(path.read_text())
+        doc["features"][5] = {"type": "Feature", "properties": {},
+                              "geometry": doc["features"][5]["geometry"]}
+        write_geojson(path, doc)
+        with pytest.raises(ValueError, match="feature #2: parcel 'p2' ring 1 self-intersects"):
+            load_parcels(path)
+
+    def test_direct_parcel_reports_rings_in_order(self):
+        bow, unclosed = np.array(self.BOW_TIE, float), np.array(self.UNCLOSED, float)
+        square = np.array(ring((0, 0), (1, 0), (1, 1), (0, 1)), dtype=float)
+        with pytest.raises(ValueError, match="^parcel 'x' ring 1 self-intersects$"):
+            Parcel(id="x", rings=[square, bow, unclosed])
+        with pytest.raises(ValueError, match="^parcel 'x' ring 1 is not closed"):
+            Parcel(id="x", rings=[square, unclosed, bow])
+        with pytest.raises(ValueError, match="^parcel 'x' has no rings$"):
+            Parcel(id="x", rings=[])
+
+
+def rasterize_reference(parcel, spec):
+    """Full-grid mask from the one-edge-at-a-time even-odd loop over the
+    centers in the parcel's bounding box plus a one-pixel halo."""
+    full = np.zeros((spec.height, spec.width), dtype=bool)
+    minx, miny, maxx, maxy = parcel.bounds()
+    gx0, gx1 = spec.x_range()
+    gy0, gy1 = spec.y_range()
+    if maxx < gx0 or minx > gx1 or maxy < gy0 or miny > gy1:
+        return full
+    xs, ys = spec.x_centers(), spec.y_centers()
+    cols = parcels._halo_span(xs, minx, maxx, abs(spec.pixel_size_x))
+    rows = parcels._halo_span(ys, miny, maxy, abs(spec.pixel_size_y))
+    X, Y = xs[None, cols], ys[rows, None]
+    inside = np.zeros((Y.shape[0], X.shape[1]), dtype=bool)
+    for r in parcel.rings:
+        pts = r[:-1]
+        n = len(pts)
+        j = n - 1
+        for i in range(n):
+            xi, yi = pts[i]
+            xj, yj = pts[j]
+            crosses = (yi > Y) != (yj > Y)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                x_at = (xj - xi) * (Y - yi) / (yj - yi) + xi
+            inside ^= crosses & (X < x_at)
+            j = i
+    full[rows, cols] = inside
+    return full
+
+
+def snap(pts, step):
+    """Vertices moved to the nearest multiple of ``step`` (pixel centers and
+    edges for a half-pixel step on a grid with integer origin)."""
+    return np.round(pts / step) * step
+
+
+def rectilinear(pts):
+    """Ring through ``pts`` with a corner between each pair: only horizontal
+    and vertical edges."""
+    out = []
+    for (x0, y0), (x1, _) in zip(pts[:-1], pts[1:]):
+        out += [(x0, y0), (x1, y0)]
+    out.append(tuple(pts[0]))
+    return np.array(out)
+
+
+def random_parcels(rng, g, count):
+    """Random parcels on and around grid ``g``: star rings, rings snapped to
+    pixel centers and edges, rectilinear rings, and rings with a hole."""
+    (x0, x1), (y0, y1) = g.x_range(), g.y_range()
+    made = []
+    while len(made) < count:
+        k = len(made)
+        cx, cy = rng.uniform(x0 - 3, x1 + 3), rng.uniform(y0 - 3, y1 + 3)
+        radius = rng.uniform(0.5, 0.6 * max(x1 - x0, y1 - y0))
+        r = star_ring(rng, cx, cy, radius, int(rng.integers(3, 40)))
+        kind = k % 4
+        if kind == 1:
+            r = snap(r, 0.5)
+        elif kind == 2:
+            r = snap(r, 0.5)
+            r = rectilinear(np.vstack([r[:-1:2], r[:1]]))
+        rings = [r]
+        if kind == 3:
+            rings.append(star_ring(rng, cx, cy, 0.25 * radius, int(rng.integers(3, 12))))
+        try:
+            made.append(Parcel(id=f"r{k}", rings=rings))
+        except ValueError:
+            continue  # a snapped or rectilinear draw that touches itself
+    return made
+
+
+class TestEdgeChunkedRasterize:
+    """``rasterize`` takes a chunk of edges per numpy pass; its masks are
+    byte-equal to the one-edge-at-a-time loop."""
+
+    @pytest.mark.parametrize("block", [parcels.BLOCK_PX, 1, 40, 333])
+    def test_byte_equal_to_reference(self, block, monkeypatch):
+        monkeypatch.setattr(parcels, "BLOCK_PX", block)
+        rng = np.random.default_rng(52)
+        for _ in range(6):
+            g = grid(int(rng.integers(4, 24)), int(rng.integers(4, 24)),
+                     ox=float(rng.integers(-2, 3)), oy=float(rng.integers(-2, 3)),
+                     py=float(rng.choice([-1.0, 1.0])))
+            for p in random_parcels(rng, g, 24):
+                got = rasterize(p, g)
+                assert got.mask.tobytes() == rasterize_reference(p, g).tobytes(), p.rings
+
+    def test_features_are_covered(self):
+        rng = np.random.default_rng(52)
+        g = grid(16, 16)
+        ps = random_parcels(rng, g, 48)
+        edges = np.concatenate([np.diff(r, axis=0) for p in ps for r in p.rings])
+        verts = np.concatenate([r for p in ps for r in p.rings])
+        assert (edges[:, 0] == 0).any() and (edges[:, 1] == 0).any()
+        assert np.isin(verts[:, 0], g.x_centers()).any()
+        assert any(len(p.rings) == 2 for p in ps)
+        (x0, x1), (y0, y1) = g.x_range(), g.y_range()
+        partly_off = [p for p in ps if p.bounds()[0] < x0 < p.bounds()[2]
+                      or p.bounds()[1] < y0 < p.bounds()[3]]
+        assert partly_off
+
+    def test_vertex_on_the_halo_edge(self, monkeypatch):
+        # the bounding box ends exactly on a center, so the next center out
+        # lies exactly one pixel away, on the halo edge
+        monkeypatch.setattr(parcels, "BLOCK_PX", 2)
+        g = grid(10, 10)
+        for pts in [((2.5, -2.5), (6.5, -2.5), (6.5, -6.5), (2.5, -6.5)),
+                    ((2.5, -2.5), (7.0, -4.5), (4.5, -7.5)),
+                    ((0.5, -0.5), (9.5, -0.5), (5.0, -9.5))]:
+            p = Parcel(id="h", rings=[np.array(ring(*pts), dtype=float)])
+            assert rasterize(p, g).mask.tobytes() == rasterize_reference(p, g).tobytes()
+
+    def test_ring_longer_than_one_chunk(self, monkeypatch):
+        g = grid(40, 40)
+        p = Parcel(id="big", rings=[star_ring(np.random.default_rng(53), 20.0, -20.0,
+                                              18.0, 300)])
+        want = rasterize_reference(p, g)
+        for block in (1, 50, 1000):
+            monkeypatch.setattr(parcels, "BLOCK_PX", block)
+            assert rasterize(p, g).mask.tobytes() == want.tobytes()
+
+
+def bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestLeanZonalStats:
+    """``zonal_stats`` equals numpy's mean, std(ddof=0), min and max of the
+    valid float64 values, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 8192, 8193, 20000])
+    @pytest.mark.parametrize("nodata", [math.nan, -9999.0])
+    @pytest.mark.parametrize("dirty", [False, True])
+    def test_bit_equal_to_numpy(self, size, nodata, dirty):
+        rng = np.random.default_rng(size)
+        # magnitudes over 14 decades, so float64 sums round and their order shows
+        good = (rng.normal(loc=3.0, scale=50.0, size=size)
+                * 10.0 ** rng.uniform(-8, 6, size=size)).astype(np.float32)
+        good[rng.random(size) < 0.05] = -0.0
+        good[rng.random(size) < 0.05] = 0.0
+        vals = good
+        if dirty:
+            bad = np.array([math.nan, math.inf, -math.inf, nodata], dtype=np.float32)
+            extra = rng.choice(bad, size=max(1, size // 10))
+            vals = np.insert(good, rng.integers(0, size + 1, extra.size), extra)
+        width = 200
+        h = -(-vals.size // width)
+        padded = np.full(h * width, 7.0, dtype=np.float32)
+        padded[:vals.size] = vals
+        mask = np.zeros(h * width, dtype=bool)
+        mask[:vals.size] = True
+        g = grid(width, h)
+        r = Raster(g, padded.reshape(h, width), band_name="b", nodata=nodata)
+        s = zonal_stats(r, pmask(mask.reshape(h, width), g))
+        want = good.astype(np.float64)
+        assert s.count == size
+        assert bits(s.mean) == bits(np.mean(want))
+        assert bits(s.std) == bits(np.std(want, ddof=0))
+        assert bits(s.min) == bits(want.min()) and bits(s.max) == bits(want.max())
+
+    def test_all_nodata_window_raises(self):
+        g = grid(4, 2)
+        vals = np.array([[math.nan, math.inf, -math.inf, -9999.0]] * 2, dtype=np.float32)
+        r = Raster(g, vals, band_name="b", nodata=-9999.0)
+        with pytest.raises(EmptyStatsError):
+            zonal_stats(r, pmask(np.ones((2, 4)), g))
+
+    def test_is_empty_follows_the_cropped_window(self):
+        m = pmask(np.zeros((5, 5)))
+        assert m.is_empty and m.local.size == 0
+        full = np.zeros((5, 5), dtype=bool)
+        full[4, 4] = True
+        assert not pmask(full).is_empty and erode(pmask(full), 1).is_empty
