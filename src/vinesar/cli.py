@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from . import optical, parcels, phenology, raster, sar, synth, trend
 from .raster import (AlignmentError, BundleError, GridSpec, Orbit, ResampleMethod,
                      json_float, json_int, load_raster, read_header, save_raster)
-from .tables import read_table, write_table
+from .tables import atomic_open, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -395,16 +395,17 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if not paths:
         raise ValueError(f"no index bundles ({', '.join(INDEX_PREFIXES)}) under {cfg.out_dir}")
 
-    mask_cache: dict[tuple[str, GridSpec], parcels.ParcelMask] = {}
+    # grid -> parcel id -> mask: one grid lookup per bundle, not per parcel
+    mask_cache: dict[GridSpec, dict[str, parcels.ParcelMask]] = {}
     rows = []
     for path in paths:
         raster = load_raster(path)
+        masks = mask_cache.setdefault(raster.spec, {})
         for parcel in plist:
-            key = (parcel.id, raster.spec)
-            mask = mask_cache.get(key)
+            mask = masks.get(parcel.id)
             if mask is None:
                 mask = parcels.erode(parcels.rasterize(parcel, raster.spec), cfg.erode_px)
-                mask_cache[key] = mask
+                masks[parcel.id] = mask
                 if mask.is_empty:
                     log.warning("parcel %s has no pixels on grid %dx%d after "
                                 "eroding %d px", parcel.id, raster.spec.width,
@@ -459,7 +460,7 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         cdd_series = phenology.accumulate_cdd(records, cfg.t_base_c)
     orientation = {}
     if cfg.parcels_path is not None:
-        orientation = {p.id: p.orientation for p in parcels.load_parcels(cfg.parcels_path)}
+        orientation = parcels.load_orientations(cfg.parcels_path)
 
     try:
         tables = trend.season_tables(stats, orientation, cfg.max_gap_days, abscissa,
@@ -519,7 +520,8 @@ def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     text = "\n".join(lines)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / "report.txt").write_text(text)
+    with atomic_open(cfg.out_dir / "report.txt") as f:
+        f.write(text)
     log.info("wrote report.txt")
     if args.stdout:
         sys.stdout.write(text)

@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .raster import BLOCK_PX, AlignmentError, GridSpec, Orbit, Raster, valid_values
-from .tables import read_table, write_table
+from .tables import table_rows, write_table
 
 log = logging.getLogger(__name__)
 
@@ -205,16 +205,7 @@ def load_parcels(path: str | Path) -> list[Parcel]:
     (``EW``, ``NS``, or ``Other``) defaults to ``Other``.
     """
     p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{p} is not valid JSON: {e}") from e
-    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
-    if kind != "FeatureCollection":
-        raise ValueError(f"{p}: expected a FeatureCollection, got {kind!r}")
-    features = doc.get("features", [])
-    if not isinstance(features, list):
-        raise ValueError(f"{p}: \"features\" must be a list")
+    features = _features(p)
 
     # Every feature's rings are shape-checked in file order up to the first
     # error; the rings read before it then take one batched ring check, so the
@@ -243,34 +234,72 @@ def load_parcels(path: str | Path) -> list[Parcel]:
     if error is not None:
         raise error
     parcels = [Parcel._checked(*parts) for parts in found]
+    _check_unique(p, [pc.id for pc in parcels])
+    return parcels
 
-    ids = [pc.id for pc in parcels]
+
+def load_orientations(path: str | Path) -> dict[str, Orientation]:
+    """Orientation of each parcel id in a parcels file.
+
+    Ids and orientations are checked as load_parcels checks them, with the
+    same errors; the geometry is not read.
+    """
+    p = Path(path)
+    pairs = [_id_and_orientation(p, k, feature) for k, feature in enumerate(_features(p))]
+    _check_unique(p, [pid for pid, _ in pairs])
+    return dict(pairs)
+
+
+def _features(p: Path) -> list:
+    """The features list of the GeoJSON FeatureCollection in file p."""
+    try:
+        doc = json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{p} is not valid JSON: {e}") from e
+    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
+    if kind != "FeatureCollection":
+        raise ValueError(f"{p}: expected a FeatureCollection, got {kind!r}")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError(f"{p}: \"features\" must be a list")
+    return features
+
+
+def _check_unique(p: Path, ids: list[str]) -> None:
     if len(set(ids)) != len(ids):
         raise ValueError(f"{p}: duplicate parcel ids")
-    return parcels
+
+
+def _id_and_orientation(p: Path, k: int, feature) -> tuple[str, Orientation]:
+    """Id and orientation of feature #k of file p."""
+    if not isinstance(feature, dict):
+        raise ValueError(f"{p}: feature #{k} is not a JSON object")
+    props = feature.get("properties") or {}
+    if not isinstance(props, dict) or props.get("id") in (None, ""):
+        raise ValueError(f"{p}: feature #{k} lacks properties.id")
+    try:
+        orientation = Orientation(props.get("orientation", "Other"))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{p}: feature #{k}: {e}") from None
+    return str(props["id"]), orientation
 
 
 def _feature_parts(p: Path, k: int, feature) -> tuple[str, list[np.ndarray], Orientation]:
     """Id, ring arrays and orientation of feature #k of file p; the rings'
     shapes are not checked yet."""
-    if not isinstance(feature, dict):
-        raise ValueError(f"{p}: feature #{k} is not a JSON object")
+    pid, orientation = _id_and_orientation(p, k, feature)
     geom = feature.get("geometry") or {}
     gtype = geom.get("type") if isinstance(geom, dict) else type(geom).__name__
     if gtype != "Polygon":
         raise ValueError(f"{p}: feature #{k} is {gtype!r}, only "
                          "Polygon features are supported")
-    props = feature.get("properties") or {}
-    if not isinstance(props, dict) or props.get("id") in (None, ""):
-        raise ValueError(f"{p}: feature #{k} lacks properties.id")
     if not isinstance(geom.get("coordinates"), list):
         raise ValueError(f"{p}: feature #{k} lacks a coordinates list")
     try:
-        orientation = Orientation(props.get("orientation", "Other"))
         rings = [np.asarray(ring, dtype=np.float64) for ring in geom["coordinates"]]
     except (TypeError, ValueError) as e:
         raise ValueError(f"{p}: feature #{k}: {e}") from None
-    return str(props["id"]), rings, orientation
+    return pid, rings, orientation
 
 
 class ParcelMask:
@@ -279,8 +308,9 @@ class ParcelMask:
     Stored as a window: ``local`` is the membership of grid rows
     ``row0 : row0 + local.shape[0]`` and columns ``col0 : col0 +
     local.shape[1]``, cropped to the set pixels, so a mask costs memory and
-    time in proportion to the parcel, not the grid. An empty mask has a
-    0x0 window. The constructor takes a full-grid mask.
+    time in proportion to the parcel, not the grid; ``window`` holds those
+    row and column slices. An empty mask has a 0x0 window. The constructor
+    takes a full-grid mask.
     """
 
     def __init__(self, parcel_id: str, spec: GridSpec, mask: np.ndarray,
@@ -304,21 +334,17 @@ class ParcelMask:
         self.parcel_id = parcel_id
         self.spec = spec
         self.erosion_applied = erosion_applied
-        rows = np.flatnonzero(local.any(axis=1))
+        rows = local.any(axis=1).nonzero()[0]
         if rows.size == 0:
             self.row0, self.col0 = 0, 0
             self.local = np.zeros((0, 0), dtype=bool)
-            return
-        cols = np.flatnonzero(local.any(axis=0))
-        r0, c0 = int(rows[0]), int(cols[0])
-        self.row0, self.col0 = row0 + r0, col0 + c0
-        self.local = local[r0:int(rows[-1]) + 1, c0:int(cols[-1]) + 1].copy()
-
-    @property
-    def window(self) -> tuple[slice, slice]:
-        """Row and column slices of the grid that ``local`` covers."""
+        else:
+            cols = local.any(axis=0).nonzero()[0]
+            r0, c0 = int(rows[0]), int(cols[0])
+            self.row0, self.col0 = row0 + r0, col0 + c0
+            self.local = local[r0:int(rows[-1]) + 1, c0:int(cols[-1]) + 1].copy()
         h, w = self.local.shape
-        return slice(self.row0, self.row0 + h), slice(self.col0, self.col0 + w)
+        self.window = (slice(self.row0, self.row0 + h), slice(self.col0, self.col0 + w))
 
     @property
     def mask(self) -> np.ndarray:
@@ -338,7 +364,7 @@ class ParcelMask:
 
 def _halo_span(centers: np.ndarray, lo: float, hi: float, step: float) -> slice:
     """Indices of the centers within one pixel of [lo, hi] (empty if none)."""
-    near = np.flatnonzero((centers >= lo - step) & (centers <= hi + step))
+    near = ((centers >= lo - step) & (centers <= hi + step)).nonzero()[0]
     return slice(int(near[0]), int(near[-1]) + 1) if near.size else slice(0, 0)
 
 
@@ -368,7 +394,7 @@ def rasterize(parcel: Parcel, spec: GridSpec) -> ParcelMask:
     step = max(1, BLOCK_PX // max(1, inside.size))
     for ring in parcel.rings:
         pi = ring[:-1]  # edge k runs from vertex k - 1 (pj) to vertex k (pi)
-        pj = np.roll(pi, 1, axis=0)
+        pj = np.concatenate((pi[-1:], pi[:-1]))
         for e0 in range(0, len(pi), step):
             xi, yi = pi[e0:e0 + step, 0, None, None], pi[e0:e0 + step, 1, None, None]
             xj, yj = pj[e0:e0 + step, 0, None, None], pj[e0:e0 + step, 1, None, None]
@@ -418,9 +444,9 @@ def erode(mask: ParcelMask, pixels: int = 1) -> ParcelMask:
     return out
 
 
-@dataclass(frozen=True)
-class ZonalStats:
-    """Summary of one raster over one parcel mask."""
+class ZonalStats(NamedTuple):
+    """Summary of one raster over one parcel mask; its fields are the cells
+    of a zonal.csv row, in column order."""
 
     parcel_id: str
     band_name: str
@@ -455,17 +481,9 @@ def zonal_stats(raster: Raster, mask: ParcelMask) -> ZonalStats:
     lo, hi = np.minimum.reduce(x), np.maximum.reduce(x)
     np.subtract(x, total / n, out=x)
     np.multiply(x, x, out=x)
-    return ZonalStats(
-        parcel_id=mask.parcel_id,
-        band_name=raster.band_name,
-        timestamp=raster.timestamp,
-        orbit=raster.orbit,
-        count=n,
-        mean=float(total / n),
-        std=math.sqrt(np.add.reduce(x) / n),
-        min=float(lo),
-        max=float(hi),
-    )
+    return ZonalStats(mask.parcel_id, raster.band_name, raster.timestamp, raster.orbit,
+                      n, float(total / n), math.sqrt(np.add.reduce(x) / n),
+                      float(lo), float(hi))
 
 
 ZONAL_CSV_HEADER = ("parcel_id", "band", "timestamp", "orbit",
@@ -473,20 +491,30 @@ ZONAL_CSV_HEADER = ("parcel_id", "band", "timestamp", "orbit",
 
 
 def write_zonal_csv(stats: Sequence[ZonalStats], path: str | Path) -> None:
-    write_table(path, ZONAL_CSV_HEADER, (
-        (s.parcel_id, s.band_name, s.timestamp, s.orbit,
-         s.count, s.mean, s.std, s.min, s.max) for s in stats))
+    write_table(path, ZONAL_CSV_HEADER, stats)
 
 
 def read_zonal_csv(path: str | Path) -> list[ZonalStats]:
-    return [ZonalStats(
-        parcel_id=row["parcel_id"],
-        band_name=row["band"],
-        timestamp=dt.date.fromisoformat(row["timestamp"]) if row["timestamp"] else None,
-        orbit=Orbit(row["orbit"]) if row["orbit"] else None,
-        count=int(row["count"]),
-        mean=float(row["mean"]),
-        std=float(row["std"]),
-        min=float(row["min"]),
-        max=float(row["max"]),
-    ) for row in read_table(path, ZONAL_CSV_HEADER)]
+    """The rows of a zonal.csv that write_zonal_csv wrote.
+
+    Raises ValueError, naming the file and line, for a wrong header, a row
+    with the wrong number of cells or a cell that does not convert.
+    """
+    dates: dict[str, Optional[dt.date]] = {"": None}
+    orbits: dict[str, Optional[Orbit]] = {"": None}
+    out = []
+    with open(path, newline="") as f:
+        for line, (pid, band, day, orbit, count, mean, std, lo, hi) in table_rows(
+                f, path, ZONAL_CSV_HEADER):
+            try:
+                timestamp = dates.get(day)
+                if timestamp is None and day:
+                    timestamp = dates[day] = dt.date.fromisoformat(day)
+                kind = orbits.get(orbit)
+                if kind is None and orbit:
+                    kind = orbits[orbit] = Orbit(orbit)
+                out.append(ZonalStats(pid, band, timestamp, kind, int(count), float(mean),
+                                      float(std), float(lo), float(hi)))
+            except ValueError as e:
+                raise ValueError(f"{path}, line {line}: {e}") from None
+    return out

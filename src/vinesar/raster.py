@@ -14,13 +14,14 @@ import json
 import logging
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+from .tables import temp_path
 
 log = logging.getLogger(__name__)
 
@@ -207,9 +208,7 @@ def save_bundle(path: str | Path,
         arrays.append(a)
 
     # one writer per process and thread, so pooled saves never share a file
-    tag = f"{os.getpid()}.{threading.get_native_id()}"
-    tmp_binary, tmp_header = (q.with_name(f".{q.name}.{tag}.tmp")
-                              for q in (binary_path, header_path))
+    tmp_binary, tmp_header = temp_path(binary_path), temp_path(header_path)
     try:
         with open(tmp_binary, "wb") as f:
             for a in arrays:

@@ -1,56 +1,82 @@
 """CSV tables: the one place that knows how a cell is written and read.
 
-Floats are written with ``repr`` so they read back bit for bit, ``None`` as
-an empty cell, enums as their value and dates as ISO strings. Reading
-checks the header against the expected columns; callers convert the cell
-strings to their column types, an empty cell meaning a missing value.
+Cells go to ``csv.writer`` as they are. It writes a float (numpy's float64
+too) in its shortest round-trip form, so it reads back bit for bit, ``None``
+as an empty cell, a str enum as its value and a date as its ISO string.
+Reading checks the header against the expected columns and each row's cell
+count; callers convert the cell strings to their column types, an empty
+cell meaning a missing value. Writes are atomic: a table is written to a
+temporary sibling and renamed over the target, so a reader never sees half
+a file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import datetime as dt
-from enum import Enum
+import os
+import threading
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 
-def _cell(value: object) -> object:
-    kind = type(value)
-    if kind is float:
-        return repr(value)
-    if kind is str or kind is int:
-        return value
-    if value is None:
-        return ""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, float):
-        # repr of a numpy float64 under numpy 2 is "np.float64(...)"
-        return repr(float(value))
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    return value
+def temp_path(path: Path) -> Path:
+    """Hidden sibling of ``path`` to write it under before renaming: one per
+    process and thread, so concurrent writers never share a file."""
+    return path.with_name(f".{path.name}.{os.getpid()}.{threading.get_native_id()}.tmp")
+
+
+@contextlib.contextmanager
+def atomic_open(path: str | Path, **kwargs) -> Iterator[IO[str]]:
+    """Open a temporary sibling of ``path`` for writing text, with ``open``'s
+    keyword arguments, and rename it over ``path`` when the block ends
+    without an error; on an error the target is untouched."""
+    target = Path(path)
+    tmp = temp_path(target)
+    try:
+        with open(tmp, "w", **kwargs) as f:
+            yield f
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_table(path: str | Path, header: Sequence[str],
                 rows: Iterable[Sequence[object]]) -> None:
     """Write ``header`` and then one line per row, cells in header order."""
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(v) for v in row])
+        w.writerows(rows)
+
+
+def table_rows(f: IO[str], path: str | Path,
+               header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each row of the open table ``f``.
+
+    Blank lines are skipped. Raises ValueError, naming ``path``, when the
+    header is not exactly ``header`` or a row has the wrong number of cells.
+    """
+    reader = csv.reader(f)
+    found = next(reader, None)
+    if found != list(header):
+        raise ValueError(f"{path}: unexpected CSV header {found}, "
+                         f"expected {list(header)}")
+    width = len(header)
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells, "
+                             f"expected {width}")
+        yield reader.line_num, row
 
 
 def read_table(path: str | Path, header: Sequence[str]) -> list[dict[str, str]]:
     """Rows of a table written by write_table, keyed by column name.
 
-    Raises ValueError when the file's header is not exactly ``header``.
+    Raises ValueError when the file's header is not exactly ``header`` or a
+    row does not have one cell per column.
     """
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != tuple(header):
-            raise ValueError(f"{path}: unexpected CSV header {reader.fieldnames}, "
-                             f"expected {list(header)}")
-        return list(reader)
+        return [dict(zip(header, row)) for _, row in table_rows(f, path, header)]

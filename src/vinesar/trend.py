@@ -8,6 +8,7 @@ between observed and fitted values, reported both as r and r squared.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import logging
 import math
@@ -93,10 +94,15 @@ def assemble_series(stats: Sequence[ZonalStats],
         raise ValueError("CDD abscissa requested without a degree-day series")
 
     samples = []
+    jan1: dict[int, int] = {}  # ordinal of 1 January, by year
     for s in stats:
-        doy = s.timestamp.timetuple().tm_yday
-        x = float(doy) if abscissa is Abscissa.DOY else float(cdd_series.cdd_on(s.timestamp))
-        samples.append(Sample(s.timestamp, doy, x, s.mean))
+        day = s.timestamp
+        start = jan1.get(day.year)
+        if start is None:
+            start = jan1[day.year] = dt.date(day.year, 1, 1).toordinal()
+        doy = day.toordinal() - start + 1
+        x = float(doy) if abscissa is Abscissa.DOY else float(cdd_series.cdd_on(day))
+        samples.append(Sample(day, doy, x, s.mean))
     return TimeSeries(parcel_id=first.parcel_id, index_name=first.band_name,
                       orbit=first.orbit, samples=samples)
 
@@ -128,25 +134,30 @@ def fit_quadratic(xs: Sequence[float], ys: Sequence[float]) -> ParabolicFit:
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    if len(np.unique(x)) < 3:
-        raise ValueError(f"quadratic fit needs >= 3 distinct x values, "
-                         f"got {len(np.unique(x))}")
+    distinct = _distinct_count(x)
+    if distinct < 3:
+        raise ValueError(f"quadratic fit needs >= 3 distinct x values, got {distinct}")
 
     # fit y = p2 u^2 + p1 u + p0 on u = (x - x0) / s in [-1, 1], where the
     # basis is well conditioned, then expand back to the monomials in x
-    x0 = float(x.mean())
-    s = float(np.abs(x - x0).max())
+    n = len(x)
+    x0 = float(np.add.reduce(x) / n)
+    s = float(np.maximum.reduce(np.abs(x - x0)))
     u = (x - x0) / s
-    basis = np.stack([u * u, u, np.ones_like(u)], axis=1)
-    p2, p1, p0 = np.linalg.lstsq(basis, y, rcond=None)[0]
-    a = float(p2 / (s * s))
-    b = float(p1 / s - 2.0 * a * x0)
-    c = float(p0 - p1 * x0 / s + a * x0 * x0)
+    basis = np.empty((n, 3))
+    np.multiply(u, u, out=basis[:, 0])
+    basis[:, 1] = u
+    basis[:, 2] = 1.0
+    # as Python floats: the same IEEE arithmetic as numpy scalars, cheaper
+    p2, p1, p0 = np.linalg.lstsq(basis, y, rcond=None)[0].tolist()
+    a = p2 / (s * s)
+    b = p1 / s - 2.0 * a * x0
+    c = p0 - p1 * x0 / s + a * x0 * x0
 
     yhat = (a * x + b) * x + c
-    scale = max(1.0, float(np.abs(y).max()))
-    var_y = float(((y - y.mean()) ** 2).mean())
-    var_hat = float(((yhat - yhat.mean()) ** 2).mean())
+    scale = max(1.0, float(np.maximum.reduce(np.abs(y))))
+    var_y = _variance(y)
+    var_hat = _variance(yhat)
     if var_y <= _VAR_EPS * scale * scale:
         exact = float(np.abs(y - yhat).max()) <= 1e-9 * scale
         r = 1.0 if exact else 0.0
@@ -165,21 +176,39 @@ def fit_parabola(series: TimeSeries) -> ParabolicFit:
     return fit_quadratic(series.xs(), series.ys())
 
 
+def _distinct_count(v: np.ndarray) -> int:
+    """``len(np.unique(v))`` for a float array, NaNs counting as one value as
+    they do there. np.unique's first call imports numpy.ma, ~15 ms of a
+    stage that fits a handful of short series."""
+    values = set(v.tolist())
+    nans = sum(1 for x in values if x != x)
+    return len(values) - nans + (nans > 0)
+
+
+def _variance(v: np.ndarray) -> float:
+    """Population variance of a non-empty 1-d float64 array; the bits of
+    ``((v - v.mean()) ** 2).mean()`` without the methods' per-call dispatch."""
+    d = v - np.add.reduce(v) / len(v)
+    return float(np.add.reduce(d * d) / len(v))
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation; errors on n < 2 or a zero-variance input."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    if len(x) < 2:
+    n = len(x)
+    if n < 2:
         raise ValueError("correlation needs at least two samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float((dx * dx).sum())
-    syy = float((dy * dy).sum())
+    # np.add.reduce(v) / n is v.mean() bit for bit, and the sums are .sum()'s
+    dx = x - np.add.reduce(x) / n
+    dy = y - np.add.reduce(y) / n
+    sxx = float(np.add.reduce(dx * dx))
+    syy = float(np.add.reduce(dy * dy))
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("correlation undefined for a zero-variance input")
-    r = float((dx * dy).sum()) / math.sqrt(sxx * syy)
+    r = float(np.add.reduce(dx * dy)) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
 
@@ -215,26 +244,34 @@ def pair_dates(a: TimeSeries, b: TimeSeries, max_gap_days: int) -> list[PairedSa
     Walks the first series chronologically, takes the unused sample of the
     second with the smallest date gap (ties to the earlier date), and keeps
     the pair when the gap is within ``max_gap_days``. Each sample of the
-    second series is used at most once.
+    second series is used at most once. The nearest unused samples are found
+    from the insertion point of each date among the second series' date
+    ordinals, which are ascending and distinct as a TimeSeries keeps them.
     """
     if max_gap_days < 0:
         raise ValueError("max_gap_days must be >= 0")
-    used = [False] * len(b.samples)
+    days = [s.date.toordinal() for s in b.samples]
+    used = [False] * len(days)
     pairs = []
     for sa in a.samples:
-        best_i = -1
-        best_gap = None
-        for i, sb in enumerate(b.samples):
-            if used[i]:
-                continue
-            gap = abs((sb.date - sa.date).days)
-            if best_gap is None or gap < best_gap or (gap == best_gap
-                                                      and sb.date < b.samples[best_i].date):
-                best_i, best_gap = i, gap
-        if best_i >= 0 and best_gap is not None and best_gap <= max_gap_days:
-            used[best_i] = True
-            sb = b.samples[best_i]
-            pairs.append(PairedSample(sa.date, sb.date, sa.y, sb.y, best_gap))
+        t = sa.date.toordinal()
+        after = bisect.bisect_left(days, t)
+        before = after - 1
+        while after < len(days) and used[after]:
+            after += 1
+        while before >= 0 and used[before]:
+            before -= 1
+        if before >= 0 and (after == len(days) or t - days[before] <= days[after] - t):
+            best = before  # on a tie, the earlier date
+        elif after < len(days):
+            best = after
+        else:
+            continue
+        gap = abs(days[best] - t)
+        if gap <= max_gap_days:
+            used[best] = True
+            sb = b.samples[best]
+            pairs.append(PairedSample(sa.date, sb.date, sa.y, sb.y, gap))
     return pairs
 
 

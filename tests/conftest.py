@@ -15,9 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vinesar import cli, raster
 from vinesar.raster import GridSpec, save_bundle
+
+# Property tests run without hypothesis' per-example deadline: a slow or busy
+# host must not turn a correct example into a flaky failure.
+settings.register_profile("vinesar", deadline=None)
+settings.load_profile("vinesar")
 
 # (date, orbit) of the two interleaved radar stacks
 SAR_DATES = [

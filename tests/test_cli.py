@@ -618,6 +618,68 @@ class TestTrendCommand:
         (tmp_path / "out").mkdir()
         assert run_cli("trend", "--out", str(tmp_path / "out")) == 1
 
+    OUTPUTS = ("trend.csv", "trend_groups.csv", "correlation.csv", "scatter.csv")
+
+    def trend_workspace(self, campaign_run, root):
+        """A workspace holding the campaign's zonal.csv, weather and parcels."""
+        (root / "out").mkdir(parents=True)
+        for name in ("weather.csv", "parcels.geojson"):
+            shutil.copy(campaign_run["root"] / name, root / name)
+        shutil.copy(campaign_run["out"] / "zonal.csv", root / "out" / "zonal.csv")
+        write_config(root / "config.json", root / "out")
+        return root
+
+    def test_reads_parcel_orientations_without_checking_rings(self, campaign_run, tmp_path,
+                                                              monkeypatch):
+        from vinesar import parcels
+
+        def no_ring_check(rings):
+            raise AssertionError("trend checked parcel rings")
+
+        monkeypatch.setattr(parcels, "_self_intersecting", no_ring_check)
+        root = self.trend_workspace(campaign_run, tmp_path)
+        assert run_cli("trend", "--config", str(root / "config.json")) == 0
+        for name in self.OUTPUTS:
+            assert (root / "out" / name).read_bytes() == \
+                (campaign_run["out"] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("props, problem", [
+        ({"orientation": "diagonal"}, ": 'diagonal' is not a valid Orientation"),
+        ({"id": ""}, " lacks properties.id"),
+    ])
+    def test_bad_parcel_id_or_orientation_is_one_error_line(self, campaign_run, tmp_path,
+                                                            caplog, props, problem):
+        root = self.trend_workspace(campaign_run, tmp_path)
+        doc = json.loads((root / "parcels.geojson").read_text())
+        doc["features"][3]["properties"].update(props)
+        (root / "parcels.geojson").write_text(json.dumps(doc))
+        assert run_cli("trend", "--config", str(root / "config.json")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{root / 'parcels.geojson'}: feature #3{problem}"]
+        assert not (root / "out" / "trend.csv").exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda cells: cells[:-1], "8 cells, expected 9"),                  # short row
+        (lambda cells: cells[:3] + [""] + cells[3:], "10 cells, expected 9"),  # shifted
+        (lambda cells: cells[:2] + ["2023-02-30"] + cells[3:], "day is out of range"),
+        (lambda cells: cells[:3] + ["EAST"] + cells[4:], "'EAST' is not a valid Orbit"),
+        (lambda cells: cells[:4] + ["12.5"] + cells[5:], "invalid literal for int()"),
+        (lambda cells: cells[:5] + [""] + cells[6:], "could not convert string to float"),
+    ], ids=["short-row", "shifted-row", "bad-date", "bad-orbit", "fractional-count",
+            "empty-mean"])
+    def test_malformed_zonal_row_is_one_error_line(self, campaign_run, tmp_path, caplog,
+                                                   edit, problem):
+        root = self.trend_workspace(campaign_run, tmp_path)
+        zonal = root / "out" / "zonal.csv"
+        lines = zonal.read_text().splitlines()
+        lines[6] = ",".join(edit(lines[6].split(",")))
+        zonal.write_text("\n".join(lines) + "\n")
+        assert run_cli("trend", "--config", str(root / "config.json")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{zonal}, line 7: ") and problem in errors[0]
+        assert not (root / "out" / "trend.csv").exists()
+
 
 class TestReportCommand:
     def test_report_content(self, campaign_run, capsys):

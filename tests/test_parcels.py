@@ -142,6 +142,43 @@ class TestLoadParcels:
         path = write_geojson(tmp_path / "p.geojson", doc)
         with pytest.raises(ValueError, match="p.geojson"):
             load_parcels(path)
+        with pytest.raises(ValueError, match="p.geojson"):
+            parcels.load_orientations(path)
+
+    def test_orientations_agree_with_load_parcels(self, tmp_path):
+        doc = collection(
+            feature("A1", [ring((0, 0), (4, 0), (4, 2), (0, 2))], "EW"),
+            feature("B2", [ring((5, 0), (7, 0), (7, 4), (5, 4))], "NS"),
+            feature("C3", [ring((8, 0), (9, 0), (9, 1), (8, 1))]),
+        )
+        path = write_geojson(tmp_path / "p.geojson", doc)
+        assert parcels.load_orientations(path) == {
+            pc.id: pc.orientation for pc in load_parcels(path)}
+
+    @pytest.mark.parametrize("props", [{}, {"id": ""}, {"id": "a", "orientation": "up"},
+                                       {"id": "a", "orientation": ["EW"]}])
+    def test_orientations_give_load_parcels_errors(self, tmp_path, props):
+        square = ring((0, 0), (1, 0), (1, 1), (0, 1))
+        doc = collection(feature("ok", [square]),
+                         {"type": "Feature", "properties": props,
+                          "geometry": {"type": "Polygon", "coordinates": [square]}})
+        path = write_geojson(tmp_path / "p.geojson", doc)
+        with pytest.raises(ValueError) as want:
+            load_parcels(path)
+        with pytest.raises(ValueError) as got:
+            parcels.load_orientations(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}: feature #1")
+
+    def test_orientations_reject_duplicate_ids_without_reading_rings(self, tmp_path):
+        bow_tie = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]
+        doc = collection(feature("dup", [bow_tie]), feature("dup", [bow_tie], "NS"))
+        with pytest.raises(ValueError, match="duplicate parcel ids"):
+            parcels.load_orientations(write_geojson(tmp_path / "p.geojson", doc))
+        doc = collection(feature("a", [bow_tie]), feature("b", [bow_tie], "NS"))
+        path = write_geojson(tmp_path / "q.geojson", doc)
+        assert parcels.load_orientations(path) == {"a": Orientation.OTHER,
+                                                   "b": Orientation.NS}
 
     def test_rejects_open_or_tiny_ring(self):
         with pytest.raises(ValueError):

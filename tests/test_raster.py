@@ -255,7 +255,7 @@ def same_nodata(a, b):
 
 
 class TestBundleProperties:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(bundles())
     def test_round_trip_is_bitwise_exact(self, kw):
         with tempfile.TemporaryDirectory() as d:
@@ -267,7 +267,7 @@ class TestBundleProperties:
         assert same_nodata(back.nodata, kw["nodata"])
         assert (back.timestamp, back.orbit) == (kw["timestamp"], kw["orbit"])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(bundles())
     def test_read_header_agrees_with_load_bundle(self, kw):
         with tempfile.TemporaryDirectory() as d:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vinesar import trend
 from vinesar.parcels import Orientation, ZonalStats, load_parcels, read_zonal_csv
@@ -294,6 +296,127 @@ class TestPairDates:
         a = series([(day(5, 1), 1.0)])
         with pytest.raises(ValueError):
             pair_dates(a, a, -1)
+
+
+def old_pair_dates(a, b, max_gap_days):
+    """pair_dates as the O(n*m) scan it replaced, kept as its reference."""
+    used = [False] * len(b.samples)
+    pairs = []
+    for sa in a.samples:
+        best_i = -1
+        best_gap = None
+        for i, sb in enumerate(b.samples):
+            if used[i]:
+                continue
+            gap = abs((sb.date - sa.date).days)
+            if best_gap is None or gap < best_gap or (gap == best_gap
+                                                      and sb.date < b.samples[best_i].date):
+                best_i, best_gap = i, gap
+        if best_i >= 0 and best_gap is not None and best_gap <= max_gap_days:
+            used[best_i] = True
+            sb = b.samples[best_i]
+            pairs.append(trend.PairedSample(sa.date, sb.date, sa.y, sb.y, best_gap))
+    return pairs
+
+
+def old_pearson(xs, ys):
+    """pearson on ndarray.mean and .sum, as it was before np.add.reduce."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float((dx * dx).sum())
+    syy = float((dy * dy).sum())
+    if sxx == 0.0 or syy == 0.0:
+        raise ValueError("correlation undefined for a zero-variance input")
+    r = float((dx * dy).sum()) / math.sqrt(sxx * syy)
+    return min(1.0, max(-1.0, r))
+
+
+def old_fit_quadratic(xs, ys):
+    """(a, b, c, r, vertex_x) of fit_quadratic as it was before np.add.reduce."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    x0 = float(x.mean())
+    s = float(np.abs(x - x0).max())
+    u = (x - x0) / s
+    basis = np.stack([u * u, u, np.ones_like(u)], axis=1)
+    p2, p1, p0 = np.linalg.lstsq(basis, y, rcond=None)[0]
+    a = float(p2 / (s * s))
+    b = float(p1 / s - 2.0 * a * x0)
+    c = float(p0 - p1 * x0 / s + a * x0 * x0)
+    yhat = (a * x + b) * x + c
+    scale = max(1.0, float(np.abs(y).max()))
+    var_y = float(((y - y.mean()) ** 2).mean())
+    var_hat = float(((yhat - yhat.mean()) ** 2).mean())
+    if var_y <= 1e-24 * scale * scale:
+        r = 1.0 if float(np.abs(y - yhat).max()) <= 1e-9 * scale else 0.0
+    elif var_hat <= 1e-24 * scale * scale:
+        r = 0.0
+    else:
+        r = old_pearson(y, yhat)
+    return a, b, c, r, (-b / (2.0 * a) if a != 0.0 else None)
+
+
+def bits(*values):
+    """Values as their IEEE bit patterns, so -0.0 != 0.0 and NaN == NaN."""
+    return [v if v is None else float(v).hex() for v in values]
+
+
+season_days = st.lists(st.integers(0, 150), max_size=12, unique=True)
+
+
+class TestAgainstOldKernels:
+    @given(season_days, season_days, st.integers(0, 20))
+    def test_pair_dates_matches_the_old_scan(self, days_a, days_b, gap):
+        start = dt.date(2023, 3, 1)
+        a = series([(start + dt.timedelta(days=d), float(d)) for d in days_a])
+        b = series([(start + dt.timedelta(days=d), -float(d)) for d in days_b], index="LAI")
+        assert pair_dates(a, b, gap) == old_pair_dates(a, b, gap)
+
+    @pytest.mark.parametrize("days_a, days_b", [
+        ([10], [8, 12]),                 # tie between an earlier and a later date
+        ([10, 11], [8, 12]),             # the tie's winner is used, the next takes the other
+        ([10, 12, 14], [12]),            # one date nearest to three, used once
+        ([5, 6, 7, 8], [6, 7, 20]),      # neighbours used up on both sides
+        ([1, 30], [15]),                 # a tie at the gap limit
+    ])
+    def test_pair_dates_ties_and_reused_dates(self, days_a, days_b):
+        start = dt.date(2023, 5, 1)
+        a = series([(start + dt.timedelta(days=d), float(d)) for d in days_a])
+        b = series([(start + dt.timedelta(days=d), float(d)) for d in days_b], index="LAI")
+        for gap in (0, 1, 2, 7, 14, 40):
+            assert pair_dates(a, b, gap) == old_pair_dates(a, b, gap)
+
+    def test_pearson_and_fit_are_bit_equal_to_the_mean_based_originals(self, caplog):
+        rng = np.random.default_rng(91)
+        fits = 0
+        for k in range(600):
+            n = int(rng.integers(3, 41))
+            x = np.sort(rng.uniform(0.0, 2000.0, n))
+            if k % 5 == 0:
+                x = np.round(x / 300.0) * 300.0  # repeated abscissae
+            y = rng.normal(0.4, 0.2, n) + rng.normal() * 1e-4 * (x - x.mean()) ** 2
+            if k % 37 == 0:
+                y = np.full(n, 0.25)  # constant observations
+            xs, ys = x.tolist(), y.tolist()
+            if np.ptp(x) > 0 and np.ptp(y) > 0:
+                assert bits(pearson(xs, ys)) == bits(old_pearson(xs, ys))
+            if len(np.unique(x)) < 3:
+                continue
+            fit = fit_quadratic(xs, ys)
+            got = (fit.a, fit.b, fit.c, fit.r, fit.vertex_x)
+            assert bits(*got) == bits(*old_fit_quadratic(xs, ys))
+            assert bits(fit.r_squared) == bits(fit.r * fit.r)
+            fits += 1
+        assert fits > 400
+
+
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan])),
+                    max_size=12))
+    def test_distinct_count_is_the_length_of_np_unique(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert trend._distinct_count(x) == len(np.unique(x))
 
 
 class TestCorrelateSeries:
