@@ -63,23 +63,15 @@ class PipelineConfig:
         return self.rasters_dir if self.rasters_dir is not None else self.out_dir
 
 
-_CONFIG_KEYS = {
-    "out_dir": "out_dir",
-    "rasters_dir": "rasters_dir",
-    "parcels": "parcels_path",
-    "weather": "weather_path",
-    "multilook": "multilook",
-    "boxcar": "boxcar",
-    "erode": "erode_px",
-    "t_base": "t_base_c",
-    "max_gap_days": "max_gap_days",
-    "abscissa": "abscissa",
-    "seed": "seed",
-    "resample": "resample_method",
-}
+def _json_path(value, name: str) -> Path:
+    if not isinstance(value, str):
+        raise ValueError(f"{name!r} must be a path string, got {value!r}")
+    return Path(value)
 
 
-def _parse_multilook(text: str) -> tuple[int, int]:
+def _parse_multilook(value, name: str) -> tuple[int, int]:
+    # [4, 1] is read as "4x1", so both forms meet one check
+    text = "x".join(str(v) for v in value) if isinstance(value, list) else str(value)
     try:
         wx, wy = (int(part) for part in text.lower().split("x"))
     except ValueError:
@@ -89,11 +81,46 @@ def _parse_multilook(text: str) -> tuple[int, int]:
     return wx, wy
 
 
+def _parse_boxcar(value, name: str) -> Optional[int]:
+    """An odd boxcar window, or None (no filter) for a window of 0 or less."""
+    win = json_int(value, name)
+    if win <= 0:
+        return None
+    if win % 2 == 0:
+        raise ValueError(f"boxcar window must be odd, got {win}")
+    return win
+
+
+def _parse_count(value, name: str) -> int:
+    count = json_int(value, name)
+    if count < 0:
+        raise ValueError(f"{name!r} must be >= 0, got {count}")
+    return count
+
+
 def _json_choice(enum: type[Enum], value, name: str) -> str:
     choices = [m.value for m in enum]
     if value not in choices:
         raise ValueError(f"{name!r} must be one of {choices}, got {value!r}")
     return value
+
+
+# config key -> (PipelineConfig field, parse(value, key)); each parse checks
+# type and range together, and a path is resolved against the file's directory
+_CONFIG_KEYS = {
+    "out_dir": ("out_dir", _json_path),
+    "rasters_dir": ("rasters_dir", _json_path),
+    "parcels": ("parcels_path", _json_path),
+    "weather": ("weather_path", _json_path),
+    "multilook": ("multilook", _parse_multilook),
+    "boxcar": ("boxcar", _parse_boxcar),
+    "erode": ("erode_px", _parse_count),
+    "t_base": ("t_base_c", json_float),
+    "max_gap_days": ("max_gap_days", _parse_count),
+    "abscissa": ("abscissa", lambda v, key: _json_choice(trend.Abscissa, v, key)),
+    "seed": ("seed", synth.json_seed),
+    "resample": ("resample_method", lambda v, key: _json_choice(ResampleMethod, v, key)),
+}
 
 
 def _read_json_object(path: Path) -> dict:
@@ -114,58 +141,31 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         unknown = set(doc) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"{cfg_path}: unknown config keys {sorted(unknown)}")
-        base = cfg_path.parent
-        for key, attr in _CONFIG_KEYS.items():
-            if key not in doc or doc[key] is None:
+        for key, (attr, parse) in _CONFIG_KEYS.items():
+            if doc.get(key) is None:
                 continue
-            value = doc[key]
             try:
-                if attr in ("out_dir", "rasters_dir", "parcels_path", "weather_path"):
-                    if not isinstance(value, str):
-                        raise ValueError(f"{key!r} must be a path string, got {value!r}")
-                    value = base / value
-                elif attr == "multilook":
-                    # [4, 1] is read as "4x1", so both forms meet one check
-                    if isinstance(value, list):
-                        value = "x".join(str(v) for v in value)
-                    value = _parse_multilook(str(value))
-                elif attr == "t_base_c":
-                    value = json_float(value, key)
-                elif attr == "seed":
-                    value = synth.json_seed(value, key)
-                elif attr in ("boxcar", "erode_px", "max_gap_days"):
-                    value = json_int(value, key)
-                elif attr == "abscissa":
-                    value = _json_choice(trend.Abscissa, value, key)
-                elif attr == "resample_method":
-                    value = _json_choice(ResampleMethod, value, key)
+                value = parse(doc[key], key)
             except ValueError as e:
                 raise ValueError(f"{cfg_path}: {e}") from None
+            if isinstance(value, Path):
+                value = cfg_path.parent / value
             setattr(cfg, attr, value)
 
     if getattr(args, "out", None):
         cfg.out_dir = Path(args.out)
     if getattr(args, "multilook", None):
-        cfg.multilook = _parse_multilook(args.multilook)
+        cfg.multilook = _parse_multilook(args.multilook, "--multilook")
     if getattr(args, "boxcar", None) is not None:
-        cfg.boxcar = args.boxcar if args.boxcar > 0 else None
+        cfg.boxcar = _parse_boxcar(args.boxcar, "--boxcar")
     if getattr(args, "erode", None) is not None:
-        cfg.erode_px = args.erode
+        cfg.erode_px = _parse_count(args.erode, "--erode")
     if getattr(args, "tbase", None) is not None:
         cfg.t_base_c = json_float(args.tbase, "--tbase")
     if getattr(args, "max_gap", None) is not None:
-        cfg.max_gap_days = args.max_gap
+        cfg.max_gap_days = _parse_count(args.max_gap, "--max-gap")
     if getattr(args, "seed", None) is not None:
         cfg.seed = synth.json_seed(args.seed, "--seed")
-
-    if cfg.boxcar is not None and cfg.boxcar <= 0:
-        cfg.boxcar = None
-    if cfg.boxcar is not None and cfg.boxcar % 2 == 0:
-        raise ValueError(f"boxcar window must be odd, got {cfg.boxcar}")
-    if cfg.erode_px < 0:
-        raise ValueError("erode must be >= 0")
-    if cfg.max_gap_days < 0:
-        raise ValueError("max_gap_days must be >= 0")
     return cfg
 
 
@@ -482,41 +482,48 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Summarize the trend and correlation CSVs as a small text report."""
-    def read_rows(name: str, header: Sequence[str]) -> list[dict]:
-        path = cfg.out_dir / name
-        return read_table(path, header) if path.exists() else []
+    def fixed(cell: str, spec: str) -> str:
+        return format(float(cell), spec) if cell else "-"
 
-    trend_rows = read_rows("trend.csv", trend.TREND_CSV_HEADER)
-    group_rows = read_rows("trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER)
-    corr_rows = read_rows("correlation.csv", trend.CORRELATION_CSV_HEADER)
-    if not trend_rows and not corr_rows:
+    def trend_line(cells: list[str]) -> str:
+        parcel_id, orbit, peak_date, fit_r, fit_r2, _, _, _, vertex_x, _ = cells
+        return (f"{parcel_id:<12}{orbit or '-':<7}{peak_date:<12}{fixed(fit_r, '.3f'):>8}"
+                f"{fixed(fit_r2, '.3f'):>8}  {fixed(vertex_x, '.1f')}")
+
+    def group_line(cells: list[str]) -> str:
+        orientation, orbit, mean_fit_r, n_parcels = cells
+        return (f"  {orientation:<7}{orbit or '-':<5}"
+                f"{float(mean_fit_r):.3f}  ({n_parcels} parcels)")
+
+    def correlation_line(cells: list[str]) -> str:
+        index_a, index_b, parcel_id, orbit, n, r, _ = cells
+        return (f"  {index_a:>6} vs {index_b:<6}{parcel_id:<12}{orbit or '-':<5}"
+                f"n={n:<4}r={float(r):.3f}")
+
+    def read_lines(name: str, header: Sequence[str],
+                   convert: Callable[[list[str]], str]) -> list[str]:
+        path = cfg.out_dir / name
+        return read_table(path, header, convert) if path.exists() else []
+
+    trend_lines = read_lines("trend.csv", trend.TREND_CSV_HEADER, trend_line)
+    group_lines = read_lines("trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER, group_line)
+    corr_lines = read_lines("correlation.csv", trend.CORRELATION_CSV_HEADER,
+                            correlation_line)
+    if not trend_lines and not corr_lines:
         raise ValueError(f"nothing to report under {cfg.out_dir}; run trend first")
 
     lines = ["Seasonal vegetation report", "=" * 26, ""]
-    if trend_rows:
+    if trend_lines:
         lines.append("Per-parcel index peaks and parabolic fits")
         lines.append(f"{'parcel':<12}{'orbit':<7}{'peak date':<12}"
                      f"{'fit r':>8}{'fit r2':>8}  vertex_x")
-        for row in trend_rows:
-            fit_r = f"{float(row['fit_r']):.3f}" if row["fit_r"] else "-"
-            fit_r2 = f"{float(row['fit_r2']):.3f}" if row["fit_r2"] else "-"
-            vx = f"{float(row['vertex_x']):.1f}" if row["vertex_x"] else "-"
-            lines.append(f"{row['parcel_id']:<12}{row['orbit'] or '-':<7}"
-                         f"{row['peak_date']:<12}{fit_r:>8}{fit_r2:>8}  {vx}")
-        lines.append("")
-    if group_rows:
+        lines += trend_lines + [""]
+    if group_lines:
         lines.append("Mean fit r by parcel orientation")
-        for row in group_rows:
-            lines.append(f"  {row['orientation']:<7}{row['orbit'] or '-':<5}"
-                         f"{float(row['mean_fit_r']):.3f}  ({row['n_parcels']} parcels)")
-        lines.append("")
-    if corr_rows:
+        lines += group_lines + [""]
+    if corr_lines:
         lines.append("Cross-index correlations (paired by nearest date)")
-        for row in corr_rows:
-            lines.append(f"  {row['index_a']:>6} vs {row['index_b']:<6}"
-                         f"{row['parcel_id']:<12}{row['orbit'] or '-':<5}"
-                         f"n={row['n']:<4}r={float(row['r']):.3f}")
-        lines.append("")
+        lines += corr_lines + [""]
     text = "\n".join(lines)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,16 +32,24 @@ SVHI_BAND_NAME = "SVHI"
 LAI_BAND_NAME = "LAI"
 
 
-def _sanitize_reflectance(raster: Raster) -> Raster:
+def _strike_outside(raster: Raster, lo: float, hi: float, band_name: str,
+                    samples: str) -> Raster:
+    """``raster`` as band ``band_name``, its valid samples outside [lo, hi]
+    struck to nodata and counted in one warning that calls them ``samples``."""
     values = raster.values
-    bad = raster.valid_mask() & ((values < 0.0) | (values > REFLECTANCE_MAX))
+    bad = raster.valid_mask() & ((values < lo) | (values > hi))
     n_bad = int(bad.sum())
     if n_bad:
-        log.warning("%s: %d reflectance samples outside [0, %.1f] set to nodata",
-                    raster.band_name or "band", n_bad, REFLECTANCE_MAX)
+        log.warning("%s: %d %s outside [%g, %g] set to nodata",
+                    band_name or "band", n_bad, samples, lo, hi)
         values = np.where(bad, np.nan, values)
-    return Raster(raster.spec, values, band_name=raster.band_name,
+    return Raster(raster.spec, values, band_name=band_name,
                   nodata=raster.nodata, timestamp=raster.timestamp, orbit=raster.orbit)
+
+
+def _sanitize_reflectance(raster: Raster) -> Raster:
+    return _strike_outside(raster, 0.0, REFLECTANCE_MAX, raster.band_name,
+                           "reflectance samples")
 
 
 @dataclass
@@ -150,12 +157,4 @@ def ingest_lai(raster: Raster) -> Raster:
     Samples outside the physically plausible range are struck to nodata and
     counted in one warning; everything else passes through untouched.
     """
-    lo, hi = LAI_RANGE
-    values = raster.values
-    bad = raster.valid_mask() & ((values < lo) | (values > hi))
-    n_bad = int(bad.sum())
-    if n_bad:
-        log.warning("LAI: %d samples outside [%g, %g] set to nodata", n_bad, lo, hi)
-        values = np.where(bad, np.nan, values)
-    return Raster(raster.spec, values, band_name=LAI_BAND_NAME,
-                  nodata=raster.nodata, timestamp=raster.timestamp, orbit=raster.orbit)
+    return _strike_outside(raster, *LAI_RANGE, LAI_BAND_NAME, "samples")

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .raster import BLOCK_PX, AlignmentError, GridSpec, Orbit, Raster, valid_values
-from .tables import table_rows, write_table
+from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -502,19 +502,16 @@ def read_zonal_csv(path: str | Path) -> list[ZonalStats]:
     """
     dates: dict[str, Optional[dt.date]] = {"": None}
     orbits: dict[str, Optional[Orbit]] = {"": None}
-    out = []
-    with open(path, newline="") as f:
-        for line, (pid, band, day, orbit, count, mean, std, lo, hi) in table_rows(
-                f, path, ZONAL_CSV_HEADER):
-            try:
-                timestamp = dates.get(day)
-                if timestamp is None and day:
-                    timestamp = dates[day] = dt.date.fromisoformat(day)
-                kind = orbits.get(orbit)
-                if kind is None and orbit:
-                    kind = orbits[orbit] = Orbit(orbit)
-                out.append(ZonalStats(pid, band, timestamp, kind, int(count), float(mean),
-                                      float(std), float(lo), float(hi)))
-            except ValueError as e:
-                raise ValueError(f"{path}, line {line}: {e}") from None
-    return out
+
+    def convert(cells: list[str]) -> ZonalStats:
+        pid, band, day, orbit, count, mean, std, lo, hi = cells
+        timestamp = dates.get(day)
+        if timestamp is None and day:
+            timestamp = dates[day] = dt.date.fromisoformat(day)
+        kind = orbits.get(orbit)
+        if kind is None and orbit:
+            kind = orbits[orbit] = Orbit(orbit)
+        return ZonalStats(pid, band, timestamp, kind, int(count), float(mean),
+                          float(std), float(lo), float(hi))
+
+    return read_table(path, ZONAL_CSV_HEADER, convert)

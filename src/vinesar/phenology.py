@@ -1,5 +1,4 @@
-"""Thermal time from daily weather: degree days, their accumulation, and a
-square-root biomass proxy.
+"""Thermal time from daily weather: degree days and their accumulation.
 
 Daily growing degree days use the simple average method against a base
 temperature (10 C for grapevine). Accumulation runs day by day from a start
@@ -41,9 +40,6 @@ class WeatherRecord:
             raise ValueError(f"{self.date}: tmin {self.tmin_c} exceeds tmax {self.tmax_c}")
         if self.precip_mm is not None and self.precip_mm < 0:
             raise ValueError(f"{self.date}: negative precipitation {self.precip_mm}")
-
-
-WEATHER_CSV_HEADER = ("date", "tmin_c", "tmax_c", "precip_mm")
 
 
 def load_weather_csv(path: str | Path) -> list[WeatherRecord]:
@@ -150,26 +146,6 @@ def accumulate_cdd(records: Sequence[WeatherRecord],
         log.warning("degree-day accumulation: %d days missing from the weather "
                     "record contributed 0", gaps)
     return DegreeDaySeries(entries=entries, t_base_c=t_base_c, start=start)
-
-
-class BiomassEntry(NamedTuple):
-    date: dt.date
-    bb: float
-
-
-@dataclass
-class BiomassProxy:
-    """Square-root-of-thermal-time biomass curve, bb = k * sqrt(cdd)."""
-
-    k_biom: float
-    entries: list[BiomassEntry]
-
-
-def biomass_proxy(series: DegreeDaySeries, k_biom: float = 1.0) -> BiomassProxy:
-    if not k_biom > 0:
-        raise ValueError(f"k_biom must be positive, got {k_biom}")
-    entries = [BiomassEntry(e.date, k_biom * math.sqrt(e.cdd)) for e in series.entries]
-    return BiomassProxy(k_biom=k_biom, entries=entries)
 
 
 def fit_cdd_vs_doy(series: DegreeDaySeries) -> "trend.ParabolicFit":

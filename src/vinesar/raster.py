@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -111,14 +111,7 @@ class Raster:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float32)
-        if v.ndim == 1:
-            if v.size != self.spec.width * self.spec.height:
-                raise ValueError(
-                    f"flat value array has {v.size} samples, grid wants "
-                    f"{self.spec.width * self.spec.height}"
-                )
-            v = v.reshape(self.spec.height, self.spec.width)
-        elif v.shape != (self.spec.height, self.spec.width):
+        if v.shape != (self.spec.height, self.spec.width):
             raise ValueError(f"value shape {v.shape} does not match grid "
                              f"{self.spec.height}x{self.spec.width}")
         self.values = v

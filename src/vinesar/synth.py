@@ -13,11 +13,9 @@ never change the output.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -154,28 +152,16 @@ def _cholesky2(c2: Sequence[float]) -> tuple[float, complex, float]:
 
 
 def _colour(l11, l21, l22, t11, t21, t22, looks: int):
-    """(c11, c22, c12_re, c12_im) of Lc T T^H Lc^H / looks.
+    """(c11, c22, c12_re, c12_im) of Lc T T^H Lc^H / looks, per pixel.
 
-    Lc = [[l11, 0], [l21, l22]] and T = [[t11, 0], [t21, t22]]; l21 and t21
-    are complex, the rest real, each a scalar or an array of one shape."""
+    Lc = [[l11, 0], [l21, l22]] and T = [[t11, 0], [t21, t22]] are given as
+    arrays of one shape; l21 and t21 are complex, the rest real."""
     a11 = l11 * t11
     a21 = l21 * t11 + l22 * t21
     a22 = l22 * t22
     c12 = a11 * np.conj(a21) / looks
     return (a11 * a11 / looks, (a21.real ** 2 + a21.imag ** 2 + a22 * a22) / looks,
             c12.real, c12.imag)
-
-
-def sample_c2(true_c2: Sequence[float], looks: int,
-              rng: np.random.Generator) -> tuple[float, float, float, float]:
-    """One multi-look sample covariance drawn from ``rng``."""
-    if looks < 1:
-        raise ValueError(f"looks must be >= 1, got {looks}")
-    _check_true_c2(true_c2, "true_c2")
-    t11 = math.sqrt(rng.standard_gamma(looks))
-    t22 = math.sqrt(rng.standard_gamma(looks - 1))  # shape 0 gives 0: rank one
-    t21 = complex(*rng.standard_normal(2)) / math.sqrt(2.0)
-    return tuple(float(v) for v in _colour(*_cholesky2(true_c2), t11, t21, t22, looks))
 
 
 # Counters hashed per row chunk (at least one row): each temporary stays near
@@ -238,25 +224,20 @@ def generate_scene(scene: SceneSpec) -> C2Raster:
                     timestamp=scene.timestamp, orbit=scene.orbit)
 
 
-def scene_from_dict(doc: dict, *,
-                    timestamp: Optional[dt.date] = None,
-                    orbit: Optional[Orbit] = None,
-                    seed: Optional[int] = None) -> SceneSpec:
+def scene_from_dict(doc: dict, *, seed: Optional[int] = None) -> SceneSpec:
     """Build a SceneSpec from its JSON form.
 
     The JSON object carries the grid fields at top level plus ``background``,
     ``regions`` (list of {rect, c2}), ``looks`` and ``seed``; ``timestamp``
-    and ``orbit`` are optional and the keyword arguments override them.
+    and ``orbit`` are optional. A ``seed`` argument overrides the document's.
     """
     try:
         grid = grid_from_json(doc)
         background = tuple(float(v) for v in doc["background"])
         regions = [Region(tuple(r["rect"]), tuple(r["c2"])) for r in doc.get("regions", [])]
         seed_val = json_seed(doc["seed"] if seed is None else seed)
-        if timestamp is None and doc.get("timestamp"):
-            timestamp = dt.date.fromisoformat(doc["timestamp"])
-        if orbit is None and doc.get("orbit"):
-            orbit = Orbit(doc["orbit"])
+        timestamp = dt.date.fromisoformat(doc["timestamp"]) if doc.get("timestamp") else None
+        orbit = Orbit(doc["orbit"]) if doc.get("orbit") else None
         return SceneSpec(spec=grid, background=background, regions=regions,
                          looks=doc.get("looks", 1), seed=seed_val, timestamp=timestamp,
                          orbit=orbit)
@@ -264,8 +245,3 @@ def scene_from_dict(doc: dict, *,
         raise ValueError(f"scene JSON lacks field {e.args[0]!r}") from e
     except TypeError as e:
         raise ValueError(f"scene JSON has a field of the wrong type: {e}") from e
-
-
-def load_scene(path: str | Path) -> SceneSpec:
-    doc = json.loads(Path(path).read_text())
-    return scene_from_dict(doc)

@@ -4,10 +4,10 @@ Cells go to ``csv.writer`` as they are. It writes a float (numpy's float64
 too) in its shortest round-trip form, so it reads back bit for bit, ``None``
 as an empty cell, a str enum as its value and a date as its ISO string.
 Reading checks the header against the expected columns and each row's cell
-count; callers convert the cell strings to their column types, an empty
-cell meaning a missing value. Writes are atomic: a table is written to a
-temporary sibling and renamed over the target, so a reader never sees half
-a file.
+count, and hands each row's cell strings to the caller's converter, an empty
+cell meaning a missing value; every error names the file and line. Writes
+are atomic: a table is written to a temporary sibling and renamed over the
+target, so a reader never sees half a file.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import csv
 import os
 import threading
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 def temp_path(path: Path) -> Path:
@@ -50,33 +52,30 @@ def write_table(path: str | Path, header: Sequence[str],
         w.writerows(rows)
 
 
-def table_rows(f: IO[str], path: str | Path,
-               header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) of each row of the open table ``f``.
+def read_table(path: str | Path, header: Sequence[str],
+               convert: Callable[[list[str]], T]) -> list[T]:
+    """``convert(cells)`` of each row of a table written by write_table.
 
-    Blank lines are skipped. Raises ValueError, naming ``path``, when the
-    header is not exactly ``header`` or a row has the wrong number of cells.
-    """
-    reader = csv.reader(f)
-    found = next(reader, None)
-    if found != list(header):
-        raise ValueError(f"{path}: unexpected CSV header {found}, "
-                         f"expected {list(header)}")
-    width = len(header)
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue
-            raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells, "
-                             f"expected {width}")
-        yield reader.line_num, row
-
-
-def read_table(path: str | Path, header: Sequence[str]) -> list[dict[str, str]]:
-    """Rows of a table written by write_table, keyed by column name.
-
-    Raises ValueError when the file's header is not exactly ``header`` or a
-    row does not have one cell per column.
+    Blank lines are skipped. Raises ValueError naming ``path`` when the
+    header is not exactly ``header``, and naming its physical line as well
+    when a row has the wrong number of cells or ``convert`` raises one.
     """
     with open(path, newline="") as f:
-        return [dict(zip(header, row)) for _, row in table_rows(f, path, header)]
+        reader = csv.reader(f)
+        found = next(reader, None)
+        if found != list(header):
+            raise ValueError(f"{path}: unexpected CSV header {found}, "
+                             f"expected {list(header)}")
+        width = len(header)
+        out = []
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells, "
+                                 f"expected {width}")
+            try:
+                out.append(convert(row))
+            except ValueError as e:
+                raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
+        return out

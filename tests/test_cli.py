@@ -696,6 +696,25 @@ class TestReportCommand:
         (tmp_path / "out").mkdir()
         assert run_cli("report", "--out", str(tmp_path / "out")) == 1
 
+    @pytest.mark.parametrize("name, column", [("trend.csv", "fit_r"),
+                                              ("trend_groups.csv", "mean_fit_r"),
+                                              ("correlation.csv", "r")])
+    def test_bad_cell_is_one_error_line(self, campaign_run, tmp_path, caplog, name,
+                                        column):
+        out = tmp_path / "out"
+        out.mkdir()
+        for table in ("trend.csv", "trend_groups.csv", "correlation.csv"):
+            shutil.copy(campaign_run["out"] / table, out / table)
+        lines = (out / name).read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = "abc"
+        lines[2] = ",".join(cells)
+        (out / name).write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "--out", str(out)) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{out / name}, line 3: could not convert string to float: 'abc'"]
+        assert not (out / "report.txt").exists()
+
 
 class TestConfigHandling:
     def parse(self, *argv):
@@ -771,7 +790,8 @@ class TestConfigHandling:
                                      {"seed": 1e30}, {"out_dir": 5}, {"parcels": []},
                                      {"t_base": True}, {"t_base": float("nan")},
                                      {"abscissa": 5}, {"abscissa": ["cdd"]},
-                                     {"resample": "cubic"}])
+                                     {"resample": "cubic"}, {"boxcar": 4}, {"erode": -1},
+                                     {"max_gap_days": -2}])
     def test_wrong_typed_value_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         assert run_cli("sar-index", "--config", str(tmp_path / "cfg.json")) == 1
@@ -790,3 +810,14 @@ def test_module_entry_point_runs(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "sar-index" in proc.stdout
+
+
+def test_package_import_loads_no_submodule_and_no_numpy(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, vinesar; print(sorted(m for m in sys.modules "
+             "if m.startswith('vinesar.') or m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -44,7 +44,9 @@ class TestBandSet:
         assert math.isnan(bs.b4.values[0, 1])
         assert math.isnan(bs.b8.values[0, 1])
         assert bs.b4.values[0, 0] == np.float32(0.2)
-        assert caplog.records
+        assert [r.getMessage() for r in caplog.records] == [
+            "B4: 1 reflectance samples outside [0, 1.2] set to nodata",
+            "B8: 1 reflectance samples outside [0, 1.2] set to nodata"]
 
     def test_boundary_values_survive(self):
         bs = bandset([[0.0, 1.2]], [[0.3, 0.3]], [[0.5, 0.5]],
@@ -151,7 +153,8 @@ class TestLai:
         assert out.values[0, 1] == np.float32(2.46)
         assert math.isnan(out.values[1, 0])  # negative leaf area
         assert math.isnan(out.values[1, 1])  # above the plausible cap
-        assert caplog.records
+        assert [r.getMessage() for r in caplog.records] == [
+            "LAI: 2 samples outside [0, 10] set to nodata"]
 
     def test_bounds_inclusive(self):
         g = grid(2, 1)

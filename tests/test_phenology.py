@@ -1,4 +1,4 @@
-"""Thermal-time accumulation, weather ingestion and the biomass proxy."""
+"""Thermal-time accumulation and weather ingestion."""
 
 import datetime as dt
 import math
@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vinesar.phenology import (DEFAULT_BASE_TEMP_C, DegreeDaySeries,
-                               WeatherRecord, accumulate_cdd, biomass_proxy,
+from vinesar.phenology import (DEFAULT_BASE_TEMP_C, WeatherRecord, accumulate_cdd,
                                fit_cdd_vs_doy, gdd, load_weather_csv,
                                write_degree_days_csv)
 
@@ -177,23 +176,6 @@ class TestDegreeDaysCsv:
         assert lines[0] == "date,doy,gdd,cdd"
         assert lines[1] == "2023-05-01,121,2.0,2.0"
         assert lines[3] == "2023-05-03,123,5.0,7.0"
-
-
-class TestBiomassProxy:
-    def test_square_root_shape(self):
-        records = [rec(d, 15.0, 25.0) for d in range(1, 5)]
-        series = accumulate_cdd(records, start=dt.date(2023, 5, 1))
-        proxy = biomass_proxy(series, k_biom=2.0)
-        got = [e.bb for e in proxy.entries]
-        want = [2.0 * math.sqrt(10.0 * d) for d in range(1, 5)]
-        assert got == pytest.approx(want, rel=1e-12)
-        assert [e.date for e in proxy.entries] == [e.date for e in series.entries]
-
-    def test_rejects_nonpositive_scale(self):
-        records = [rec(1, 15.0, 25.0)]
-        series = accumulate_cdd(records, start=dt.date(2023, 5, 1))
-        with pytest.raises(ValueError):
-            biomass_proxy(series, k_biom=0.0)
 
 
 class TestCddDoyDiagnostic:

@@ -475,7 +475,8 @@ class TestCsvWriters:
         write_scatter_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(SCATTER_CSV_HEADER)
-        back = read_table(path, SCATTER_CSV_HEADER)
+        back = read_table(path, SCATTER_CSV_HEADER,
+                          lambda cells: dict(zip(SCATTER_CSV_HEADER, cells)))
         assert float(back[0]["value_a"]) == 0.41
         assert float(back[1]["value_b"]) == 2.41
         assert back[0]["date_b"] == "2023-03-27"
