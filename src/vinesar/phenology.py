@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from . import trend
-from .tables import write_table
+from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -43,27 +43,31 @@ class WeatherRecord:
 
 
 def load_weather_csv(path: str | Path) -> list[WeatherRecord]:
-    """Read daily weather rows; dates must be strictly increasing."""
-    records = []
+    """Read daily weather rows; dates must be strictly increasing.
+
+    The header names ``date``, ``tmin_c`` and ``tmax_c``, and optionally
+    ``precip_mm``, in any order. Rows are read by ``read_table`` under the
+    file's own header, so every error names the file and line.
+    """
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        need = {"date", "tmin_c", "tmax_c"}
-        have = set(reader.fieldnames or [])
-        if not need <= have:
-            raise ValueError(f"{path}: weather CSV needs columns {sorted(need)}, "
-                             f"found {reader.fieldnames}")
-        for k, row in enumerate(reader, start=2):
-            try:
-                precip_raw = (row.get("precip_mm") or "").strip()
-                rec = WeatherRecord(
-                    date=dt.date.fromisoformat(row["date"].strip()),
-                    tmin_c=float(row["tmin_c"]),
-                    tmax_c=float(row["tmax_c"]),
-                    precip_mm=float(precip_raw) if precip_raw else None,
-                )
-            except ValueError as e:
-                raise ValueError(f"{path} line {k}: {e}") from e
-            records.append(rec)
+        header = next(csv.reader(f), [])
+    need = {"date", "tmin_c", "tmax_c"}
+    if not need <= set(header):
+        raise ValueError(f"{path}: weather CSV needs columns {sorted(need)}, "
+                         f"found {header}")
+    col = {name: k for k, name in enumerate(header)}
+    precip = col.get("precip_mm")
+
+    def convert(cells: list[str]) -> WeatherRecord:
+        precip_raw = "" if precip is None else cells[precip].strip()
+        return WeatherRecord(
+            date=dt.date.fromisoformat(cells[col["date"]].strip()),
+            tmin_c=float(cells[col["tmin_c"]]),
+            tmax_c=float(cells[col["tmax_c"]]),
+            precip_mm=float(precip_raw) if precip_raw else None,
+        )
+
+    records = read_table(path, header, convert)
     for a, b in zip(records, records[1:]):
         if a.date >= b.date:
             raise ValueError(f"{path}: dates not strictly increasing at {b.date}")

@@ -130,14 +130,25 @@ def valid_values(values: np.ndarray, nodata: float) -> np.ndarray:
 
 @dataclass
 class Bundle:
-    """In-memory image of a raster bundle: one grid, one or more named bands."""
+    """In-memory image of a raster bundle: one grid, one or more named bands.
+
+    ``values`` has shape (bands, height, width) and is stored as float32.
+    """
 
     spec: GridSpec
     band_names: list[str]
-    values: np.ndarray  # (bands, height, width) float32
+    values: np.ndarray
     nodata: float = math.nan
     timestamp: Optional[dt.date] = None
     orbit: Optional[Orbit] = None
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values, dtype=np.float32)
+        shape = (len(self.band_names), self.spec.height, self.spec.width)
+        if v.shape != shape:
+            raise ValueError(f"value shape {v.shape} does not match {shape[0]} bands "
+                             f"on grid {self.spec.height}x{self.spec.width}")
+        self.values = v
 
     def band(self, name: str) -> Raster:
         try:
@@ -417,8 +428,6 @@ def resample(raster: Raster, target: GridSpec,
     in_y = (row >= 0) & (row < src.height)
 
     src_valid = raster.valid_mask()
-    src_vals = raster.values.astype(np.float64)
-
     col_c = np.clip(col, 0, src.width - 1)
     row_c = np.clip(row, 0, src.height - 1)
     if method is ResampleMethod.BILINEAR:
@@ -430,42 +439,31 @@ def resample(raster: Raster, target: GridSpec,
         j0 = np.floor(gy).astype(np.int64)
         i1 = np.minimum(i0 + 1, src.width - 1)
         j1 = np.minimum(j0 + 1, src.height - 1)
-        wxg = (gx - i0)[None, :]
+        wx = gx - i0
         wy = gy - j0
 
-    # one take per axis copies whole rows, then whole columns: cheaper than
-    # indexing every pixel of the grid through broadcast index arrays
-    def grid_take(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return a.take(rows, axis=0).take(cols, axis=1)
-
-    out = np.empty((target.height, target.width), dtype=np.float32)
+    # a block of target rows gathers the source rows it needs at the target
+    # columns once, then takes whole rows of that; bilinear overwrites the
+    # nearest value wherever all four of its source pixels are valid
+    out = np.full((target.height, target.width), np.nan, dtype=np.float32)
     for rows in row_blocks(target.height, target.width):
-        inside = in_y[rows, None] & in_x[None, :]
-        values = np.full(inside.shape, np.nan, dtype=np.float64)
-        nearest = grid_take(src_vals, row_c[rows], col_c)
-        nearest_ok = grid_take(src_valid, row_c[rows], col_c)
-
-        if method is ResampleMethod.NEAREST:
-            pick = inside & nearest_ok
-            values[pick] = nearest[pick]
-        else:
-            r0, r1 = j0[rows], j1[rows]
-            v00 = grid_take(src_vals, r0, i0)
-            v01 = grid_take(src_vals, r0, i1)
-            v10 = grid_take(src_vals, r1, i0)
-            v11 = grid_take(src_vals, r1, i1)
-            ok = (grid_take(src_valid, r0, i0) & grid_take(src_valid, r0, i1)
-                  & grid_take(src_valid, r1, i0) & grid_take(src_valid, r1, i1))
-
+        block = out[rows]
+        inside = in_y[rows, None] & in_x
+        near = row_c[rows]
+        np.copyto(block, raster.values[near].take(col_c, axis=1),
+                  where=src_valid[near].take(col_c, axis=1) & inside)
+        if method is ResampleMethod.BILINEAR:
+            need, at = np.unique(np.concatenate((j0[rows], j1[rows])), return_inverse=True)
+            r0, r1 = np.split(at, 2)
+            vals, ok = raster.values[need], src_valid[need]
+            # each source row the block needs, blended across the target columns
+            across = ((1 - wx) * vals.take(i0, axis=1).astype(np.float64)
+                      + wx * vals.take(i1, axis=1))
+            across_ok = ok.take(i0, axis=1) & ok.take(i1, axis=1)
             wyg = wy[rows, None]
-            blend = ((1 - wyg) * ((1 - wxg) * v00 + wxg * v01)
-                     + wyg * ((1 - wxg) * v10 + wxg * v11))
-
-            use_blend = inside & ok
-            use_near = inside & ~ok & nearest_ok
-            values[use_blend] = blend[use_blend]
-            values[use_near] = nearest[use_near]
-        out[rows] = values
+            blend = (1 - wyg) * across.take(r0, axis=0) + wyg * across.take(r1, axis=0)
+            np.copyto(block, blend, casting="same_kind",
+                      where=across_ok.take(r0, axis=0) & across_ok.take(r1, axis=0) & inside)
 
     return Raster(target, out, band_name=raster.band_name,
                   nodata=math.nan, timestamp=raster.timestamp, orbit=raster.orbit)

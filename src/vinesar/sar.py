@@ -1,14 +1,15 @@
 """Dual-pol covariance handling and the polarimetric vegetation index.
 
-A C2 raster stores the per-pixel 2x2 Hermitian covariance of the (VV, VH)
-scattering vector as four real bands: the two diagonal powers and the real
-and imaginary parts of the off-diagonal term. Everything here works on
-linear power; inputs must never arrive in dB.
+A covariance raster is a four-band ``raster.Bundle`` holding the per-pixel
+2x2 Hermitian covariance of the (VV, VH) scattering vector: the two diagonal
+powers and the real and imaginary parts of the off-diagonal term, in the
+order of C2_BAND_NAMES. A pixel is valid only when all four bands are
+finite; statistics and filters treat the matrix as a unit. Everything here
+works on linear power; inputs must never arrive in dB.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -17,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import (BundleHeader, GridSpec, Orbit, Raster, load_bundle, read_header,
-                     row_blocks, save_bundle)
+from .raster import (Bundle, BundleHeader, Raster, load_bundle, read_header, row_blocks,
+                     save_bundle)
 
 log = logging.getLogger(__name__)
 
@@ -58,44 +59,26 @@ class DpParams:
     q: float
 
 
-@dataclass
-class C2Raster:
-    """Per-pixel 2x2 covariance on a grid, stored as four float32 bands.
+def valid_mask(values: np.ndarray) -> np.ndarray:
+    """Pixels of a (4, ...) covariance stack whose four bands are all finite.
 
-    A pixel is valid only when all four bands are finite; statistics and
-    filters treat the matrix as a unit.
-    """
-
-    spec: GridSpec
-    c11: np.ndarray
-    c22: np.ndarray
-    c12_re: np.ndarray
-    c12_im: np.ndarray
-    timestamp: Optional[dt.date] = None
-    orbit: Optional[Orbit] = None
-
-    def __post_init__(self) -> None:
-        shape = (self.spec.height, self.spec.width)
-        for name in ("c11", "c22", "c12_re", "c12_im"):
-            arr = np.asarray(getattr(self, name), dtype=np.float32)
-            if arr.shape != shape:
-                raise ValueError(f"band {name} has shape {arr.shape}, grid wants {shape}")
-            setattr(self, name, arr)
-
-    def valid_mask(self) -> np.ndarray:
-        return (np.isfinite(self.c11) & np.isfinite(self.c22)
-                & np.isfinite(self.c12_re) & np.isfinite(self.c12_im))
-
-
-def save_c2(c2: C2Raster, path: str | Path) -> Path:
-    bands = list(zip(C2_BAND_NAMES, (c2.c11, c2.c22, c2.c12_re, c2.c12_im)))
-    return save_bundle(path, c2.spec, bands, timestamp=c2.timestamp, orbit=c2.orbit)
+    Bands are tested one at a time, so no four-band temporary is made."""
+    valid = np.isfinite(values[0])
+    for band in values[1:]:
+        valid &= np.isfinite(band)
+    return valid
 
 
 def _require_c2_bands(path: str | Path, band_names: list[str]) -> None:
     if tuple(band_names) != C2_BAND_NAMES:
         raise ValueError(f"{path} holds bands {band_names}, "
                          f"a covariance bundle needs {list(C2_BAND_NAMES)}")
+
+
+def save_c2(c2: Bundle, path: str | Path) -> Path:
+    _require_c2_bands(path, c2.band_names)
+    return save_bundle(path, c2.spec, list(zip(c2.band_names, c2.values)),
+                       nodata=c2.nodata, timestamp=c2.timestamp, orbit=c2.orbit)
 
 
 def read_c2_header(path: str | Path) -> BundleHeader:
@@ -105,7 +88,7 @@ def read_c2_header(path: str | Path) -> BundleHeader:
     return header
 
 
-def load_c2(path: str | Path) -> C2Raster:
+def load_c2(path: str | Path) -> Bundle:
     """Read a covariance bundle.
 
     Finite pixels that fail the PSD check become nodata in all four bands
@@ -117,7 +100,7 @@ def load_c2(path: str | Path) -> C2Raster:
     n_valid = n_bad = 0
     for rows in row_blocks(b.spec.height, b.spec.width):
         block = b.values[:, rows]  # a view: nodata is written into the bundle
-        valid = np.isfinite(block).all(axis=0)
+        valid = valid_mask(block)
         bad = valid & _not_psd(*block.astype(np.float64))
         n_valid += int(valid.sum())
         n_bad += int(bad.sum())
@@ -125,7 +108,7 @@ def load_c2(path: str | Path) -> C2Raster:
     if n_bad:
         log.warning("%s: %d of %d valid pixels violate the covariance constraints, "
                     "set to nodata", path, n_bad, n_valid)
-    return C2Raster(b.spec, *b.values, timestamp=b.timestamp, orbit=b.orbit)
+    return b
 
 
 def _masked_mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -137,7 +120,7 @@ def _masked_mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def multilook(c2: C2Raster, win_x: int = 4, win_y: int = 1) -> C2Raster:
+def multilook(c2: Bundle, win_x: int = 4, win_y: int = 1) -> Bundle:
     """Average covariance matrices over non-overlapping win_x by win_y blocks.
 
     Output dimensions are the floor quotients; trailing rows and columns that
@@ -154,15 +137,15 @@ def multilook(c2: C2Raster, win_x: int = 4, win_y: int = 1) -> C2Raster:
     def block_sums(a: np.ndarray) -> np.ndarray:
         return a[:hh * win_y, :ww * win_x].reshape(hh, win_y, ww, win_x).sum(axis=(1, 3))
 
-    valid = c2.valid_mask()
+    valid = valid_mask(c2.values)
     counts = block_sums(valid)  # one count per block, shared by the four bands
-    bands = [_masked_mean(block_sums(np.where(valid, b.astype(np.float64), 0.0)),
-                          counts).astype(np.float32)
-             for b in (c2.c11, c2.c22, c2.c12_re, c2.c12_im)]
+    out = np.empty((len(c2.values), hh, ww), dtype=np.float32)
+    for band, b in zip(out, c2.values):
+        band[:] = _masked_mean(block_sums(np.where(valid, b.astype(np.float64), 0.0)), counts)
     out_spec = replace(c2.spec, width=ww, height=hh,
                        pixel_size_x=c2.spec.pixel_size_x * win_x,
                        pixel_size_y=c2.spec.pixel_size_y * win_y)
-    return C2Raster(out_spec, *bands, timestamp=c2.timestamp, orbit=c2.orbit)
+    return replace(c2, spec=out_spec, values=out)
 
 
 def _padded_summed_area(a: np.ndarray, dtype: type, pad: int,
@@ -210,7 +193,7 @@ def _window_sums(table: np.ndarray, win: int, rows: slice) -> np.ndarray:
     return sums
 
 
-def boxcar_filter(c2: C2Raster, win: int) -> C2Raster:
+def boxcar_filter(c2: Bundle, win: int) -> Bundle:
     """Square sliding-mean speckle filter with an odd window size.
 
     Each output pixel averages the valid pixels of its window clipped to
@@ -220,21 +203,17 @@ def boxcar_filter(c2: C2Raster, win: int) -> C2Raster:
     if win < 1 or win % 2 == 0:
         raise ValueError(f"boxcar window must be odd and positive, got {win}")
     if win == 1:
-        return C2Raster(c2.spec, c2.c11.copy(), c2.c22.copy(),
-                        c2.c12_re.copy(), c2.c12_im.copy(),
-                        timestamp=c2.timestamp, orbit=c2.orbit)
+        return replace(c2, values=c2.values.copy())
     h, w = c2.spec.height, c2.spec.width
-    valid = c2.valid_mask()
+    valid = valid_mask(c2.values)
     # one count per window, shared by the four bands
     counts = _window_sums(_padded_summed_area(valid, np.int64, win // 2), win, slice(0, h))
-    bands = []
-    for b in (c2.c11, c2.c22, c2.c12_re, c2.c12_im):
+    out = np.empty_like(c2.values)
+    for band, b in zip(out, c2.values):
         table = _padded_summed_area(b, np.float64, win // 2, keep=valid)
-        out = np.empty((h, w), dtype=np.float32)
         for rows in row_blocks(h, w):
-            out[rows] = _masked_mean(_window_sums(table, win, rows), counts[rows])
-        bands.append(out)
-    return C2Raster(c2.spec, *bands, timestamp=c2.timestamp, orbit=c2.orbit)
+            band[rows] = _masked_mean(_window_sums(table, win, rows), counts[rows])
+    return replace(c2, values=out)
 
 
 def _not_psd(c11, c22, c12_re, c12_im):
@@ -340,7 +319,7 @@ def dprvi_grd(sigma_vh: float, sigma_vv: float) -> float:
     return q * (q + 3.0) / ((q + 1.0) ** 2)
 
 
-def dprvi_raster(c2: C2Raster) -> Raster:
+def dprvi_raster(c2: Bundle) -> Raster:
     """Per-pixel index over a covariance raster, one block of rows at a time.
 
     Nodata pixels stay nodata. Finite pixels that fail the PSD check are set
@@ -349,9 +328,9 @@ def dprvi_raster(c2: C2Raster) -> Raster:
     out = np.empty((c2.spec.height, c2.spec.width), dtype=np.float32)
     n_bad = 0
     for rows in row_blocks(c2.spec.height, c2.spec.width):
-        c11, c22, re, im = (b[rows].astype(np.float64)
-                            for b in (c2.c11, c2.c22, c2.c12_re, c2.c12_im))
-        finite = np.isfinite(c11) & np.isfinite(c22) & np.isfinite(re) & np.isfinite(im)
+        block = c2.values[:, rows]
+        c11, c22, re, im = (b.astype(np.float64) for b in block)
+        finite = valid_mask(block)
         keep = finite & ~_not_psd(c11, c22, re, im)
         n_bad += int(np.count_nonzero(finite & ~keep))
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .raster import GridSpec, Orbit, grid_from_json, json_int
-from .sar import C2Raster, _not_psd
+from .raster import Bundle, GridSpec, Orbit, grid_from_json, json_int
+from .sar import C2_BAND_NAMES, _not_psd
 
 log = logging.getLogger(__name__)
 
@@ -169,7 +169,7 @@ def _colour(l11, l21, l22, t11, t21, t22, looks: int):
 _CHUNK_COUNTERS = 1 << 16
 
 
-def generate_scene(scene: SceneSpec) -> C2Raster:
+def generate_scene(scene: SceneSpec) -> Bundle:
     """Simulate the scene; deterministic in (spec, seed) alone.
 
     Regions paint in listed order onto the background; where they overlap
@@ -220,8 +220,8 @@ def generate_scene(scene: SceneSpec) -> C2Raster:
         out = _colour(l11[own], l21[own], l22[own], t11, t21, t22, looks)
         bands[:, row0:row1] = np.reshape(out, (4, row1 - row0, w))
 
-    return C2Raster(grid, bands[0], bands[1], bands[2], bands[3],
-                    timestamp=scene.timestamp, orbit=scene.orbit)
+    return Bundle(grid, list(C2_BAND_NAMES), bands,
+                  timestamp=scene.timestamp, orbit=scene.orbit)
 
 
 def scene_from_dict(doc: dict, *, seed: Optional[int] = None) -> SceneSpec:

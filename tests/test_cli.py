@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (GRID, OPTICAL_DATES, PARCELS, SAR_CDD, SAR_DATES,
                       build_campaign_workspace, run_cli, seasonal_shape,
@@ -20,9 +23,14 @@ from conftest import (GRID, OPTICAL_DATES, PARCELS, SAR_CDD, SAR_DATES,
                       write_optical_inputs, write_parcels_geojson)
 from vinesar import cli, raster, sar
 from vinesar.optical import BAND_NAMES
-from vinesar.raster import GridSpec, Orbit, load_raster, save_bundle
-from vinesar.sar import C2Raster, dprvi_from_eigen, eigen_decompose, load_c2, save_c2
+from vinesar.raster import Bundle, GridSpec, Orbit, load_raster, save_bundle
+from vinesar.sar import C2_BAND_NAMES, dprvi_from_eigen, eigen_decompose, load_c2, save_c2
 from vinesar.synth import derive_seed, generate_scene, scene_from_dict
+
+
+def c2_bundle(spec, bands, **kw):
+    """A covariance bundle from its four (height, width) bands."""
+    return Bundle(spec, list(C2_BAND_NAMES), np.stack(bands), **kw)
 
 
 def scene_doc(seed=3, looks=2, date="2023-04-21", orbit="DES"):
@@ -45,7 +53,7 @@ class TestSynthCommand:
                        "--out", str(tmp_path / "out")) == 0
         c2 = load_c2(tmp_path / "out" / "c2_2023-04-21_DES")
         direct = generate_scene(scene_from_dict(doc))
-        assert c2.c11.tobytes() == direct.c11.tobytes()
+        assert c2.values[0].tobytes() == direct.values[0].tobytes()
         assert c2.timestamp == dt.date(2023, 4, 21)
         assert c2.orbit == Orbit.DESCENDING
 
@@ -56,7 +64,7 @@ class TestSynthCommand:
                        "--out", str(tmp_path / "out"), "--seed", "77") == 0
         c2 = load_c2(tmp_path / "out" / "c2_2023-04-21_DES")
         direct = generate_scene(scene_from_dict(doc, seed=77))
-        assert c2.c11.tobytes() == direct.c11.tobytes()
+        assert c2.values[0].tobytes() == direct.values[0].tobytes()
 
     def test_campaign_writes_every_acquisition(self, tmp_path):
         write_campaign_json(tmp_path / "campaign.json", looks=1, seed=11)
@@ -83,7 +91,7 @@ class TestSynthCommand:
         direct = generate_scene(scene)
         d, orbit = SAR_DATES[idx]
         got = load_c2(tmp_path / "out" / f"c2_{d.isoformat()}_{orbit}")
-        assert got.c11.tobytes() == direct.c11.tobytes()
+        assert got.values[0].tobytes() == direct.values[0].tobytes()
 
     def test_missing_background_fails(self, tmp_path):
         doc = {"grid": GRID, "looks": 1, "seed": 1,
@@ -214,16 +222,16 @@ class TestSarIndexCommand:
             return c11, 0.5 * c11, 0.1 * c11, 0.0 * c11
 
         for date in ("2023-04-21", "2023-05-27"):
-            save_c2(C2Raster(spec, *bands(spec), timestamp=dt.date.fromisoformat(date)),
+            save_c2(c2_bundle(spec, bands(spec), timestamp=dt.date.fromisoformat(date)),
                     tmp_path / f"c2_{date}_DES")
         last = tmp_path / "c2_2023-12-31_DES"
         if fault == "misaligned":
             wide = GridSpec(7, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
-            save_c2(C2Raster(wide, *bands(wide)), last)
+            save_c2(c2_bundle(wide, bands(wide)), last)
         elif fault == "wrong bands":
             save_bundle(last, spec, list(zip(("C11", "C22", "C12_re", "X"), bands(spec))))
         else:
-            save_c2(C2Raster(spec, *bands(spec)), last)
+            save_c2(c2_bundle(spec, bands(spec)), last)
             with open(last.with_suffix(".bin"), "r+b") as f:
                 f.truncate(4 * 6 * 5 * 4 - 4)
         assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1",
@@ -241,8 +249,8 @@ class TestSarIndexCommand:
         spec = GridSpec(6, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
         c11 = np.full((5, 6), 1.5)
         for date in dates:
-            save_c2(C2Raster(spec, c11, 0.5 * c11, 0.1 * c11, 0.0 * c11,
-                             timestamp=dt.date.fromisoformat(date)), tmp_path / f"c2_{date}_DES")
+            save_c2(c2_bundle(spec, (c11, 0.5 * c11, 0.1 * c11, 0.0 * c11),
+                              timestamp=dt.date.fromisoformat(date)), tmp_path / f"c2_{date}_DES")
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_first_scene_failing_after_the_header_pass_is_the_one_error(
@@ -318,9 +326,9 @@ class TestSarIndexCommand:
         re = 0.5 * np.sqrt(c11 * c22)
         im = np.zeros((4, 4))
         re[1, 1] = 5.0  # |c12|^2 > c11 * c22
-        c2 = C2Raster(GridSpec(4, 4, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632"),
-                      c11, c22, re, im, timestamp=dt.date(2023, 4, 21),
-                      orbit=Orbit.DESCENDING)
+        c2 = c2_bundle(GridSpec(4, 4, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632"),
+                       (c11, c22, re, im), timestamp=dt.date(2023, 4, 21),
+                       orbit=Orbit.DESCENDING)
         save_c2(c2, tmp_path / "c2_2023-04-21_DES")
         assert run_cli("sar-index", "--out", str(tmp_path),
                        "--multilook", "1x1") == 0
@@ -333,7 +341,7 @@ class TestSarIndexCommand:
         out = load_raster(tmp_path / "dprvi_2023-04-21_DES").values
         good = [(0, 0), (0, 1), (1, 0)]
         mean = [float(np.mean([band[rc] for rc in good], dtype=np.float64))
-                for band in (c2.c11, c2.c22, c2.c12_re, c2.c12_im)]
+                for band in c2.values]
         want = dprvi_from_eigen(eigen_decompose(*(float(np.float32(v)) for v in mean)))
         assert out[0, 0] == np.float32(want)
         assert np.isfinite(out).all()
@@ -466,6 +474,16 @@ def read_rows(path):
         return list(csv.DictReader(f))
 
 
+def trend_workspace(campaign_run, root):
+    """A workspace holding the campaign's zonal.csv, weather and parcels."""
+    (root / "out").mkdir(parents=True)
+    for name in ("weather.csv", "parcels.geojson"):
+        shutil.copy(campaign_run["root"] / name, root / name)
+    shutil.copy(campaign_run["out"] / "zonal.csv", root / "out" / "zonal.csv")
+    write_config(root / "config.json", root / "out")
+    return root
+
+
 class TestZonalCommand:
     def test_row_population(self, campaign_run):
         rows = read_rows(campaign_run["out"] / "zonal.csv")
@@ -510,6 +528,21 @@ class TestDegreeDaysCommand:
     def test_requires_weather(self, tmp_path):
         (tmp_path / "out").mkdir()
         assert run_cli("degree-days", "--out", str(tmp_path / "out")) == 1
+
+    @pytest.mark.parametrize("stage", ["degree-days", "trend"])
+    @pytest.mark.parametrize("edit, n_cells", [(lambda cells: cells[:2], 2),
+                                               (lambda cells: cells + ["0.0"], 5)],
+                             ids=["short-row", "long-row"])
+    def test_malformed_weather_row_is_one_error_line(self, campaign_run, tmp_path, caplog,
+                                                     stage, edit, n_cells):
+        root = trend_workspace(campaign_run, tmp_path)
+        weather = root / "weather.csv"
+        lines = weather.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        weather.write_text("\n".join(lines) + "\n")
+        assert run_cli(stage, "--config", str(root / "config.json")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{weather}, line 3: {n_cells} cells, expected 4"]
 
 
 class TestTrendCommand:
@@ -620,15 +653,6 @@ class TestTrendCommand:
 
     OUTPUTS = ("trend.csv", "trend_groups.csv", "correlation.csv", "scatter.csv")
 
-    def trend_workspace(self, campaign_run, root):
-        """A workspace holding the campaign's zonal.csv, weather and parcels."""
-        (root / "out").mkdir(parents=True)
-        for name in ("weather.csv", "parcels.geojson"):
-            shutil.copy(campaign_run["root"] / name, root / name)
-        shutil.copy(campaign_run["out"] / "zonal.csv", root / "out" / "zonal.csv")
-        write_config(root / "config.json", root / "out")
-        return root
-
     def test_reads_parcel_orientations_without_checking_rings(self, campaign_run, tmp_path,
                                                               monkeypatch):
         from vinesar import parcels
@@ -637,7 +661,7 @@ class TestTrendCommand:
             raise AssertionError("trend checked parcel rings")
 
         monkeypatch.setattr(parcels, "_self_intersecting", no_ring_check)
-        root = self.trend_workspace(campaign_run, tmp_path)
+        root = trend_workspace(campaign_run, tmp_path)
         assert run_cli("trend", "--config", str(root / "config.json")) == 0
         for name in self.OUTPUTS:
             assert (root / "out" / name).read_bytes() == \
@@ -649,7 +673,7 @@ class TestTrendCommand:
     ])
     def test_bad_parcel_id_or_orientation_is_one_error_line(self, campaign_run, tmp_path,
                                                             caplog, props, problem):
-        root = self.trend_workspace(campaign_run, tmp_path)
+        root = trend_workspace(campaign_run, tmp_path)
         doc = json.loads((root / "parcels.geojson").read_text())
         doc["features"][3]["properties"].update(props)
         (root / "parcels.geojson").write_text(json.dumps(doc))
@@ -669,7 +693,7 @@ class TestTrendCommand:
             "empty-mean"])
     def test_malformed_zonal_row_is_one_error_line(self, campaign_run, tmp_path, caplog,
                                                    edit, problem):
-        root = self.trend_workspace(campaign_run, tmp_path)
+        root = trend_workspace(campaign_run, tmp_path)
         zonal = root / "out" / "zonal.csv"
         lines = zonal.read_text().splitlines()
         lines[6] = ",".join(edit(lines[6].split(",")))
@@ -679,6 +703,77 @@ class TestTrendCommand:
         assert len(errors) == 1
         assert errors[0].startswith(f"{zonal}, line 7: ") and problem in errors[0]
         assert not (root / "out" / "trend.csv").exists()
+
+
+class ErrorLines(logging.Handler):
+    """The messages of the ERROR records vinesar logs while attached."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.lines: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.lines.append(record.getMessage())
+
+
+# one-cell mutations of a CSV row: (cells, index) -> cells
+CELL_MUTATIONS = {
+    "empty": lambda cells, k: cells[:k] + [""] + cells[k + 1:],
+    "abc": lambda cells, k: cells[:k] + ["abc"] + cells[k + 1:],
+    "nan": lambda cells, k: cells[:k] + ["nan"] + cells[k + 1:],
+    "1e400": lambda cells, k: cells[:k] + ["1e400"] + cells[k + 1:],
+    "drop": lambda cells, k: cells[:k] + cells[k + 1:],
+    "extra": lambda cells, k: cells[:k + 1] + ["1"] + cells[k + 1:],
+}
+
+
+class TestCsvBoundaries:
+    """A one-cell mutation of a table a later stage reads gives exit 0, or
+    exit 1 with exactly one error line naming the file; never a traceback.
+    weather.csv is read by degree-days and trend, with and without its
+    optional precip_mm column; zonal.csv is read by trend."""
+
+    @pytest.fixture(scope="class")
+    def workspace(self, campaign_run, tmp_path_factory):
+        root = trend_workspace(campaign_run, tmp_path_factory.mktemp("csv-boundaries"))
+        return root, root.joinpath("weather.csv").read_text(), \
+            root.joinpath("out", "zonal.csv").read_text()
+
+    @settings(max_examples=100)
+    @given(table=st.sampled_from(["weather", "weather-no-precip", "zonal"]),
+           line=st.integers(0, 10 ** 6), cell=st.integers(0, 100),
+           mutation=st.sampled_from(sorted(CELL_MUTATIONS)))
+    @example(table="weather-no-precip", line=2, cell=2, mutation="drop")
+    def test_one_cell_mutation(self, workspace, table, line, cell, mutation):
+        root, weather_text, zonal_text = workspace
+        weather, zonal = root / "weather.csv", root / "out" / "zonal.csv"
+        rows = [r.split(",") for r in (zonal_text if table == "zonal"
+                                        else weather_text).splitlines()]
+        if table == "weather-no-precip":
+            rows = [r[:-1] for r in rows]
+        k = line % len(rows)
+        rows[k] = CELL_MUTATIONS[mutation](rows[k], cell % len(rows[k]))
+        text = "\n".join(",".join(r) for r in rows) + "\n"
+        target = zonal if table == "zonal" else weather
+        weather.write_text(weather_text)
+        zonal.write_text(zonal_text)
+        target.write_text(text)
+        stages = ["trend"] if table == "zonal" else ["degree-days", "trend"]
+        handler = ErrorLines()
+        logger = logging.getLogger("vinesar")
+        logger.addHandler(handler)
+        try:
+            for stage in stages:
+                handler.lines.clear()
+                rc = run_cli(stage, "--config", str(root / "config.json"))
+                if rc == 0:
+                    assert handler.lines == [], (stage, handler.lines)
+                else:
+                    assert rc == 1, (stage, rc)
+                    assert len(handler.lines) == 1, (stage, handler.lines)
+                    assert str(target) in handler.lines[0], (stage, handler.lines)
+        finally:
+            logger.removeHandler(handler)
 
 
 class TestReportCommand:

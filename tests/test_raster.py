@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vinesar.raster import (AlignmentError, BundleError, GridSpec, Orbit,
+from vinesar.raster import (AlignmentError, Bundle, BundleError, GridSpec, Orbit,
                             Raster, ResampleMethod, assert_aligned,
                             load_bundle, load_raster, read_header, resample,
                             save_bundle, save_raster)
@@ -90,6 +90,16 @@ class TestBundleIO:
         assert doc["nodata"] is None  # null stands for the NaN sentinel
         assert doc["timestamp"] == "2023-08-20"
         assert doc["orbit"] == "DES"
+
+    def test_bundle_checks_its_shape_and_stores_float32(self):
+        g = grid(w=3, h=2)
+        b = Bundle(g, ["x", "y"], np.arange(12, dtype=np.float64).reshape(2, 2, 3) / 3)
+        assert b.values.dtype == np.float32
+        assert b.values.tobytes() == (np.arange(12).reshape(2, 2, 3) / 3).astype(
+            np.float32).tobytes()
+        for shape in ((3, 2, 3), (2, 3, 2), (2, 6), (2, 2, 3, 1)):
+            with pytest.raises(ValueError, match="does not match 2 bands on grid 2x3"):
+                Bundle(g, ["x", "y"], np.zeros(shape, dtype=np.float32))
 
     def test_save_leaves_only_the_bundle(self, tmp_path):
         vals = np.arange(12, dtype=np.float64).reshape(4, 3).T  # not C-contiguous

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from vinesar import raster
-from vinesar.raster import GridSpec, Orbit, load_bundle, row_blocks
-from vinesar.sar import (DPRVI_BAND_NAME, PSD_TOL, RANK1_TOL, C2Raster, CovarianceError,
+from vinesar.raster import Bundle, GridSpec, Orbit, load_bundle, row_blocks
+from vinesar.sar import (C2_BAND_NAMES, DPRVI_BAND_NAME, PSD_TOL, RANK1_TOL, CovarianceError,
                          EigenPair, boxcar_filter, dp_params, dprvi_from_eigen,
                          dprvi_grd, dprvi_raster, eigen_decompose, load_c2,
-                         multilook, save_c2)
+                         multilook, save_c2, valid_mask)
 
 
 def grid(w, h):
@@ -21,12 +21,10 @@ def grid(w, h):
 
 
 def c2_raster(c11, c22, re, im, **kw):
-    c11 = np.asarray(c11, dtype=np.float32)
-    h, w = c11.shape
-    return C2Raster(spec=grid(w, h), c11=c11,
-                    c22=np.asarray(c22, dtype=np.float32),
-                    c12_re=np.asarray(re, dtype=np.float32),
-                    c12_im=np.asarray(im, dtype=np.float32), **kw)
+    """A covariance bundle from its four bands."""
+    values = np.stack([np.asarray(b, dtype=np.float32) for b in (c11, c22, re, im)])
+    _, h, w = values.shape
+    return Bundle(grid(w, h), list(C2_BAND_NAMES), values, **kw)
 
 
 def random_psd(rng, n):
@@ -175,7 +173,7 @@ class TestGrdForm:
             dprvi_grd(1.0, -1.0)
 
 
-class TestC2Raster:
+class TestCovarianceBundle:
     def test_save_load_bitwise(self, tmp_path):
         rng = np.random.default_rng(40)
         c11 = rng.uniform(0.5, 2.0, size=(4, 5))
@@ -187,10 +185,9 @@ class TestC2Raster:
         back = load_c2(tmp_path / "c2_20230527_DES")
         assert back.timestamp == c2.timestamp
         assert back.orbit == c2.orbit
-        assert back.c11.tobytes() == c2.c11.tobytes()
-        assert back.c22.tobytes() == c2.c22.tobytes()
-        assert back.c12_re.tobytes() == c2.c12_re.tobytes()
-        assert back.c12_im.tobytes() == c2.c12_im.tobytes()
+        assert back.band_names == list(C2_BAND_NAMES)
+        for k in range(4):
+            assert back.values[k].tobytes() == c2.values[k].tobytes()
 
     def test_load_masks_non_psd_pixel(self, tmp_path, caplog):
         rng = np.random.default_rng(41)
@@ -205,17 +202,24 @@ class TestC2Raster:
             back = load_c2(tmp_path / "c2_bad")
         good = np.ones((3, 4), dtype=bool)
         good[1, 2] = False
-        for name in ("c11", "c22", "c12_re", "c12_im"):
-            band = getattr(back, name)
+        for k in range(4):
+            band = back.values[k]
             assert math.isnan(band[1, 2])
-            assert band[good].tobytes() == getattr(c2, name)[good].tobytes()
+            assert band[good].tobytes() == c2.values[k][good].tobytes()
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert " 1 of 12 valid pixels" in warnings[0].getMessage()
 
     def test_valid_mask_requires_all_bands(self):
         c2 = c2_raster([[1.0, math.nan]], [[1.0, 1.0]], [[0.0, 0.0]], [[0.0, 0.0]])
-        assert c2.valid_mask().tolist() == [[True, False]]
+        assert valid_mask(c2.values).tolist() == [[True, False]]
+
+    def test_save_rejects_other_bands(self, tmp_path):
+        c2 = c2_raster([[1.0]], [[1.0]], [[0.0]], [[0.0]])
+        c2.band_names = ["C11", "C22", "C12_re", "X"]
+        with pytest.raises(ValueError, match="covariance bundle needs"):
+            save_c2(c2, tmp_path / "c2_bad")
+        assert not list(tmp_path.iterdir())
 
 
 class TestMultilook:
@@ -231,7 +235,7 @@ class TestMultilook:
             mag = rng.uniform(0.0, 0.9, size=(h, w)) * np.sqrt(c11 * c22)
             c2 = c2_raster(c11, c22, mag, 0.0 * mag)
             kill = rng.random(size=(h, w)) < 0.15
-            c2.c11[kill] = np.nan
+            c2.values[0][kill] = np.nan
             out = multilook(c2, wx, wy)
             assert out.spec.width == w // wx and out.spec.height == h // wy
             assert out.spec.pixel_size_x == pytest.approx(10.0 * wx)
@@ -239,13 +243,13 @@ class TestMultilook:
             for row in range(h // wy):
                 for col in range(w // wx):
                     blk = np.s_[row * wy:(row + 1) * wy, col * wx:(col + 1) * wx]
-                    vals = np.asarray(c2.c11[blk], dtype=np.float64)
+                    vals = np.asarray(c2.values[0][blk], dtype=np.float64)
                     ok = ~kill[blk]
                     if ok.any():
-                        assert out.c11[row, col] == pytest.approx(
+                        assert out.values[0][row, col] == pytest.approx(
                             float(np.mean(vals[ok])), rel=1e-6)
                     else:
-                        assert math.isnan(out.c11[row, col])
+                        assert math.isnan(out.values[0][row, col])
 
     def test_bands_with_different_nodata_pixels(self):
         # each band loses its own pixels; a block averages only the pixels
@@ -254,17 +258,17 @@ class TestMultilook:
         c2 = random_c2(rng, 12, 9, nodata=0.4)
         for wx, wy in ((1, 1), (3, 2), (2, 4), (9, 12)):
             out = multilook(c2, wx, wy)
-            valid = c2.valid_mask()
+            valid = valid_mask(c2.values)
             for row in range(12 // wy):
                 for col in range(9 // wx):
                     blk = np.s_[row * wy:(row + 1) * wy, col * wx:(col + 1) * wx]
                     ok = valid[blk]
-                    for name in BANDS:
-                        got = getattr(out, name)[row, col]
+                    for k in range(4):
+                        got = out.values[k][row, col]
                         if not ok.any():
                             assert math.isnan(got)
                             continue
-                        vals = np.asarray(getattr(c2, name)[blk], dtype=np.float64)[ok]
+                        vals = np.asarray(c2.values[k][blk], dtype=np.float64)[ok]
                         # float32 rounding of a float64 mean summed in another order
                         assert got == pytest.approx(np.mean(vals), rel=1e-6,
                                                     abs=1e-12 * np.abs(vals).max())
@@ -273,13 +277,13 @@ class TestMultilook:
         # NaN in one band invalidates the pixel for every band's mean
         c2 = c2_raster([[1.0, 3.0]], [[1.0, math.nan]], [[0.0, 0.0]], [[0.0, 0.0]])
         out = multilook(c2, 2, 1)
-        assert out.c11[0, 0] == np.float32(1.0)
+        assert out.values[0][0, 0] == np.float32(1.0)
 
     def test_origin_preserved_and_frozen_value(self):
         c2 = c2_raster([[1.0, 2.0], [3.0, 4.0]], np.full((2, 2), 1.0),
                        np.zeros((2, 2)), np.zeros((2, 2)))
         out = multilook(c2, 2, 2)
-        assert out.c11[0, 0] == np.float32(2.5)
+        assert out.values[0][0, 0] == np.float32(2.5)
         assert out.spec.origin_x == 0.0 and out.spec.origin_y == 0.0
 
     def test_rejects_bad_windows(self):
@@ -290,17 +294,14 @@ class TestMultilook:
             multilook(c2, 2, 1)  # wider than the raster
 
 
-BANDS = ("c11", "c22", "c12_re", "c12_im")
-
-
 def random_c2(rng, h, w, nodata=0.15):
     """Random PSD raster with a share of pixels NaN in one random band each."""
     c11, c22, re, im = random_psd(rng, h * w)
     c2 = c2_raster(*(b.reshape(h, w) for b in (c11, c22, re, im)))
     kill = rng.random(size=(h, w)) < nodata
     band = rng.integers(0, 4, size=(h, w))
-    for k, name in enumerate(BANDS):
-        getattr(c2, name)[kill & (band == k)] = np.nan
+    for k in range(4):
+        c2.values[k][kill & (band == k)] = np.nan
     return c2
 
 
@@ -308,29 +309,29 @@ def boxcar_oracle(c2, win):
     """Per-pixel float64 mean of the valid pixels in each clipped window."""
     h, w = c2.spec.height, c2.spec.width
     r = win // 2
-    valid = c2.valid_mask()
-    out = {name: np.full((h, w), np.nan) for name in BANDS}
+    valid = valid_mask(c2.values)
+    out = np.full((4, h, w), np.nan)
     for row in range(h):
         for col in range(w):
             ys = slice(max(0, row - r), min(h, row + r + 1))
             xs = slice(max(0, col - r), min(w, col + r + 1))
             ok = valid[ys, xs]
             if ok.any():
-                for name in BANDS:
-                    vals = np.asarray(getattr(c2, name)[ys, xs], dtype=np.float64)
-                    out[name][row, col] = np.mean(vals[ok])
+                for k in range(4):
+                    vals = np.asarray(c2.values[k][ys, xs], dtype=np.float64)
+                    out[k][row, col] = np.mean(vals[ok])
     return out
 
 
 def assert_matches_oracle(got, want):
-    for name in BANDS:
-        g = getattr(got, name)
-        w = want[name]
+    for k, name in enumerate(C2_BAND_NAMES):
+        g = got.values[k]
+        w = want[k]
         assert np.array_equal(np.isnan(g), np.isnan(w)), name
         # float32 output of sums taken through a summed-area table; the
         # off-diagonal bands change sign, so their means can cancel to ~0
         atol = 0.0
-        if name.startswith("c12") and np.isfinite(w).any():
+        if name.startswith("C12") and np.isfinite(w).any():
             atol = 1e-6 * np.nanmax(np.abs(w))
         np.testing.assert_allclose(g[np.isfinite(w)], w[np.isfinite(w)],
                                    rtol=1e-5, atol=atol, err_msg=name)
@@ -346,7 +347,7 @@ class TestBoxcar:
             mag = rng.uniform(0.0, 0.9, size=(h, w)) * np.sqrt(c11 * c22)
             phase = rng.uniform(-math.pi, math.pi, size=(h, w))
             c2 = c2_raster(c11, c22, mag * np.cos(phase), mag * np.sin(phase))
-            c2.c22[rng.random(size=(h, w)) < 0.2] = np.nan
+            c2.values[1][rng.random(size=(h, w)) < 0.2] = np.nan
             assert_matches_oracle(boxcar_filter(c2, win), boxcar_oracle(c2, win))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (3, 3)])
@@ -355,10 +356,10 @@ class TestBoxcar:
         c2 = random_c2(np.random.default_rng(61), *shape, nodata=0.3)
         out = boxcar_filter(c2, win)
         assert_matches_oracle(out, boxcar_oracle(c2, win))
-        if max(shape) - 1 <= win // 2 and c2.valid_mask().any():
+        if max(shape) - 1 <= win // 2 and valid_mask(c2.values).any():
             # every window holds the whole raster: one mean everywhere
-            for name in BANDS:
-                assert np.all(getattr(out, name) == getattr(out, name)[0, 0])
+            for band in out.values:
+                assert np.all(band == band[0, 0])
 
     def test_random_rasters_against_brute_force(self):
         rng = np.random.default_rng(62)
@@ -371,11 +372,10 @@ class TestBoxcar:
     def test_all_nodata_neighbourhood_is_nodata(self):
         rng = np.random.default_rng(63)
         c2 = random_c2(rng, 12, 11, nodata=0.0)
-        c2.c12_im[2:9, 3:10] = np.nan  # one band enough to void the pixel
+        c2.values[3][2:9, 3:10] = np.nan  # one band enough to void the pixel
         out = boxcar_filter(c2, 5)
         # a 5x5 window centred inside rows 4..6, cols 5..7 sees only the hole
-        for name in BANDS:
-            band = getattr(out, name)
+        for band in out.values:
             assert np.isnan(band[4:7, 5:8]).all()
             assert np.isfinite(band).sum() == band.size - 9
         assert_matches_oracle(out, boxcar_oracle(c2, 5))
@@ -383,7 +383,8 @@ class TestBoxcar:
     def test_window_one_is_identity(self):
         c2 = c2_raster([[1.0, 2.0]], [[0.5, 0.5]], [[0.1, 0.1]], [[0.0, 0.0]])
         out = boxcar_filter(c2, 1)
-        assert out.c11.tobytes() == c2.c11.tobytes()
+        assert out.values.tobytes() == c2.values.tobytes()
+        assert out.values is not c2.values
 
     def test_rejects_even_window(self):
         c2 = c2_raster([[1.0]], [[1.0]], [[0.0]], [[0.0]])
@@ -421,8 +422,7 @@ class TestDprviRaster:
                        re.reshape(20, 20), im.reshape(20, 20))
         out = dprvi_raster(c2)
         for i in range(0, 400, 7):
-            pair = eigen_decompose(float(c2.c11.flat[i]), float(c2.c22.flat[i]),
-                                   float(c2.c12_re.flat[i]), float(c2.c12_im.flat[i]))
+            pair = eigen_decompose(*(float(b.flat[i]) for b in c2.values))
             want = dprvi_from_eigen(pair)
             assert out.values.flat[i] == pytest.approx(want, rel=1e-6, abs=1e-7)
 
@@ -450,7 +450,7 @@ def eigen_reference(c11, c22, re, im):
 
 def dprvi_reference(c2):
     """The whole-raster index: (values, count of non-PSD pixels)."""
-    c11, c22, re, im = (getattr(c2, name).astype(np.float64) for name in BANDS)
+    c11, c22, re, im = c2.values.astype(np.float64)
     bad = not_psd_reference(c11, c22, re, im)
     l1, l2, finite = eigen_reference(c11, c22, re, im)
     bad &= finite
@@ -464,32 +464,56 @@ def blocked_c2(rng, h, w):
     """random_c2 with NaN pixels, non-PSD pixels, negative powers, zero
     matrices, exact rank-one and in-tolerance negative determinants."""
     c2 = random_c2(rng, h, w)
-    flat = {name: getattr(c2, name).reshape(-1) for name in BANDS}
+    c11, c22, re, im = c2.values.reshape(4, -1)
     n = h * w
     for i, k in enumerate(rng.choice(n, size=max(5, n // 10), replace=False)):
         kind = i % 5
-        c11 = float(flat["c11"][k]) if math.isfinite(flat["c11"][k]) else 1.0
+        power = float(c11[k]) if math.isfinite(c11[k]) else 1.0
         if kind == 0:    # |c12|^2 > c11 * c22
-            flat["c12_re"][k] = 3.0 * c11
-            flat["c22"][k] = c11
+            re[k] = 3.0 * power
+            c22[k] = power
         elif kind == 1:  # negative power
-            flat["c11"][k] = -c11
+            c11[k] = -power
         elif kind == 2:  # zero matrix
-            for name in BANDS:
-                flat[name][k] = 0.0
+            c2.values.reshape(4, -1)[:, k] = 0.0
         elif kind == 3:  # rank one, or a hair past it
-            flat["c22"][k] = c11
-            flat["c12_re"][k] = c11 * float(rng.choice([1.0, 1.0 + 1e-7]))
-            flat["c12_im"][k] = 0.0
+            c22[k] = power
+            re[k] = power * float(rng.choice([1.0, 1.0 + 1e-7]))
+            im[k] = 0.0
         else:
-            flat["c11"][k] = np.nan
+            c11[k] = np.nan
     return c2
 
 
+def four_band_valid(c2):
+    """Pixels whose four bands are all finite, one band at a time."""
+    c11, c22, re, im = c2.values
+    return np.isfinite(c11) & np.isfinite(c22) & np.isfinite(re) & np.isfinite(im)
+
+
+def multilook_reference(c2, win_x, win_y):
+    """The per-band multilook: one whole-scene float64 copy and one
+    reshape-sum per band, each band's means cast once to float32."""
+    hh, ww = c2.spec.height // win_y, c2.spec.width // win_x
+
+    def block_sums(a):
+        return a[:hh * win_y, :ww * win_x].reshape(hh, win_y, ww, win_x).sum(axis=(1, 3))
+
+    valid = four_band_valid(c2)
+    counts = block_sums(valid)
+    out = []
+    for band in c2.values:
+        sums = block_sums(np.where(valid, band.astype(np.float64), 0.0))
+        mean = np.full(sums.shape, np.nan)
+        np.divide(sums, counts, out=mean, where=counts > 0)
+        out.append(mean.astype(np.float32))
+    return out
+
+
 def boxcar_reference(c2, win):
-    """The whole-scene summed-area boxcar: float64 tables padded by np.pad,
-    one division per band, cast once to float32."""
-    valid = c2.valid_mask()
+    """The per-band, whole-scene summed-area boxcar: float64 tables padded
+    by np.pad, one division per band, cast once to float32."""
+    valid = four_band_valid(c2)
     h, w = valid.shape
 
     def window_sums(a):
@@ -500,12 +524,12 @@ def boxcar_reference(c2, win):
                 - t[win:win + h, :w] + t[:h, :w])
 
     counts = window_sums(valid.astype(np.int64))
-    out = {}
-    for name in BANDS:
-        sums = window_sums(np.where(valid, getattr(c2, name).astype(np.float64), 0.0))
+    out = []
+    for band in c2.values:
+        sums = window_sums(np.where(valid, band.astype(np.float64), 0.0))
         mean = np.full((h, w), np.nan)
         np.divide(sums, counts, out=mean, where=counts > 0)
-        out[name] = mean.astype(np.float32)
+        out.append(mean.astype(np.float32))
     return out
 
 
@@ -533,11 +557,24 @@ class TestBlockedKernels:
     def test_boxcar_is_byte_equal_to_whole_raster(self, block_shape, win):
         h, w = block_shape
         c2 = blocked_c2(np.random.default_rng(h * 1000 + w + 2), h, w)
-        assert not c2.valid_mask().all()
+        assert not valid_mask(c2.values).all()
         want = boxcar_reference(c2, win)
         got = boxcar_filter(c2, win)
-        for name in BANDS:
-            assert getattr(got, name).tobytes() == want[name].tobytes(), name
+        for k, name in enumerate(C2_BAND_NAMES):
+            assert got.values[k].tobytes() == want[k].tobytes(), name
+
+    def test_multilook_is_byte_equal_to_per_band(self, block_shape):
+        h, w = block_shape
+        c2 = blocked_c2(np.random.default_rng(h * 1000 + w + 3), h, w)
+        assert not valid_mask(c2.values).all()
+        for wx, wy in ((1, 1), (2, 1), (1, 2), (3, 2), (4, 4)):
+            if wx > w or wy > h:
+                continue
+            want = multilook_reference(c2, wx, wy)
+            got = multilook(c2, wx, wy)
+            assert got.values.shape == (4, h // wy, w // wx)
+            for k, name in enumerate(C2_BAND_NAMES):
+                assert got.values[k].tobytes() == want[k].tobytes(), (wx, wy, name)
 
     def test_load_c2_is_byte_equal_to_whole_raster(self, block_shape, tmp_path, caplog):
         h, w = block_shape
@@ -549,8 +586,8 @@ class TestBlockedKernels:
         want[:, bad] = np.nan
         with caplog.at_level("WARNING"):
             got = load_c2(tmp_path / "c2_blocks")
-        for k, name in enumerate(BANDS):
-            assert getattr(got, name).tobytes() == want[k].tobytes(), name
+        for k, name in enumerate(C2_BAND_NAMES):
+            assert got.values[k].tobytes() == want[k].tobytes(), name
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert f" {int(bad.sum())} of {int(valid.sum())} valid pixels" in warnings[0]

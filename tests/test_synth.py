@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vinesar.raster import GridSpec, Orbit
-from vinesar.sar import _not_psd, dprvi_raster
+from vinesar.sar import C2_BAND_NAMES, _not_psd, dprvi_raster
 from vinesar.synth import (Region, SceneSpec, _counter_normals,
                            _counter_uniforms, derive_seed, generate_scene,
                            scene_from_dict)
@@ -114,14 +114,15 @@ class TestGenerateScene:
                          looks=5, seed=31415)
         a = generate_scene(spec)
         b = generate_scene(spec)
-        for band in ("c11", "c22", "c12_re", "c12_im"):
-            assert getattr(a, band).tobytes() == getattr(b, band).tobytes()
+        assert a.band_names == list(C2_BAND_NAMES)
+        for k in range(4):
+            assert a.values[k].tobytes() == b.values[k].tobytes()
 
     def test_seed_changes_scene(self):
         base = dict(spec=grid(10, 10), background=(1.0, 0.5, 0.0, 0.0), looks=3)
         a = generate_scene(SceneSpec(seed=1, **base))
         b = generate_scene(SceneSpec(seed=2, **base))
-        assert not np.array_equal(a.c11, b.c11)
+        assert not np.array_equal(a.values[0], b.values[0])
 
     def test_metadata_passthrough(self):
         spec = SceneSpec(spec=grid(4, 4), background=(1.0, 0.5, 0.0, 0.0),
@@ -131,24 +132,26 @@ class TestGenerateScene:
         assert out.timestamp == dt.date(2023, 4, 21)
         assert out.orbit == Orbit.DESCENDING
         assert out.spec == spec.spec
-        assert out.c11.dtype == np.float32
+        assert out.values.dtype == np.float32
 
     def test_scene_mean_matches_truth(self):
         true = (1.0, 0.6, 0.3, -0.2)
         spec = SceneSpec(spec=grid(80, 80), background=true, looks=9, seed=99)
         out = generate_scene(spec)
-        assert float(out.c11.mean()) == pytest.approx(true[0], abs=0.03)
-        assert float(out.c22.mean()) == pytest.approx(true[1], abs=0.03)
-        assert float(out.c12_re.mean()) == pytest.approx(true[2], abs=0.03)
-        assert float(out.c12_im.mean()) == pytest.approx(true[3], abs=0.03)
+        c11, c22, re, im = out.values
+        assert float(c11.mean()) == pytest.approx(true[0], abs=0.03)
+        assert float(c22.mean()) == pytest.approx(true[1], abs=0.03)
+        assert float(re.mean()) == pytest.approx(true[2], abs=0.03)
+        assert float(im.mean()) == pytest.approx(true[3], abs=0.03)
 
     def test_regions_paint_their_rectangles(self):
         reg = Region((10, 10, 30, 30), (4.0, 0.2, 0.0, 0.0))
         spec = SceneSpec(spec=grid(40, 40), background=(1.0, 0.5, 0.0, 0.0),
                          regions=[reg], looks=25, seed=6)
         out = generate_scene(spec)
-        inside = out.c11[10:30, 10:30]
-        outside_mean = (float(out.c11.sum()) - float(inside.sum())) / (1600 - 400)
+        c11 = out.values[0]
+        inside = c11[10:30, 10:30]
+        outside_mean = (float(c11.sum()) - float(inside.sum())) / (1600 - 400)
         assert float(inside.mean()) == pytest.approx(4.0, abs=0.2)
         assert outside_mean == pytest.approx(1.0, abs=0.1)
 
@@ -159,8 +162,8 @@ class TestGenerateScene:
                          regions=[first, second], looks=64, seed=12)
         with caplog.at_level("WARNING"):
             out = generate_scene(spec)
-        assert float(out.c11[:, 2:4].mean()) > 10.0  # first region's power
-        assert float(out.c11[:, 4:6].mean()) < 1.0   # second region alone
+        assert float(out.values[0][:, 2:4].mean()) > 10.0  # first region's power
+        assert float(out.values[0][:, 4:6].mean()) < 1.0   # second region alone
         assert any("more than one region" in r.message for r in caplog.records)
 
     def test_out_of_grid_region_is_ignored(self, caplog):
@@ -169,7 +172,7 @@ class TestGenerateScene:
                          regions=[reg], looks=16, seed=3)
         with caplog.at_level("WARNING"):
             out = generate_scene(spec)
-        assert float(out.c11.mean()) == pytest.approx(1.0, abs=0.15)
+        assert float(out.values[0].mean()) == pytest.approx(1.0, abs=0.15)
         assert any("outside" in r.message for r in caplog.records)
 
     def test_single_look_index_is_exactly_zero(self):
@@ -183,8 +186,7 @@ class TestGenerateScene:
         spec = SceneSpec(spec=grid(20, 20), background=(2.0, 0.8, 0.9, -0.4),
                          looks=looks, seed=90)
         out = generate_scene(spec)
-        bands = (out.c11, out.c22, out.c12_re, out.c12_im)
-        assert not np.any(_not_psd(*(b.astype(np.float64) for b in bands)))
+        assert not np.any(_not_psd(*out.values.astype(np.float64)))
 
 
 class TestSamplerMoments:
@@ -203,8 +205,7 @@ class TestSamplerMoments:
         s11, s22, s_re, s_im = self.TRUE
         out = generate_scene(SceneSpec(spec=grid(200, 200), background=self.TRUE,
                                        looks=looks, seed=4096 + looks))
-        c11, c22, re, im = (getattr(out, b).astype(np.float64).ravel()
-                            for b in ("c11", "c22", "c12_re", "c12_im"))
+        c11, c22, re, im = out.values.astype(np.float64).reshape(4, -1)
         n = c11.size
         off = s11 * s22 / looks
         for got, want, var in ((c11, s11, s11 ** 2 / looks), (c22, s22, s22 ** 2 / looks),
@@ -219,9 +220,10 @@ class TestSamplerMoments:
         # a product of 2000 uniforms underflows to 0; the sum of their logs does not
         out = generate_scene(SceneSpec(spec=grid(8, 8), background=self.TRUE,
                                        looks=2000, seed=5))
-        assert np.isfinite(out.c11).all() and np.isfinite(out.c22).all()
-        assert float(out.c11.mean()) == pytest.approx(2.0, rel=0.02)
-        assert float(out.c22.mean()) == pytest.approx(0.8, rel=0.02)
+        c11, c22 = out.values[:2]
+        assert np.isfinite(c11).all() and np.isfinite(c22).all()
+        assert float(c11.mean()) == pytest.approx(2.0, rel=0.02)
+        assert float(c22.mean()) == pytest.approx(0.8, rel=0.02)
 
 
 class TestOrderIndependence:
@@ -232,8 +234,8 @@ class TestOrderIndependence:
                     regions=[Region((10, 3, 40, 30), (3.0, 0.4, 0.2, 0.3))])
         short = generate_scene(SceneSpec(spec=grid(64, 25), **base))
         tall = generate_scene(SceneSpec(spec=grid(64, 70), **base))
-        for band in ("c11", "c22", "c12_re", "c12_im"):
-            assert getattr(short, band).tobytes() == getattr(tall, band)[:25].tobytes()
+        for k in range(4):
+            assert short.values[k].tobytes() == tall.values[k][:25].tobytes()
 
     def test_background_pixel_ignores_regions_elsewhere(self):
         base = dict(spec=grid(30, 20), background=(1.0, 0.5, 0.1, -0.1), looks=9, seed=77)
@@ -242,8 +244,7 @@ class TestOrderIndependence:
             regions=[Region((5, 4, 12, 15), (4.0, 2.0, 0.0, 1.0))], **base))
         outside = np.ones((20, 30), dtype=bool)
         outside[4:15, 5:12] = False
-        for band in ("c11", "c22", "c12_re", "c12_im"):
-            a, b = getattr(plain, band), getattr(painted, band)
+        for a, b in zip(plain.values, painted.values):
             assert a[outside].tobytes() == b[outside].tobytes()
             assert not np.array_equal(a[~outside], b[~outside])
 
