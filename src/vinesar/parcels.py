@@ -498,7 +498,8 @@ def read_zonal_csv(path: str | Path) -> list[ZonalStats]:
     """The rows of a zonal.csv that write_zonal_csv wrote.
 
     Raises ValueError, naming the file and line, for a wrong header, a row
-    with the wrong number of cells or a cell that does not convert.
+    with the wrong number of cells, a cell that does not convert or a
+    non-finite statistic, which zonal_stats never writes.
     """
     dates: dict[str, Optional[dt.date]] = {"": None}
     orbits: dict[str, Optional[Orbit]] = {"": None}
@@ -511,7 +512,10 @@ def read_zonal_csv(path: str | Path) -> list[ZonalStats]:
         kind = orbits.get(orbit)
         if kind is None and orbit:
             kind = orbits[orbit] = Orbit(orbit)
-        return ZonalStats(pid, band, timestamp, kind, int(count), float(mean),
-                          float(std), float(lo), float(hi))
+        values = float(mean), float(std), float(lo), float(hi)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"statistics must be finite, got mean {mean}, "
+                             f"std {std}, min {lo}, max {hi}")
+        return ZonalStats(pid, band, timestamp, kind, int(count), *values)
 
     return read_table(path, ZONAL_CSV_HEADER, convert)

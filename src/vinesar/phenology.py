@@ -38,8 +38,11 @@ class WeatherRecord:
             raise ValueError(f"{self.date}: temperatures must be finite")
         if self.tmin_c > self.tmax_c:
             raise ValueError(f"{self.date}: tmin {self.tmin_c} exceeds tmax {self.tmax_c}")
-        if self.precip_mm is not None and self.precip_mm < 0:
-            raise ValueError(f"{self.date}: negative precipitation {self.precip_mm}")
+        if self.precip_mm is not None:
+            if not math.isfinite(self.precip_mm):
+                raise ValueError(f"{self.date}: precipitation must be finite")
+            if self.precip_mm < 0:
+                raise ValueError(f"{self.date}: negative precipitation {self.precip_mm}")
 
 
 def load_weather_csv(path: str | Path) -> list[WeatherRecord]:
@@ -94,8 +97,6 @@ class DegreeDaySeries:
     """Cumulative degree days, one entry per calendar day from the start."""
 
     entries: list[DegreeDayEntry]
-    t_base_c: float
-    start: dt.date
 
     def covers(self, day: dt.date) -> bool:
         """Whether ``day`` lies within the accumulated range."""
@@ -149,7 +150,7 @@ def accumulate_cdd(records: Sequence[WeatherRecord],
     if gaps:
         log.warning("degree-day accumulation: %d days missing from the weather "
                     "record contributed 0", gaps)
-    return DegreeDaySeries(entries=entries, t_base_c=t_base_c, start=start)
+    return DegreeDaySeries(entries)
 
 
 def fit_cdd_vs_doy(series: DegreeDaySeries) -> "trend.ParabolicFit":

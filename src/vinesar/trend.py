@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,9 +117,6 @@ class ParabolicFit:
     r: float
     r_squared: float
     vertex_x: Optional[float]
-
-    def predict(self, x: float) -> float:
-        return (self.a * x + self.b) * x + self.c
 
 
 def fit_quadratic(xs: Sequence[float], ys: Sequence[float]) -> ParabolicFit:
@@ -303,44 +300,16 @@ SCATTER_CSV_HEADER = ("parcel_id", "date_a", "date_b", "index_a", "value_a",
                       "index_b", "value_b", "month")
 
 
-def scatter_export(pairs: Sequence[PairedSample], parcel_id: str,
-                   index_a: str, index_b: str) -> list[dict]:
-    """Rows for a paired scatter plot, tagged with the month of the first date."""
-    rows = []
-    for p in pairs:
-        rows.append({
-            "parcel_id": parcel_id,
-            "date_a": p.date_a.isoformat(),
-            "date_b": p.date_b.isoformat(),
-            "index_a": index_a,
-            "value_a": p.y_a,
-            "index_b": index_b,
-            "value_b": p.y_b,
-            "month": MONTH_ABBR[p.date_a.month - 1],
-        })
-    return rows
-
-
-def write_scatter_csv(rows: Sequence[dict], path: str | Path) -> None:
-    write_table(path, SCATTER_CSV_HEADER, (
-        (row["parcel_id"], row["date_a"], row["date_b"],
-         row["index_a"], float(row["value_a"]),
-         row["index_b"], float(row["value_b"]), row["month"]) for row in rows))
+def write_scatter_csv(rows: Iterable[tuple], path: str | Path) -> None:
+    write_table(path, SCATTER_CSV_HEADER, rows)
 
 
 TREND_CSV_HEADER = ("parcel_id", "orbit", "peak_date", "fit_r", "fit_r2",
                     "a", "b", "c", "vertex_x", "n")
 
 
-def write_trend_csv(rows: Sequence[dict], path: str | Path) -> None:
-    """Rows: parcel_id, orbit, peak_date, fit (may be None), n."""
-    def cells(row: dict) -> tuple:
-        fit: Optional[ParabolicFit] = row.get("fit")
-        fitted = ((fit.r, fit.r_squared, fit.a, fit.b, fit.c, fit.vertex_x)
-                  if fit else (None,) * 6)
-        return (row["parcel_id"], row.get("orbit"), row["peak_date"], *fitted, row["n"])
-
-    write_table(path, TREND_CSV_HEADER, map(cells, rows))
+def write_trend_csv(rows: Iterable[tuple], path: str | Path) -> None:
+    write_table(path, TREND_CSV_HEADER, rows)
 
 
 TREND_GROUPS_CSV_HEADER = ("orientation", "orbit", "mean_fit_r", "n_parcels")
@@ -349,28 +318,19 @@ CORRELATION_CSV_HEADER = ("index_a", "index_b", "parcel_id", "orbit",
                           "n", "r", "max_gap_days")
 
 
-def write_correlation_csv(rows: Sequence[dict], path: str | Path) -> None:
-    def cells(row: dict) -> tuple:
-        res: CorrelationResult = row["result"]
-        return (res.series_a, res.series_b, row["parcel_id"], row.get("orbit"),
-                res.n, res.r, res.max_gap_days)
-
-    write_table(path, CORRELATION_CSV_HEADER, map(cells, rows))
+def write_correlation_csv(rows: Iterable[tuple], path: str | Path) -> None:
+    write_table(path, CORRELATION_CSV_HEADER, rows)
 
 
 @dataclass
 class SeasonTables:
-    """The rows of the four season tables, each list in file order.
+    """The rows of the four season tables, each list in file order and each
+    row the tuple of its table's cells in header order."""
 
-    ``trend``, ``correlation`` and ``scatter`` are the rows that
-    write_trend_csv, write_correlation_csv and write_scatter_csv take; a
-    ``groups`` row holds the cells of TREND_GROUPS_CSV_HEADER.
-    """
-
-    trend: list[dict] = field(default_factory=list)
+    trend: list[tuple] = field(default_factory=list)
     groups: list[tuple] = field(default_factory=list)
-    correlation: list[dict] = field(default_factory=list)
-    scatter: list[dict] = field(default_factory=list)
+    correlation: list[tuple] = field(default_factory=list)
+    scatter: list[tuple] = field(default_factory=list)
 
 
 def season_tables(stats: Sequence[ZonalStats], orientation: dict[str, Orientation],
@@ -420,8 +380,8 @@ def season_tables(stats: Sequence[ZonalStats], orientation: dict[str, Orientatio
             log.warning("%s: %s vs %s skipped (%s)", a.parcel_id, a.index_name,
                         b.index_name, e)
             return None
-        tables.correlation.append({"result": res, "parcel_id": a.parcel_id,
-                                   "orbit": a.orbit})
+        tables.correlation.append((res.series_a, res.series_b, a.parcel_id, a.orbit,
+                                   res.n, res.r, res.max_gap_days))
         return res
 
     # the keys are sorted and "DpRVI" sorts before "LAI", "NDVI" and "SVHI",
@@ -429,19 +389,21 @@ def season_tables(stats: Sequence[ZonalStats], orientation: dict[str, Orientatio
     for (parcel_id, band, orbit_tag), ts in series.items():
         if band == DPRVI_BAND_NAME:
             peak_date, _ = peak(ts)
-            fit = None
+            fitted = (None,) * 6
             try:
                 fit = fit_parabola(ts)
                 fits.append((parcel_id, orbit_tag, fit.r))
+                fitted = (fit.r, fit.r_squared, fit.a, fit.b, fit.c, fit.vertex_x)
             except ValueError as e:
                 log.warning("%s/%s %s: no fit (%s)", parcel_id, band, orbit_tag or "-", e)
-            tables.trend.append({"parcel_id": parcel_id, "orbit": ts.orbit,
-                                 "peak_date": peak_date, "fit": fit, "n": len(ts.samples)})
+            tables.trend.append((parcel_id, ts.orbit, peak_date, *fitted, len(ts.samples)))
             for opt_band in (LAI_BAND_NAME, NDVI_BAND_NAME, SVHI_BAND_NAME):
                 opt = series.get((parcel_id, opt_band, ""))
                 res = correlate(ts, opt) if opt is not None else None
                 if res is not None and opt_band == LAI_BAND_NAME:
-                    tables.scatter.extend(scatter_export(res.pairs, parcel_id, band, opt_band))
+                    tables.scatter.extend(
+                        (parcel_id, p.date_a, p.date_b, band, p.y_a, opt_band, p.y_b,
+                         MONTH_ABBR[p.date_a.month - 1]) for p in res.pairs)
         elif band == NDVI_BAND_NAME and not orbit_tag:
             svhi = series.get((parcel_id, SVHI_BAND_NAME, ""))
             if svhi is not None:

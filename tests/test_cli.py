@@ -544,6 +544,20 @@ class TestDegreeDaysCommand:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"{weather}, line 3: {n_cells} cells, expected 4"]
 
+    @pytest.mark.parametrize("stage", ["degree-days", "trend"])
+    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    def test_non_finite_precipitation_is_one_error_line(self, campaign_run, tmp_path,
+                                                        caplog, stage, value):
+        root = trend_workspace(campaign_run, tmp_path)
+        weather = root / "weather.csv"
+        lines = weather.read_text().splitlines()
+        assert lines[0].split(",")[3] == "precip_mm"
+        lines[2] = ",".join(lines[2].split(",")[:3] + [value])
+        weather.write_text("\n".join(lines) + "\n")
+        assert run_cli(stage, "--config", str(root / "config.json")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{weather}, line 3: 2023-01-02: precipitation must be finite"]
+
 
 class TestTrendCommand:
     def test_trend_rows(self, campaign_run):
@@ -689,8 +703,12 @@ class TestTrendCommand:
         (lambda cells: cells[:3] + ["EAST"] + cells[4:], "'EAST' is not a valid Orbit"),
         (lambda cells: cells[:4] + ["12.5"] + cells[5:], "invalid literal for int()"),
         (lambda cells: cells[:5] + [""] + cells[6:], "could not convert string to float"),
+        (lambda cells: cells[:5] + ["nan"] + cells[6:], "statistics must be finite"),
+        (lambda cells: cells[:5] + ["1e400"] + cells[6:], "statistics must be finite"),
+        (lambda cells: cells[:6] + ["-nan"] + cells[7:], "statistics must be finite"),
+        (lambda cells: cells[:8] + ["inf"], "statistics must be finite"),
     ], ids=["short-row", "shifted-row", "bad-date", "bad-orbit", "fractional-count",
-            "empty-mean"])
+            "empty-mean", "nan-mean", "infinite-mean", "nan-std", "infinite-max"])
     def test_malformed_zonal_row_is_one_error_line(self, campaign_run, tmp_path, caplog,
                                                    edit, problem):
         root = trend_workspace(campaign_run, tmp_path)
@@ -727,53 +745,152 @@ CELL_MUTATIONS = {
 }
 
 
+# the tables a stage reads, by the name the CSV property test gives them:
+# (file under the workspace, the stages that read it)
+CSV_READERS = {
+    "weather": ("weather.csv", ("degree-days", "trend")),
+    "weather-no-precip": ("weather.csv", ("degree-days", "trend")),
+    "zonal": ("out/zonal.csv", ("trend",)),
+    "trend": ("out/trend.csv", ("report",)),
+    "trend_groups": ("out/trend_groups.csv", ("report",)),
+    "correlation": ("out/correlation.csv", ("report",)),
+}
+
+
+def assert_exit_0_or_one_error_line(argv, names):
+    """Run the CLI on ``argv`` and check that it exits 0 with no error line,
+    or 1 with exactly one error line naming one of ``names``."""
+    handler = ErrorLines()
+    logger = logging.getLogger("vinesar")
+    logger.addHandler(handler)
+    try:
+        rc = run_cli(*argv)
+    finally:
+        logger.removeHandler(handler)
+    if rc == 0:
+        assert handler.lines == [], (argv, handler.lines)
+    else:
+        assert rc == 1, (argv, rc)
+        assert len(handler.lines) == 1, (argv, handler.lines)
+        assert any(str(name) in handler.lines[0] for name in names), (argv, handler.lines)
+
+
 class TestCsvBoundaries:
     """A one-cell mutation of a table a later stage reads gives exit 0, or
     exit 1 with exactly one error line naming the file; never a traceback.
     weather.csv is read by degree-days and trend, with and without its
-    optional precip_mm column; zonal.csv is read by trend."""
+    optional precip_mm column; zonal.csv is read by trend; trend.csv,
+    trend_groups.csv and correlation.csv are read by report."""
 
     @pytest.fixture(scope="class")
     def workspace(self, campaign_run, tmp_path_factory):
         root = trend_workspace(campaign_run, tmp_path_factory.mktemp("csv-boundaries"))
-        return root, root.joinpath("weather.csv").read_text(), \
-            root.joinpath("out", "zonal.csv").read_text()
+        for name in ("trend.csv", "trend_groups.csv", "correlation.csv"):
+            shutil.copy(campaign_run["out"] / name, root / "out" / name)
+        return root, {file: (root / file).read_text() for file, _ in CSV_READERS.values()}
 
-    @settings(max_examples=100)
-    @given(table=st.sampled_from(["weather", "weather-no-precip", "zonal"]),
+    @settings(max_examples=150)
+    @given(table=st.sampled_from(sorted(CSV_READERS)),
            line=st.integers(0, 10 ** 6), cell=st.integers(0, 100),
            mutation=st.sampled_from(sorted(CELL_MUTATIONS)))
     @example(table="weather-no-precip", line=2, cell=2, mutation="drop")
+    @example(table="zonal", line=6, cell=5, mutation="nan")
+    @example(table="weather", line=2, cell=3, mutation="1e400")
     def test_one_cell_mutation(self, workspace, table, line, cell, mutation):
-        root, weather_text, zonal_text = workspace
-        weather, zonal = root / "weather.csv", root / "out" / "zonal.csv"
-        rows = [r.split(",") for r in (zonal_text if table == "zonal"
-                                        else weather_text).splitlines()]
+        root, texts = workspace
+        file, stages = CSV_READERS[table]
+        rows = [r.split(",") for r in texts[file].splitlines()]
         if table == "weather-no-precip":
             rows = [r[:-1] for r in rows]
         k = line % len(rows)
         rows[k] = CELL_MUTATIONS[mutation](rows[k], cell % len(rows[k]))
-        text = "\n".join(",".join(r) for r in rows) + "\n"
-        target = zonal if table == "zonal" else weather
-        weather.write_text(weather_text)
-        zonal.write_text(zonal_text)
-        target.write_text(text)
-        stages = ["trend"] if table == "zonal" else ["degree-days", "trend"]
-        handler = ErrorLines()
-        logger = logging.getLogger("vinesar")
-        logger.addHandler(handler)
+        for name, text in texts.items():
+            (root / name).write_text(text)
+        (root / file).write_text("\n".join(",".join(r) for r in rows) + "\n")
+        for stage in stages:
+            assert_exit_0_or_one_error_line([stage, "--config", str(root / "config.json")],
+                                            [root / file])
+
+
+# any JSON value: strings are plain names, so that a path key stays inside
+# the workspace; a few valid values of the enumerated keys are mixed in
+NAME_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(NAME_CHARS, max_size=12)
+    | st.sampled_from(["cdd", "doy", "nearest", "bilinear", "2x2", "ASC", "DES",
+                       "2023-04-21", "<f4", "EPSG:32632"]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(NAME_CHARS, max_size=6), children,
+                                        max_size=4)),
+    max_leaves=8)
+
+BUNDLE_HEADER_FIELDS = ("width", "height", "origin_x", "origin_y", "pixel_size_x",
+                        "pixel_size_y", "crs", "bands", "dtype", "nodata", "timestamp",
+                        "orbit")
+
+
+class TestJsonBoundaries:
+    """Any JSON value for one config key or one bundle-header field gives exit
+    0, or exit 1 with exactly one error line naming the file; never a
+    traceback. Config keys go through degree-days, trend and report, header
+    fields through sar-index (a covariance bundle) and zonal (an index
+    bundle)."""
+
+    @pytest.fixture(scope="class")
+    def workspace(self, campaign_run, tmp_path_factory):
+        root = trend_workspace(campaign_run, tmp_path_factory.mktemp("json-boundaries"))
+        c2 = next(campaign_run["out"].glob("c2_*.json"))
+        dprvi = next(campaign_run["out"].glob("dprvi_*.json"))
+        for src, dst in ((c2, root / "raw"), (dprvi, root / "index")):
+            dst.mkdir()
+            shutil.copy(src, dst)
+            shutil.copy(src.with_suffix(".bin"), dst)
+        doc = json.loads((root / "config.json").read_text())
+        (root / "headers.json").write_text(json.dumps(dict(doc, rasters_dir="raw")))
+        return root, doc, root / "raw" / c2.name, root / "index" / dprvi.name
+
+    @settings(max_examples=150)
+    @given(key=st.sampled_from(sorted(cli._CONFIG_KEYS)), value=JSON_VALUES)
+    @example(key="t_base", value=-1e308)
+    @example(key="out_dir", value="elsewhere")
+    @example(key="out_dir", value=None)
+    def test_config_value(self, workspace, key, value):
+        root, doc, _, _ = workspace
+        config = root / "fuzz.json"
+        config.write_text(json.dumps(dict(doc, **{key: value})))
+        # a path value may name a missing file or folder instead, and a null
+        # leaves the key's default: "out" under the working directory, or an
+        # unset parcels or weather path, which the error names by its key
+        names = [config] + ([root / value] if isinstance(value, str) else []) \
+            + ([f'"{key}"'] if value is None else [])
+        cwd = os.getcwd()
+        os.chdir(root)
         try:
-            for stage in stages:
-                handler.lines.clear()
-                rc = run_cli(stage, "--config", str(root / "config.json"))
-                if rc == 0:
-                    assert handler.lines == [], (stage, handler.lines)
-                else:
-                    assert rc == 1, (stage, rc)
-                    assert len(handler.lines) == 1, (stage, handler.lines)
-                    assert str(target) in handler.lines[0], (stage, handler.lines)
+            for stage in ("degree-days", "trend", "report"):
+                assert_exit_0_or_one_error_line([stage, "--config", str(config)], names)
         finally:
-            logger.removeHandler(handler)
+            os.chdir(cwd)
+
+    @settings(max_examples=150)
+    @given(stage=st.sampled_from(["sar-index", "zonal"]),
+           field=st.sampled_from(BUNDLE_HEADER_FIELDS), value=JSON_VALUES)
+    @example(stage="zonal", field="pixel_size_x", value=1e300)
+    @example(stage="sar-index", field="bands", value=[{"name": "C11"}])
+    def test_header_value(self, workspace, stage, field, value):
+        root, _, c2, dprvi = workspace
+        bundle = c2 if stage == "sar-index" else dprvi
+        text = bundle.read_text()
+        # zonal reads and writes its out folder; sar-index writes elsewhere
+        out = root / "sar-out" if stage == "sar-index" else bundle.parent
+        try:
+            bundle.write_text(json.dumps(dict(json.loads(text), **{field: value})))
+            # the .bin of a payload size error shares the header's stem
+            assert_exit_0_or_one_error_line(
+                [stage, "--config", str(root / "headers.json"), "--out", str(out)],
+                [bundle.with_suffix("")])
+        finally:
+            bundle.write_text(text)
 
 
 class TestReportCommand:

@@ -17,9 +17,9 @@ from vinesar.trend import (CORRELATION_CSV_HEADER, SCATTER_CSV_HEADER,
                            TREND_CSV_HEADER, Abscissa, CorrelationResult,
                            ParabolicFit, Sample, TimeSeries, assemble_series,
                            correlate_series, fit_parabola, fit_quadratic,
-                           pair_dates, peak, pearson, scatter_export,
-                           season_tables, write_correlation_csv,
-                           write_scatter_csv, write_trend_csv)
+                           pair_dates, peak, pearson, season_tables,
+                           write_correlation_csv, write_scatter_csv,
+                           write_trend_csv)
 
 
 def series(dates_values, pid="p", index="DpRVI", orbit=None):
@@ -187,11 +187,6 @@ class TestFitQuadratic:
         direct = fit_quadratic(s.xs(), s.ys())
         assert fit == direct
         assert isinstance(fit, ParabolicFit)
-
-    def test_predict(self):
-        fit = ParabolicFit(a=2.0, b=-1.0, c=3.0, r=1.0, r_squared=1.0,
-                           vertex_x=0.25)
-        assert fit.predict(2.0) == pytest.approx(2 * 4 - 2 + 3, abs=1e-15)
 
 
 class TestPearson:
@@ -440,10 +435,9 @@ class TestCsvWriters:
     def test_trend_csv_schema_and_blank_fit(self, tmp_path):
         fit = fit_quadratic([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         rows = [
-            {"parcel_id": "p1", "orbit": Orbit.ASCENDING,
-             "peak_date": day(6, 21), "fit": fit, "n": 6},
-            {"parcel_id": "p2", "orbit": None, "peak_date": day(6, 20),
-             "fit": None, "n": 2},
+            ("p1", Orbit.ASCENDING, day(6, 21),
+             fit.r, fit.r_squared, fit.a, fit.b, fit.c, fit.vertex_x, 6),
+            ("p2", None, day(6, 20), *(None,) * 6, 2),
         ]
         path = tmp_path / "trend.csv"
         write_trend_csv(rows, path)
@@ -460,8 +454,8 @@ class TestCsvWriters:
     def test_correlation_csv(self, tmp_path):
         res = CorrelationResult("DpRVI", "LAI", 6, 0.87, 7)
         path = tmp_path / "correlation.csv"
-        write_correlation_csv([{"result": res, "parcel_id": "p1",
-                                "orbit": Orbit.DESCENDING}], path)
+        write_correlation_csv([(res.series_a, res.series_b, "p1", Orbit.DESCENDING,
+                                res.n, res.r, res.max_gap_days)], path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(CORRELATION_CSV_HEADER)
         assert lines[1] == "DpRVI,LAI,p1,DES,6,0.87,7"
@@ -469,8 +463,9 @@ class TestCsvWriters:
     def test_scatter_round_trip(self, tmp_path):
         a = series([(day(3, 28), 0.41), (day(7, 20), 0.733)])
         b = series([(day(3, 27), 0.30), (day(7, 25), 2.41)], index="LAI")
-        rows = scatter_export(pair_dates(a, b, 7), "p1", "DpRVI", "LAI")
-        assert [r["month"] for r in rows] == ["Mar", "Jul"]
+        rows = [("p1", p.date_a, p.date_b, "DpRVI", p.y_a, "LAI", p.y_b,
+                 trend.MONTH_ABBR[p.date_a.month - 1]) for p in pair_dates(a, b, 7)]
+        assert [r[7] for r in rows] == ["Mar", "Jul"]
         path = tmp_path / "scatter.csv"
         write_scatter_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -482,13 +477,13 @@ class TestCsvWriters:
         assert back[0]["date_b"] == "2023-03-27"
 
     def test_month_names_are_locale_independent(self):
-        a = series([(dt.date(2023, m, 15), float(m)) for m in range(1, 13)])
-        b = series([(dt.date(2023, m, 15), float(m)) for m in range(1, 13)],
-                   index="LAI")
-        rows = scatter_export(pair_dates(a, b, 0), "p", "DpRVI", "LAI")
-        assert [r["month"] for r in rows] == ["Jan", "Feb", "Mar", "Apr", "May",
-                                              "Jun", "Jul", "Aug", "Sep", "Oct",
-                                              "Nov", "Dec"]
+        rows = [zrow("p", band, dt.date(2023, m, 15), float(m), orbit)
+                for band, orbit in (("DpRVI", Orbit.DESCENDING), ("LAI", None))
+                for m in range(1, 13)]
+        tables = season_tables(rows, {}, 0, Abscissa.DOY)
+        assert [r[7] for r in tables.scatter] == ["Jan", "Feb", "Mar", "Apr", "May",
+                                                  "Jun", "Jul", "Aug", "Sep", "Oct",
+                                                  "Nov", "Dec"]
 
 
 def zrow(pid, band, date, mean, orbit=None):
@@ -529,12 +524,14 @@ class TestSeasonTables:
                              [s.mean for s in rows])
 
     def test_trend_rows(self):
-        got = [(r["parcel_id"], r["orbit"], r["peak_date"], r["fit"], r["n"])
-               for r in self.tables().trend]
-        assert got == [("p1", ASC, day(6, 21), None, 2),  # two dates cannot be fitted
-                       ("p1", DES, day(6, 20), self.doy_fit("p1"), 4),
-                       ("p2", DES, day(6, 20), self.doy_fit("p2"), 4),
-                       ("p3", DES, day(6, 20), self.doy_fit("p3"), 4)]
+        def cells(fit):
+            return (fit.r, fit.r_squared, fit.a, fit.b, fit.c, fit.vertex_x)
+
+        assert self.tables().trend == [
+            ("p1", ASC, day(6, 21), *(None,) * 6, 2),  # two dates cannot be fitted
+            ("p1", DES, day(6, 20), *cells(self.doy_fit("p1")), 4),
+            ("p2", DES, day(6, 20), *cells(self.doy_fit("p2")), 4),
+            ("p3", DES, day(6, 20), *cells(self.doy_fit("p3")), 4)]
 
     def test_group_rows(self):
         r1, r2, r3 = (self.doy_fit(p).r for p in ("p1", "p2", "p3"))
@@ -543,28 +540,26 @@ class TestSeasonTables:
 
     def test_correlation_rows(self):
         rows = self.tables().correlation
-        got = [(r["result"].series_a, r["result"].series_b, r["parcel_id"], r["orbit"],
-                r["result"].n) for r in rows]
+        got = [r[:5] for r in rows]
         # p3's only LAI date is 41 days from its radar dates: no pair, no row
         assert got == [("DpRVI", "LAI", "p1", ASC, 2), ("DpRVI", "NDVI", "p1", ASC, 2),
                        ("DpRVI", "SVHI", "p1", ASC, 2), ("DpRVI", "LAI", "p1", DES, 4),
                        ("DpRVI", "NDVI", "p1", DES, 4), ("DpRVI", "SVHI", "p1", DES, 4),
                        ("NDVI", "SVHI", "p1", None, 4), ("DpRVI", "NDVI", "p2", DES, 3)]
-        assert rows[3]["result"].r == pytest.approx(
+        assert {r[6] for r in rows} == {7}
+        assert rows[3][5] == pytest.approx(
             pearson_oracle([0.40, 0.66, 0.75, 0.62], [0.5, 2.0, 2.6, 2.2]), abs=1e-12)
-        assert rows[7]["result"].r == pytest.approx(
+        assert rows[7][5] == pytest.approx(
             pearson_oracle([0.35, 0.70, 0.66], [0.30, 0.70, 0.60]), abs=1e-12)
 
     def test_scatter_rows(self):
-        got = [(r["parcel_id"], r["date_a"], r["date_b"], r["index_a"], r["value_a"],
-                r["index_b"], r["value_b"], r["month"]) for r in self.tables().scatter]
-        assert got == [
-            ("p1", "2023-03-29", "2023-03-27", "DpRVI", 0.42, "LAI", 0.5, "Mar"),
-            ("p1", "2023-06-21", "2023-06-22", "DpRVI", 0.77, "LAI", 2.6, "Jun"),
-            ("p1", "2023-03-28", "2023-03-27", "DpRVI", 0.40, "LAI", 0.5, "Mar"),
-            ("p1", "2023-05-27", "2023-05-29", "DpRVI", 0.66, "LAI", 2.0, "May"),
-            ("p1", "2023-06-20", "2023-06-22", "DpRVI", 0.75, "LAI", 2.6, "Jun"),
-            ("p1", "2023-07-20", "2023-07-25", "DpRVI", 0.62, "LAI", 2.2, "Jul")]
+        assert self.tables().scatter == [
+            ("p1", day(3, 29), day(3, 27), "DpRVI", 0.42, "LAI", 0.5, "Mar"),
+            ("p1", day(6, 21), day(6, 22), "DpRVI", 0.77, "LAI", 2.6, "Jun"),
+            ("p1", day(3, 28), day(3, 27), "DpRVI", 0.40, "LAI", 0.5, "Mar"),
+            ("p1", day(5, 27), day(5, 29), "DpRVI", 0.66, "LAI", 2.0, "May"),
+            ("p1", day(6, 20), day(6, 22), "DpRVI", 0.75, "LAI", 2.6, "Jun"),
+            ("p1", day(7, 20), day(7, 25), "DpRVI", 0.62, "LAI", 2.2, "Jul")]
 
     def test_rows_outside_weather_record_are_dropped(self, caplog):
         records = [WeatherRecord(day(1, 1) + dt.timedelta(days=k), 15.0, 25.0)
