@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import json
 import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import optical, parcels, phenology, raster, sar, synth, trend
-from .raster import (AlignmentError, BundleError, GridSpec, Orbit, ResampleMethod,
-                     json_float, json_int, load_raster, read_header, save_raster)
+from .raster import GridSpec, load_raster, read_header, save_raster
+from .schema import (CORRELATION_CSV_HEADER, TREND_CSV_HEADER, TREND_GROUPS_CSV_HEADER,
+                     Abscissa, AlignmentError, BundleError, Orbit, PipelineConfig,
+                     json_seed, load_config, read_json_object)
 from .tables import atomic_open, read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -35,138 +34,6 @@ _FATAL = (ValueError, KeyError, OSError, BundleError, AlignmentError)
 # Most threads a stage runs its scenes on: each thread holds one scene's
 # working set in memory, so the cap bounds a stage's memory on a large host.
 _MAX_JOBS = 4
-
-
-@dataclass
-class PipelineConfig:
-    """Pipeline settings: a JSON config file merged with CLI flags.
-
-    Flags win over the file; the file wins over these defaults. Paths are
-    resolved relative to the config file's directory when they come from the
-    file, and relative to the working directory when they come from flags.
-    """
-
-    out_dir: Path = Path("out")
-    rasters_dir: Optional[Path] = None  # defaults to out_dir when unset
-    parcels_path: Optional[Path] = None
-    weather_path: Optional[Path] = None
-    multilook: tuple[int, int] = (4, 1)
-    boxcar: Optional[int] = None
-    erode_px: int = 1
-    t_base_c: float = phenology.DEFAULT_BASE_TEMP_C
-    max_gap_days: int = 7
-    abscissa: str = trend.Abscissa.CDD.value
-    seed: int = 0
-    resample_method: str = ResampleMethod.NEAREST.value
-
-    def inputs_dir(self) -> Path:
-        return self.rasters_dir if self.rasters_dir is not None else self.out_dir
-
-
-def _json_path(value, name: str) -> Path:
-    if not isinstance(value, str):
-        raise ValueError(f"{name!r} must be a path string, got {value!r}")
-    return Path(value)
-
-
-def _parse_multilook(value, name: str) -> tuple[int, int]:
-    # [4, 1] is read as "4x1", so both forms meet one check
-    text = "x".join(str(v) for v in value) if isinstance(value, list) else str(value)
-    try:
-        wx, wy = (int(part) for part in text.lower().split("x"))
-    except ValueError:
-        raise ValueError(f"multilook window must look like 4x1, got {text!r}") from None
-    if wx < 1 or wy < 1:
-        raise ValueError(f"multilook window must be positive, got {text!r}")
-    return wx, wy
-
-
-def _parse_boxcar(value, name: str) -> Optional[int]:
-    """An odd boxcar window, or None (no filter) for a window of 0 or less."""
-    win = json_int(value, name)
-    if win <= 0:
-        return None
-    if win % 2 == 0:
-        raise ValueError(f"boxcar window must be odd, got {win}")
-    return win
-
-
-def _parse_count(value, name: str) -> int:
-    count = json_int(value, name)
-    if count < 0:
-        raise ValueError(f"{name!r} must be >= 0, got {count}")
-    return count
-
-
-def _json_choice(enum: type[Enum], value, name: str) -> str:
-    choices = [m.value for m in enum]
-    if value not in choices:
-        raise ValueError(f"{name!r} must be one of {choices}, got {value!r}")
-    return value
-
-
-# config key -> (PipelineConfig field, parse(value, key)); each parse checks
-# type and range together, and a path is resolved against the file's directory
-_CONFIG_KEYS = {
-    "out_dir": ("out_dir", _json_path),
-    "rasters_dir": ("rasters_dir", _json_path),
-    "parcels": ("parcels_path", _json_path),
-    "weather": ("weather_path", _json_path),
-    "multilook": ("multilook", _parse_multilook),
-    "boxcar": ("boxcar", _parse_boxcar),
-    "erode": ("erode_px", _parse_count),
-    "t_base": ("t_base_c", json_float),
-    "max_gap_days": ("max_gap_days", _parse_count),
-    "abscissa": ("abscissa", lambda v, key: _json_choice(trend.Abscissa, v, key)),
-    "seed": ("seed", synth.json_seed),
-    "resample": ("resample_method", lambda v, key: _json_choice(ResampleMethod, v, key)),
-}
-
-
-def _read_json_object(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} must hold a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def load_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if args.config:
-        cfg_path = Path(args.config)
-        doc = _read_json_object(cfg_path)
-        unknown = set(doc) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"{cfg_path}: unknown config keys {sorted(unknown)}")
-        for key, (attr, parse) in _CONFIG_KEYS.items():
-            if doc.get(key) is None:
-                continue
-            try:
-                value = parse(doc[key], key)
-            except ValueError as e:
-                raise ValueError(f"{cfg_path}: {e}") from None
-            if isinstance(value, Path):
-                value = cfg_path.parent / value
-            setattr(cfg, attr, value)
-
-    if getattr(args, "out", None):
-        cfg.out_dir = Path(args.out)
-    if getattr(args, "multilook", None):
-        cfg.multilook = _parse_multilook(args.multilook, "--multilook")
-    if getattr(args, "boxcar", None) is not None:
-        cfg.boxcar = _parse_boxcar(args.boxcar, "--boxcar")
-    if getattr(args, "erode", None) is not None:
-        cfg.erode_px = _parse_count(args.erode, "--erode")
-    if getattr(args, "tbase", None) is not None:
-        cfg.t_base_c = json_float(args.tbase, "--tbase")
-    if getattr(args, "max_gap", None) is not None:
-        cfg.max_gap_days = _parse_count(args.max_gap, "--max-gap")
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = synth.json_seed(args.seed, "--seed")
-    return cfg
 
 
 def _pool_size(n_scenes: int, scene_px: int) -> int:
@@ -222,8 +89,11 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     Every scene is built and checked before the first one is generated.
     """
     path = Path(args.scene)
-    doc = _read_json_object(path)
-    flag_seed = getattr(args, "seed", None)
+    doc = read_json_object(path)
+    try:
+        seed = json_seed(args.seed if args.seed is not None else doc.get("seed", cfg.seed))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
     if "scenes" in doc:
         grid_doc = doc.get("grid")
@@ -231,11 +101,6 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: a campaign needs a \"grid\" object")
         if not isinstance(doc["scenes"], list):
             raise ValueError(f"{path}: \"scenes\" must be a list")
-        top_seed = flag_seed if flag_seed is not None else doc.get("seed", cfg.seed)
-        try:
-            top_seed = synth.json_seed(top_seed)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
         scenes = []
         for idx, entry in enumerate(doc["scenes"]):
             if not isinstance(entry, dict):
@@ -246,7 +111,7 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                 raise ValueError(f"{path}: scene #{idx}: no background covariance given")
             scene_doc["regions"] = entry.get("regions", doc.get("regions", []))
             scene_doc["looks"] = entry.get("looks", doc.get("looks", 1))
-            scene_doc["seed"] = entry.get("seed", synth.derive_seed(top_seed, idx))
+            scene_doc["seed"] = entry.get("seed", synth.derive_seed(seed, idx))
             scene_doc["timestamp"] = entry.get("date")
             scene_doc["orbit"] = entry.get("orbit")
             try:
@@ -254,7 +119,6 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             except ValueError as e:
                 raise ValueError(f"{path}: scene #{idx}: {e}") from None
     else:
-        seed = flag_seed if flag_seed is not None else doc.get("seed", cfg.seed)
         try:
             scenes = [synth.scene_from_dict(doc, seed=seed)]
         except ValueError as e:
@@ -450,9 +314,8 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if not stats:
         raise ValueError(f"{zonal_csv} holds no rows")
 
-    abscissa = trend.Abscissa(cfg.abscissa)
     cdd_series = None
-    if abscissa is trend.Abscissa.CDD:
+    if cfg.abscissa is Abscissa.CDD:
         if cfg.weather_path is None:
             raise ValueError("CDD abscissa needs a weather file; set \"weather\" "
                              "in the config or use abscissa \"doy\"")
@@ -463,7 +326,7 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         orientation = parcels.load_orientations(cfg.parcels_path)
 
     try:
-        tables = trend.season_tables(stats, orientation, cfg.max_gap_days, abscissa,
+        tables = trend.season_tables(stats, orientation, cfg.max_gap_days, cfg.abscissa,
                                      cdd_series)
     except ValueError as e:
         raise ValueError(f"{zonal_csv}: {e}") from None
@@ -471,8 +334,7 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     trend.write_trend_csv(tables.trend, trend_csv)
     trend.write_correlation_csv(tables.correlation, cfg.out_dir / "correlation.csv")
     trend.write_scatter_csv(tables.scatter, cfg.out_dir / "scatter.csv")
-    write_table(cfg.out_dir / "trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER,
-                tables.groups)
+    write_table(cfg.out_dir / "trend_groups.csv", TREND_GROUPS_CSV_HEADER, tables.groups)
     log.info("wrote trend.csv (%d rows), correlation.csv (%d), scatter.csv (%d), "
              "trend_groups.csv (%d)", len(tables.trend), len(tables.correlation),
              len(tables.scatter), len(tables.groups))
@@ -505,10 +367,9 @@ def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         path = cfg.out_dir / name
         return read_table(path, header, convert) if path.exists() else []
 
-    trend_lines = read_lines("trend.csv", trend.TREND_CSV_HEADER, trend_line)
-    group_lines = read_lines("trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER, group_line)
-    corr_lines = read_lines("correlation.csv", trend.CORRELATION_CSV_HEADER,
-                            correlation_line)
+    trend_lines = read_lines("trend.csv", TREND_CSV_HEADER, trend_line)
+    group_lines = read_lines("trend_groups.csv", TREND_GROUPS_CSV_HEADER, group_line)
+    corr_lines = read_lines("correlation.csv", CORRELATION_CSV_HEADER, correlation_line)
     if not trend_lines and not corr_lines:
         raise ValueError(f"nothing to report under {cfg.out_dir}; run trend first")
 

@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .raster import (Bundle, Raster, ResampleMethod, assert_aligned, load_bundle,
-                     resample, row_blocks, valid_values)
+from .raster import (Bundle, Raster, assert_aligned, load_bundle, resample, row_blocks,
+                     valid_values)
+from .schema import ResampleMethod
 
 log = logging.getLogger(__name__)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .raster import BLOCK_PX, AlignmentError, GridSpec, Orbit, Raster, valid_values
+from .raster import BLOCK_PX, GridSpec, Raster, valid_values
+from .schema import ZONAL_CSV_HEADER, AlignmentError, Orbit, read_json_object
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -252,13 +252,9 @@ def load_orientations(path: str | Path) -> dict[str, Orientation]:
 
 def _features(p: Path) -> list:
     """The features list of the GeoJSON FeatureCollection in file p."""
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{p} is not valid JSON: {e}") from e
-    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
-    if kind != "FeatureCollection":
-        raise ValueError(f"{p}: expected a FeatureCollection, got {kind!r}")
+    doc = read_json_object(p)
+    if doc.get("type") != "FeatureCollection":
+        raise ValueError(f"{p}: expected a FeatureCollection, got {doc.get('type')!r}")
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise ValueError(f"{p}: \"features\" must be a list")
@@ -484,10 +480,6 @@ def zonal_stats(raster: Raster, mask: ParcelMask) -> ZonalStats:
     return ZonalStats(mask.parcel_id, raster.band_name, raster.timestamp, raster.orbit,
                       n, float(total / n), math.sqrt(np.add.reduce(x) / n),
                       float(lo), float(hi))
-
-
-ZONAL_CSV_HEADER = ("parcel_id", "band", "timestamp", "orbit",
-                    "count", "mean", "std", "min", "max")
 
 
 def write_zonal_csv(stats: Sequence[ZonalStats], path: str | Path) -> None:

@@ -17,12 +17,10 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from . import trend
+from .schema import DEFAULT_BASE_TEMP_C, DEGREE_DAYS_CSV_HEADER
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
-
-DEFAULT_BASE_TEMP_C = 10.0
-
 
 @dataclass(frozen=True)
 class WeatherRecord:
@@ -119,7 +117,8 @@ def accumulate_cdd(records: Sequence[WeatherRecord],
 
     ``start`` defaults to January 1 of the first record's year. Calendar
     days absent from the record contribute zero and are counted in a single
-    gap warning. The cumulative series is non-decreasing by construction.
+    gap warning. The cumulative series is non-decreasing by construction; a
+    total past the float range is a ValueError naming its day.
     """
     if not records:
         raise ValueError("no weather records to accumulate")
@@ -145,6 +144,8 @@ def accumulate_cdd(records: Sequence[WeatherRecord],
         else:
             daily = gdd(rec.tmax_c, rec.tmin_c, t_base_c)
         total += daily
+        if not math.isfinite(total):
+            raise ValueError(f"{day}: cumulative degree days exceed the float range")
         entries.append(DegreeDayEntry(day, day.timetuple().tm_yday, daily, total))
         day += dt.timedelta(days=1)
     if gaps:
@@ -162,9 +163,6 @@ def fit_cdd_vs_doy(series: DegreeDaySeries) -> "trend.ParabolicFit":
     xs = [float(e.doy) for e in series.entries]
     ys = [e.cdd for e in series.entries]
     return trend.fit_quadratic(xs, ys)
-
-
-DEGREE_DAYS_CSV_HEADER = ("date", "doy", "gdd", "cdd")
 
 
 def write_degree_days_csv(series: DegreeDaySeries, path: str | Path) -> None:

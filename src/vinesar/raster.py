@@ -15,12 +15,13 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .schema import (AlignmentError, BundleError, Orbit, ResampleMethod, json_float,
+                     json_int, read_json_object)
 from .tables import temp_path
 
 log = logging.getLogger(__name__)
@@ -32,24 +33,6 @@ DTYPE_TAG = "f32le"
 # processed side by side cost little more memory than one. On 640x640
 # scenes, 2^15 ran as fast as 2^16 and 2^14 about 8% slower.
 BLOCK_PX = 1 << 15
-
-
-class BundleError(Exception):
-    """Malformed bundle: bad header, missing file, or size mismatch."""
-
-
-class AlignmentError(Exception):
-    """Rasters expected on a common grid are not."""
-
-
-class Orbit(str, Enum):
-    ASCENDING = "ASC"
-    DESCENDING = "DES"
-
-
-class ResampleMethod(str, Enum):
-    NEAREST = "nearest"
-    BILINEAR = "bilinear"
 
 
 @dataclass(frozen=True)
@@ -226,35 +209,6 @@ def save_bundle(path: str | Path,
     return header_path
 
 
-def json_int(value, name: str) -> int:
-    """A JSON integer field as an int.
-
-    int() would truncate 2.9 and read true as 1, so a bool, a fraction or a
-    non-number is rejected; an integral float such as 3.0 is read as 3.
-    """
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
-        raise ValueError(f"{name!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def json_float(value, name: str, finite: bool = True) -> float:
-    """A JSON number field as a float.
-
-    float() would read true as 1.0 and "2" as 2.0, so a bool or a non-number
-    is rejected, and so is a NaN or an infinity unless ``finite`` is false.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name!r} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise ValueError(f"{name!r} is beyond the float range") from None
-    if finite and not math.isfinite(x):
-        raise ValueError(f"{name!r} must be a finite number, got {value!r}")
-    return x
-
-
 def grid_from_json(doc: dict) -> GridSpec:
     """The grid a JSON object's fields declare: integer ``width`` and
     ``height``, finite numbers for the origin and pixel sizes, a string
@@ -299,11 +253,9 @@ def read_header(path: str | Path) -> BundleHeader:
     if not binary_path.exists():
         raise BundleError(f"missing binary payload {binary_path}")
     try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as e:
-        raise BundleError(f"unparseable header {header_path}: {e}") from e
-    if not isinstance(header, dict):
-        raise BundleError(f"header {header_path} is not a JSON object")
+        header = read_json_object(header_path)
+    except ValueError as e:
+        raise BundleError(str(e)) from None
 
     required = ("width", "height", "origin_x", "origin_y",
                 "pixel_size_x", "pixel_size_y", "crs", "bands", "dtype")

@@ -20,8 +20,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .raster import Bundle, GridSpec, Orbit, grid_from_json, json_int
+from .raster import Bundle, GridSpec, grid_from_json
 from .sar import C2_BAND_NAMES, _not_psd
+from .schema import Orbit, json_int, json_seed
 
 log = logging.getLogger(__name__)
 
@@ -65,15 +66,6 @@ def _counter_normals(seed: int, counters: np.ndarray) -> np.ndarray:
     angle = 2.0 * math.pi * flat[:, 1]
     out = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
     return out.reshape(counters.shape)
-
-
-def json_seed(value, name: str = "seed") -> int:
-    """A seed field as an int: a JSON integer (the rule of json_int) that
-    fits in 64 bits, so that no two seeds draw the same speckle."""
-    seed = json_int(value, name)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"{name!r} must fit in 64 bits, got {value!r}")
-    return seed
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -13,7 +13,6 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -21,8 +20,9 @@ import numpy as np
 
 from .optical import LAI_BAND_NAME, NDVI_BAND_NAME, SVHI_BAND_NAME
 from .parcels import Orientation, ZonalStats
-from .raster import Orbit
 from .sar import DPRVI_BAND_NAME
+from .schema import (CORRELATION_CSV_HEADER, SCATTER_CSV_HEADER, TREND_CSV_HEADER,
+                     Abscissa, Orbit)
 from .tables import write_table
 
 log = logging.getLogger(__name__)
@@ -32,11 +32,6 @@ MONTH_ABBR = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 
 # relative threshold below which a variance counts as zero
 _VAR_EPS = 1e-24
-
-
-class Abscissa(str, Enum):
-    DOY = "doy"
-    CDD = "cdd"
 
 
 class Sample(NamedTuple):
@@ -296,26 +291,12 @@ def correlate_series(a: TimeSeries, b: TimeSeries, max_gap_days: int) -> Correla
                              pairs=tuple(pairs))
 
 
-SCATTER_CSV_HEADER = ("parcel_id", "date_a", "date_b", "index_a", "value_a",
-                      "index_b", "value_b", "month")
-
-
 def write_scatter_csv(rows: Iterable[tuple], path: str | Path) -> None:
     write_table(path, SCATTER_CSV_HEADER, rows)
 
 
-TREND_CSV_HEADER = ("parcel_id", "orbit", "peak_date", "fit_r", "fit_r2",
-                    "a", "b", "c", "vertex_x", "n")
-
-
 def write_trend_csv(rows: Iterable[tuple], path: str | Path) -> None:
     write_table(path, TREND_CSV_HEADER, rows)
-
-
-TREND_GROUPS_CSV_HEADER = ("orientation", "orbit", "mean_fit_r", "n_parcels")
-
-CORRELATION_CSV_HEADER = ("index_a", "index_b", "parcel_id", "orbit",
-                          "n", "r", "max_gap_days")
 
 
 def write_correlation_csv(rows: Iterable[tuple], path: str | Path) -> None:

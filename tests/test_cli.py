@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from conftest import (GRID, OPTICAL_DATES, PARCELS, SAR_CDD, SAR_DATES,
                       build_campaign_workspace, run_cli, seasonal_shape,
                       weather_rows, write_campaign_json, write_config,
                       write_optical_inputs, write_parcels_geojson)
-from vinesar import cli, raster, sar
+from vinesar import cli, raster, sar, schema
 from vinesar.optical import BAND_NAMES
 from vinesar.raster import Bundle, GridSpec, Orbit, load_raster, save_bundle
 from vinesar.sar import C2_BAND_NAMES, dprvi_from_eigen, eigen_decompose, load_c2, save_c2
@@ -851,7 +852,7 @@ class TestJsonBoundaries:
         return root, doc, root / "raw" / c2.name, root / "index" / dprvi.name
 
     @settings(max_examples=150)
-    @given(key=st.sampled_from(sorted(cli._CONFIG_KEYS)), value=JSON_VALUES)
+    @given(key=st.sampled_from(sorted(schema.CONFIG_KEYS)), value=JSON_VALUES)
     @example(key="t_base", value=-1e308)
     @example(key="out_dir", value="elsewhere")
     @example(key="out_dir", value=None)
@@ -1003,7 +1004,8 @@ class TestConfigHandling:
                                      {"t_base": True}, {"t_base": float("nan")},
                                      {"abscissa": 5}, {"abscissa": ["cdd"]},
                                      {"resample": "cubic"}, {"boxcar": 4}, {"erode": -1},
-                                     {"max_gap_days": -2}])
+                                     {"max_gap_days": -2}, {"t_base": -1e308},
+                                     {"t_base": 100.5}])
     def test_wrong_typed_value_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         assert run_cli("sar-index", "--config", str(tmp_path / "cfg.json")) == 1
@@ -1013,6 +1015,64 @@ class TestConfigHandling:
         want = next(iter(doc)) if isinstance(doc, dict) else "must hold a JSON object"
         assert want in errors[0].getMessage()
         assert "cfg.json" in errors[0].getMessage()
+
+    @pytest.mark.parametrize("key", sorted(k for k, (_, _, dest) in schema.CONFIG_KEYS.items()
+                                           if dest))
+    def test_flag_and_file_value(self, tmp_path, caplog, key):
+        """A flag beats the file; a bad flag value is an error naming the
+        flag; a bad file value is one error line naming the file even under a
+        good flag; an empty string flag leaves the file's value."""
+        flag, file_value, file_parsed, good, good_parsed, bad, bad_in_file = FLAG_CASES[key]
+        attr = schema.CONFIG_KEYS[key][0]
+        cfg_json = tmp_path / "cfg.json"
+        cfg_json.write_text(json.dumps({key: file_value}))
+        config = ["zonal", "--config", str(cfg_json)]
+        cfg = cli.load_config(self.parse(*config, f"{flag}={good}"))
+        assert getattr(cfg, attr) == good_parsed
+        if bad is not None:
+            with pytest.raises(ValueError, match=re.escape(f"'{flag}'")):
+                cli.load_config(self.parse(*config, f"{flag}={bad}"))
+        if isinstance(file_value, str):
+            cfg = cli.load_config(self.parse(*config, f"{flag}="))
+            assert getattr(cfg, attr) == (tmp_path / file_parsed if attr == "out_dir"
+                                          else file_parsed)
+
+        cfg_json.write_text(json.dumps({key: bad_in_file}))
+        assert run_cli(*config, f"{flag}={good}") == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert str(cfg_json) in errors[0] and repr(key) in errors[0]
+
+
+# config key -> (flag, file value, its parsed value, good flag value, its
+# parsed value, bad flag value or None, bad file value)
+FLAG_CASES = {
+    "out_dir": ("--out", "products", Path("products"), "elsewhere", Path("elsewhere"),
+                None, 5),
+    "multilook": ("--multilook", "2x2", (2, 2), "8x2", (8, 2), "4y1", "5"),
+    "boxcar": ("--boxcar", 5, 5, "3", 3, "4", 4),
+    "erode": ("--erode", 2, 2, "0", 0, "-1", -1),
+    "t_base": ("--tbase", 8.0, 8.0, "12.5", 12.5, "150", 150.0),
+    "max_gap_days": ("--max-gap", 5, 5, "9", 9, "-2", -2),
+    "seed": ("--seed", 4, 4, "77", 77, "-1", -1),
+}
+
+
+def test_config_loads_without_numpy(tmp_path):
+    doc = {"out_dir": "out", "rasters_dir": "raw", "parcels": "p.geojson",
+           "weather": "w.csv", "multilook": "2x2", "boxcar": 3, "erode": 1, "t_base": 10.0,
+           "max_gap_days": 7, "abscissa": "doy", "seed": 5, "resample": "bilinear"}
+    assert set(doc) == set(schema.CONFIG_KEYS)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import argparse, sys; from vinesar import schema, tables; "
+             "cfg = schema.load_config(argparse.Namespace(config='cfg.json')); "
+             "print(cfg.boxcar, cfg.abscissa.value, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "doy", "False"]
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -70,6 +70,14 @@ class TestAccumulate:
         assert sum("gap" in r.message.lower() or "missing" in r.message.lower()
                    for r in caplog.records) == 1
 
+    def test_rejects_a_total_past_the_float_range(self):
+        with pytest.raises(ValueError, match="2023-05-02"):
+            accumulate_cdd([rec(1, 12.0, 12.0), rec(2, 1e308, 1e308)],
+                           start=dt.date(2023, 5, 1))
+        with pytest.raises(ValueError, match="2023-05-02"):
+            accumulate_cdd([rec(1, 12.0, 12.0), rec(2, 12.0, 12.0)], t_base_c=-1e308,
+                           start=dt.date(2023, 5, 1))
+
     def test_monotone_on_random_series(self):
         rng = np.random.default_rng(42)
         for _ in range(50):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vinesar import trend
+from vinesar import schema, trend
 from vinesar.parcels import Orientation, ZonalStats, load_parcels, read_zonal_csv
 from vinesar.phenology import WeatherRecord, accumulate_cdd, load_weather_csv
 from vinesar.raster import Orbit
@@ -597,7 +597,7 @@ class TestSeasonTables:
         write_trend_csv(tables.trend, tmp_path / "trend.csv")
         write_correlation_csv(tables.correlation, tmp_path / "correlation.csv")
         write_scatter_csv(tables.scatter, tmp_path / "scatter.csv")
-        write_table(tmp_path / "trend_groups.csv", trend.TREND_GROUPS_CSV_HEADER,
+        write_table(tmp_path / "trend_groups.csv", schema.TREND_GROUPS_CSV_HEADER,
                     tables.groups)
         for name in ("trend.csv", "correlation.csv", "scatter.csv", "trend_groups.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
