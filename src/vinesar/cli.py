@@ -15,7 +15,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from . import optical, parcels, phenology, raster, sar, synth, trend
 from .raster import GridSpec, load_raster, read_header, save_raster
@@ -31,34 +31,40 @@ INDEX_PREFIXES = ("dprvi", "ndvi", "svhi", "lai")
 
 _FATAL = (ValueError, KeyError, OSError, BundleError, AlignmentError)
 
+T = TypeVar("T")
+R = TypeVar("R")
+
 # Most threads a stage runs its scenes on: each thread holds one scene's
 # working set in memory, so the cap bounds a stage's memory on a large host.
 _MAX_JOBS = 4
 
 
-def _pool_size(n_scenes: int, scene_px: int) -> int:
-    """Threads for a stage over ``n_scenes`` scenes of ``scene_px`` pixels:
-    the CPUs this process may run on, capped by _MAX_JOBS and the scene
+def _pool_size(n_scenes: int, scene_size: int) -> int:
+    """Threads for a stage over ``n_scenes`` scenes whose largest has
+    ``scene_size`` units of work: pixels for ``sar-index`` and
+    ``optical-index``, pixel-looks (width x height x looks) for ``synth``,
+    whose sampler draws 2 * looks + 2 uniforms per pixel.
+
+    The CPUs this process may run on, capped by _MAX_JOBS and the scene
     count. A scene that fits in one kernel block gets one thread: blocking
     cannot shrink its working set, so a second thread would double it, and
     such scenes are over too fast to gain from the pool."""
-    if scene_px <= raster.BLOCK_PX:
+    if scene_size <= raster.BLOCK_PX:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     return max(1, min(cpus, _MAX_JOBS, n_scenes))
 
 
-def _map_scenes(fn: Callable[[Path], object], scenes: Sequence[Path],
-                scene_px: int) -> Iterator:
-    """``fn`` over ``scenes`` of ``scene_px`` pixels, results in scene order.
+def _map_scenes(fn: Callable[[T], R], scenes: Sequence[T], scene_size: int) -> Iterator[R]:
+    """``fn`` over ``scenes`` (sized as for _pool_size), results in scene order.
 
     With one thread this is plain ``map``; otherwise the scenes run on a
     bounded thread pool (numpy releases the GIL in the kernels). The first
     scene in order that raises ends the iteration with its exception, and
     scenes not yet started are cancelled.
     """
-    n = _pool_size(len(scenes), scene_px)
+    n = _pool_size(len(scenes), scene_size)
     if n == 1:
         yield from map(fn, scenes)
         return
@@ -86,7 +92,8 @@ def _scene_name(date: Optional[dt.date], orbit: Optional[Orbit]) -> str:
 def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Generate covariance bundles from a scene or campaign description.
 
-    Every scene is built and checked before the first one is generated.
+    Every scene is built and checked before the first one is generated;
+    then each is generated and saved as one task of a bounded thread pool.
     """
     path = Path(args.scene)
     doc = read_json_object(path)
@@ -133,9 +140,15 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         first_with[name] = idx
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, idx in first_with.items():
-        scene = scenes[idx]
-        sar.save_c2(synth.generate_scene(scene), cfg.out_dir / name)
+
+    def write_scene(name: str) -> str:
+        sar.save_c2(synth.generate_scene(scenes[first_with[name]]), cfg.out_dir / name)
+        return name
+
+    names = list(first_with)
+    pixel_looks = max((s.spec.width * s.spec.height * s.looks for s in scenes), default=0)
+    for name in _map_scenes(write_scene, names, pixel_looks):
+        scene = scenes[first_with[name]]
         log.info("wrote %s (%dx%d, %d looks)", name, scene.spec.width,
                  scene.spec.height, scene.looks)
     return 0
@@ -289,12 +302,21 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _degree_days(weather: Path, t_base_c: float) -> phenology.DegreeDaySeries:
+    """The weather file's daily records accumulated into degree days; an
+    accumulation error names the file, as a bad row does."""
+    records = phenology.load_weather_csv(weather)
+    try:
+        return phenology.accumulate_cdd(records, t_base_c)
+    except ValueError as e:
+        raise ValueError(f"{weather}: {e}") from None
+
+
 def cmd_degree_days(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Weather CSV -> daily degree-day CSV with the season diagnostic."""
     if cfg.weather_path is None:
         raise ValueError("degree-days needs a weather file; set \"weather\" in the config")
-    records = phenology.load_weather_csv(cfg.weather_path)
-    series = phenology.accumulate_cdd(records, cfg.t_base_c)
+    series = _degree_days(cfg.weather_path, cfg.t_base_c)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.out_dir / "degree_days.csv"
     phenology.write_degree_days_csv(series, out_csv)
@@ -319,8 +341,7 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         if cfg.weather_path is None:
             raise ValueError("CDD abscissa needs a weather file; set \"weather\" "
                              "in the config or use abscissa \"doy\"")
-        records = phenology.load_weather_csv(cfg.weather_path)
-        cdd_series = phenology.accumulate_cdd(records, cfg.t_base_c)
+        cdd_series = _degree_days(cfg.weather_path, cfg.t_base_c)
     orientation = {}
     if cfg.parcels_path is not None:
         orientation = parcels.load_orientations(cfg.parcels_path)

@@ -31,41 +31,50 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: a bijective avalanche over uint64."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * _MIX1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _MIX2
-    x = x ^ (x >> np.uint64(31))
+def _mix64(x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """SplitMix64 finalizer, a bijective avalanche over uint64, applied to
+    ``x`` in place; returns ``x``. ``scratch``, a uint64 array of x's shape,
+    holds the shifted terms (a new array when None)."""
+    t = np.empty_like(x) if scratch is None else scratch
+    x ^= np.right_shift(x, np.uint64(30), out=t)
+    x *= _MIX1
+    x ^= np.right_shift(x, np.uint64(27), out=t)
+    x *= _MIX2
+    x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
-def _counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1] indexed by 64-bit counters, order independent."""
+def _counter_uniforms(seed: int, counters: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Uniforms in (0, 1] indexed by 64-bit counters, order independent.
+
+    ``counters``, a uint64 array, is hashed in place, so the call consumes
+    it. ``out``, a float64 array of its shape, receives the uniforms (a new
+    array when None) and serves as the hash's scratch before that.
+    """
+    if out is None:
+        out = np.empty(counters.shape, dtype=np.float64)
     # numpy warns on scalar uint64 overflow but wraps arrays silently, so the
     # seed state is mixed as a 1-element array
-    seed_arr = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    state = _mix64(seed_arr + _GOLDEN)
-    bits = _mix64(np.asarray(counters, dtype=np.uint64) * _GOLDEN + (state + _GOLDEN))
-    # 53-bit mantissa uniforms; +1 keeps them in (0, 1] so a log is finite
-    u = (bits >> np.uint64(11)).astype(np.float64)
-    u += 1.0
-    u *= 2.0 ** -53
-    return u
+    state = _mix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) + _GOLDEN)
+    counters *= _GOLDEN
+    counters += state + _GOLDEN
+    _mix64(counters, out.view(np.uint64))
+    # 53-bit mantissa uniforms; +1 keeps them in (0, 1] so a log is finite.
+    # Every value is below 2**53, so the int64 view converts exactly.
+    counters >>= np.uint64(11)
+    np.copyto(out, counters.view(np.int64))
+    out += 1.0
+    out *= 2.0 ** -53
+    return out
 
 
-def _counter_normals(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Standard normals indexed by 64-bit counters, order independent.
-
-    ``counters`` must have an even trailing dimension; consecutive counter
-    pairs feed one Box-Muller transform.
-    """
-    flat = _counter_uniforms(seed, counters).reshape(-1, 2)
-    radius = np.sqrt(-2.0 * np.log(flat[:, 0]))
-    angle = 2.0 * math.pi * flat[:, 1]
-    out = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return out.reshape(counters.shape)
+def _box_muller(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """Circular complex normals CN(0, 1), one per pair of uniforms in (0, 1]
+    (a Box-Muller transform; the real and imaginary parts are its two normals)."""
+    radius = np.sqrt(-2.0 * np.log(u0))
+    angle = 2.0 * math.pi * u1
+    return (radius * np.cos(angle) + 1j * (radius * np.sin(angle))) / math.sqrt(2.0)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -156,8 +165,9 @@ def _colour(l11, l21, l22, t11, t21, t22, looks: int):
             c12.real, c12.imag)
 
 
-# Counters hashed per row chunk (at least one row): each temporary stays near
-# 512 KB, which ran fastest of 2^13..2^22 on a 2-vCPU Xeon at 49 looks.
+# Counters hashed per pixel chunk: each buffer stays near 512 KB, which ran
+# fastest of 2^13..2^22 on a 2-vCPU Xeon at 49 looks, and a scene's working
+# set no longer grows with its width or look count.
 _CHUNK_COUNTERS = 1 << 16
 
 
@@ -175,6 +185,11 @@ def generate_scene(scene: SceneSpec) -> Bundle:
     h, w = grid.height, grid.width
     looks = scene.looks
 
+    # scenes generated side by side log in any order, so a dated scene's
+    # warnings name its date and orbit
+    where = " ".join(str(v) for v in (scene.timestamp, scene.orbit and scene.orbit.value) if v)
+    where += ": " if where else ""
+
     # -1 marks background; region index otherwise, first listed wins
     owner = np.full((h, w), -1, dtype=np.int64)
     overlap = 0
@@ -183,34 +198,45 @@ def generate_scene(scene: SceneSpec) -> Bundle:
         x0c, x1c = max(0, x0), min(w, x1)
         y0c, y1c = max(0, y0), min(h, y1)
         if x0c >= x1c or y0c >= y1c:
-            log.warning("region #%d %s lies outside the %dx%d grid", idx, reg.rect, w, h)
+            log.warning("%sregion #%d %s lies outside the %dx%d grid", where, idx, reg.rect,
+                        w, h)
             continue
         block = owner[y0c:y1c, x0c:x1c]
         overlap += int((block >= 0).sum())
         block[block < 0] = idx
     if overlap:
-        log.warning("%d pixels claimed by more than one region, first listed wins", overlap)
+        log.warning("%s%d pixels claimed by more than one region, first listed wins",
+                    where, overlap)
 
     matrices = [scene.background] + [reg.c2 for reg in scene.regions]
     l11, l21, l22 = (np.array(v) for v in zip(*(_cholesky2(m) for m in matrices)))
 
     bands = np.empty((4, h, w), dtype=np.float32)
+    n_px = h * w
     per_pixel = 2 * looks + 2
-    chunk = max(1, _CHUNK_COUNTERS // (w * per_pixel))
-    for row0 in range(0, h, chunk):
-        row1 = min(h, row0 + chunk)
-        draws = np.arange(row0 * w * per_pixel, row1 * w * per_pixel, dtype=np.uint64)
-        draws = draws.reshape(-1, per_pixel)
-        # unit exponentials -log u: summing them, never logging a product, cannot underflow
-        expo = -np.log(_counter_uniforms(scene.seed, draws[:, :2 * looks]))
-        t11 = np.sqrt(expo[:, :looks].sum(axis=1))
-        t22 = np.sqrt(expo[:, looks:2 * looks - 1].sum(axis=1))
-        z = _counter_normals(scene.seed, draws[:, 2 * looks:])
-        t21 = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    chunk = min(n_px, max(1, _CHUNK_COUNTERS // per_pixel))
+    # one chunk's counters: a ramp added to the chunk's first counter, hashed
+    # in place, then converted and logged in place in the uniform buffer
+    ramp = np.arange(chunk * per_pixel, dtype=np.uint64)
+    counters = np.empty_like(ramp)
+    uniforms = np.empty(ramp.shape, dtype=np.float64)
+    owner_px, bands_px = owner.reshape(-1), bands.reshape(4, -1)
+    for p0 in range(0, n_px, chunk):
+        p1 = min(n_px, p0 + chunk)
+        m = (p1 - p0) * per_pixel
+        draws = np.add(ramp[:m], np.uint64(p0 * per_pixel), out=counters[:m])
+        u = _counter_uniforms(scene.seed, draws, uniforms[:m]).reshape(-1, per_pixel)
+        t21 = _box_muller(u[:, -2], u[:, -1])  # before the log below overwrites u
+        # unit exponentials are -log u, so each Gamma draw is minus a sum of
+        # logs: summing, never logging a product, cannot underflow
+        log_u = np.log(u, out=u)
+        t11 = np.sqrt(-log_u[:, :looks].sum(axis=1))
+        t22 = np.sqrt(-log_u[:, looks:2 * looks - 1].sum(axis=1))
 
-        own = owner[row0:row1].reshape(-1) + 1  # 0 = background
+        own = owner_px[p0:p1] + 1  # 0 = background
         out = _colour(l11[own], l21[own], l22[own], t11, t21, t22, looks)
-        bands[:, row0:row1] = np.reshape(out, (4, row1 - row0, w))
+        for band, values in zip(bands_px, out):
+            band[p0:p1] = values
 
     return Bundle(grid, list(C2_BAND_NAMES), bands,
                   timestamp=scene.timestamp, orbit=scene.orbit)

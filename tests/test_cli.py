@@ -167,6 +167,61 @@ class TestSynthCommand:
         a, b = (tmp_path / name / "c2_2023-04-21_DES.bin" for name in ("ints", "floats"))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_campaign_writes_the_same_bytes_on_one_thread_and_on_three(
+            self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.INFO)
+        ws = build_campaign_workspace(tmp_path / "w")
+        outs, logs = {}, {}
+        for threads in (1, 3):
+            monkeypatch.setattr(cli, "_pool_size", lambda n, size: min(threads, n))
+            out = tmp_path / f"threads{threads}"
+            caplog.clear()
+            assert run_cli("synth", str(ws["campaign"]), "--config", str(ws["config"]),
+                           "--out", str(out)) == 0
+            outs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+            logs[threads] = [r.getMessage() for r in caplog.records]
+        assert len(outs[1]) == 2 * len(SAR_DATES)
+        assert outs[1] == outs[3]
+        # the wrote lines come in scene order whatever the pool size
+        want = [f"wrote c2_{d.isoformat()}_{orbit} (100x100, 49 looks)"
+                for d, orbit in SAR_DATES]
+        assert logs[1] == logs[3] == want
+
+    def test_pool_is_sized_by_pixel_looks(self, tmp_path, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(cli, "_pool_size", lambda n, size: sizes.append((n, size)) or 1)
+        write_campaign_json(tmp_path / "campaign.json", looks=3, seed=5)
+        assert run_cli("synth", str(tmp_path / "campaign.json"),
+                       "--out", str(tmp_path / "out")) == 0
+        assert sizes == [(len(SAR_DATES), GRID["width"] * GRID["height"] * 3)]
+
+    def test_pooled_scene_warnings_name_their_scene(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(cli, "_pool_size", lambda n, size: min(3, n))
+        outside = {"rect": [500, 500, 510, 510], "c2": [1.0, 0.5, 0.0, 0.0]}
+        scenes = [{"date": f"2023-05-0{day}", "orbit": "DES",
+                   "regions": [outside] if day in (2, 3) else []} for day in range(1, 5)]
+        doc = {"grid": GRID, "looks": 2, "seed": 1, "background": [1.0, 0.5, 0.0, 0.0],
+               "scenes": scenes}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert run_cli("synth", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")) == 0
+        warnings = sorted(r.getMessage() for r in caplog.records if r.levelname == "WARNING")
+        assert warnings == [f"2023-05-0{day} DES: region #0 (500, 500, 510, 510) lies "
+                            "outside the 100x100 grid" for day in (2, 3)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failed_save_is_one_error_line(self, tmp_path, monkeypatch, caplog, threads):
+        monkeypatch.setattr(cli, "_pool_size", lambda n, size: min(threads, n))
+        write_campaign_json(tmp_path / "campaign.json", looks=2, seed=5)
+        d, orbit = SAR_DATES[4]
+        blocked = tmp_path / "out" / f"c2_{d.isoformat()}_{orbit}.bin"
+        blocked.mkdir(parents=True)
+        assert run_cli("synth", str(tmp_path / "campaign.json"),
+                       "--out", str(tmp_path / "out")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and blocked.name in errors[0], errors
+        assert blocked.is_dir()
+        assert (tmp_path / "out" / f"c2_{SAR_DATES[3][0].isoformat()}_ASC.bin").is_file()
+
 
 class TestSarIndexCommand:
     def test_produces_index_bundles(self, tmp_path):
@@ -558,6 +613,20 @@ class TestDegreeDaysCommand:
         assert run_cli(stage, "--config", str(root / "config.json")) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"{weather}, line 3: 2023-01-02: precipitation must be finite"]
+
+    @pytest.mark.parametrize("stage", ["degree-days", "trend"])
+    def test_degree_day_overflow_names_the_weather_file(self, campaign_run, tmp_path,
+                                                        caplog, stage):
+        root = trend_workspace(campaign_run, tmp_path)
+        weather = root / "weather.csv"
+        lines = weather.read_text().splitlines()
+        assert lines[3].startswith("2023-01-03,")
+        lines[3] = "2023-01-03,1e308,1e308,0.0"
+        weather.write_text("\n".join(lines) + "\n")
+        assert run_cli(stage, "--config", str(root / "config.json")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{weather}: 2023-01-03: cumulative degree days exceed "
+                          "the float range"]
 
 
 class TestTrendCommand:

@@ -2,13 +2,15 @@
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vinesar.raster import GridSpec, Orbit
 from vinesar.sar import C2_BAND_NAMES, _not_psd, dprvi_raster
-from vinesar.synth import (Region, SceneSpec, _counter_normals,
+from vinesar import synth
+from vinesar.synth import (Region, SceneSpec, _box_muller, _cholesky2, _colour,
                            _counter_uniforms, derive_seed, generate_scene,
                            scene_from_dict)
 
@@ -18,30 +20,47 @@ def grid(w, h):
                     pixel_size_x=10.0, pixel_size_y=-10.0, crs="EPSG:32632")
 
 
+def counter_normals(seed, counters):
+    """CN(0, 1) values, one per consecutive counter pair, through the
+    sampler's Box-Muller step; ``counters`` keeps its last axis of pairs."""
+    u = _counter_uniforms(seed, np.array(counters, dtype=np.uint64)).reshape(-1, 2)
+    return _box_muller(u[:, 0], u[:, 1]).reshape(counters.shape[:-1] + (-1,))
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x):
+    """The SplitMix64 finalizer over a Python int."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & MASK64
+    return x ^ (x >> 31)
+
+
 class TestCounterNormals:
     def test_deterministic(self):
         c = np.arange(64, dtype=np.uint64)
-        a = _counter_normals(123, c)
-        b = _counter_normals(123, c)
+        a = counter_normals(123, c)
+        b = counter_normals(123, c)
         assert a.tobytes() == b.tobytes()
 
     def test_value_depends_only_on_counter_pair(self):
         # the stream is addressed by counter, not by array position: asking
         # for a window of the counter range must reproduce the same values
-        whole = _counter_normals(9, np.arange(16, dtype=np.uint64))
-        window = _counter_normals(9, np.arange(4, 12, dtype=np.uint64))
-        assert window.tolist() == whole[4:12].tolist()
+        whole = counter_normals(9, np.arange(16, dtype=np.uint64))
+        window = counter_normals(9, np.arange(4, 12, dtype=np.uint64))
+        assert window.tolist() == whole[2:6].tolist()
 
     def test_shape_is_preserved(self):
-        c = np.arange(24, dtype=np.uint64).reshape(3, 4, 2)
-        out = _counter_normals(5, c)
-        assert out.shape == (3, 4, 2)
-        flat = _counter_normals(5, np.arange(24, dtype=np.uint64))
+        u = _counter_uniforms(5, np.arange(24, dtype=np.uint64)).reshape(3, 4, 2)
+        out = _box_muller(u[..., 0], u[..., 1])
+        assert out.shape == (3, 4) and out.dtype == np.complex128
+        flat = counter_normals(5, np.arange(24, dtype=np.uint64))
         assert out.reshape(-1).tolist() == flat.tolist()
 
     def test_seed_changes_stream(self):
         c = np.arange(32, dtype=np.uint64)
-        assert not np.array_equal(_counter_normals(1, c), _counter_normals(2, c))
+        assert not np.array_equal(counter_normals(1, c), counter_normals(2, c))
 
     def test_uniforms_lie_in_the_half_open_unit_interval(self):
         u = _counter_uniforms(17, np.arange(200000, dtype=np.uint64))
@@ -52,14 +71,33 @@ class TestCounterNormals:
 
     def test_moments(self):
         n = 200000
-        out = _counter_normals(2023, np.arange(n, dtype=np.uint64))
+        z = counter_normals(2023, np.arange(2 * n, dtype=np.uint64))
+        out = np.concatenate([z.real, z.imag]) * math.sqrt(2.0)
         assert np.all(np.isfinite(out))
         assert abs(out.mean()) < 0.01
         assert abs(out.std() - 1.0) < 0.01
+        assert abs(float(np.mean(z.real * z.imag))) < 0.01  # circular
         # lag-1 sample correlation of an independent stream stays tiny
         a, b = out[:-1], out[1:]
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.015
+
+    def test_uniforms_are_the_splitmix64_stream(self):
+        seed = 0xDEADBEEFCAFE
+        counters = [0, 1, 2, 77, 2 ** 40 + 3, 2 ** 64 - 1]
+        state = splitmix64((seed + 0x9E3779B97F4A7C15) & MASK64)
+        want = [((splitmix64((c * 0x9E3779B97F4A7C15 + state + 0x9E3779B97F4A7C15)
+                             & MASK64) >> 11) + 1) * 2.0 ** -53 for c in counters]
+        got = _counter_uniforms(seed, np.array(counters, dtype=np.uint64))
+        assert got.tolist() == want
+        assert derive_seed(seed, 4) == splitmix64((seed + 5 * 0x9E3779B97F4A7C15) & MASK64)
+
+    def test_counters_are_hashed_into_the_given_buffer(self):
+        counters = np.arange(10, 20, dtype=np.uint64)
+        out = np.empty(10)
+        got = _counter_uniforms(3, counters, out)
+        assert got is out
+        assert out.tolist() == _counter_uniforms(3, np.arange(10, 20, dtype=np.uint64)).tolist()
 
 
 class TestDeriveSeed:
@@ -228,8 +266,8 @@ class TestSamplerMoments:
 
 class TestOrderIndependence:
     def test_rows_do_not_depend_on_scene_height(self):
-        # 64 px rows at 49 looks span more than one row chunk, and the last
-        # chunk of each scene holds a different number of rows
+        # at 49 looks a pixel chunk spans about ten 64 px rows and ends
+        # mid-row, and the last chunk of each scene holds a different count
         base = dict(background=(1.0, 0.5, 0.1, -0.1), looks=49, seed=808,
                     regions=[Region((10, 3, 40, 30), (3.0, 0.4, 0.2, 0.3))])
         short = generate_scene(SceneSpec(spec=grid(64, 25), **base))
@@ -247,6 +285,109 @@ class TestOrderIndependence:
         for a, b in zip(plain.values, painted.values):
             assert a[outside].tobytes() == b[outside].tobytes()
             assert not np.array_equal(a[~outside], b[~outside])
+
+
+def generate_scene_reference(scene):
+    """The row-chunked sampler: at least one row per chunk, the exponentials
+    and the Box-Muller pair hashed in two passes, each into new arrays."""
+    h, w, looks = scene.spec.height, scene.spec.width, scene.looks
+    owner = np.full((h, w), -1, dtype=np.int64)
+    for idx, reg in enumerate(scene.regions):
+        x0, y0, x1, y1 = reg.rect
+        x0, x1, y0, y1 = max(0, x0), min(w, x1), max(0, y0), min(h, y1)
+        if x0 < x1 and y0 < y1:
+            block = owner[y0:y1, x0:x1]
+            block[block < 0] = idx
+    matrices = [scene.background] + [reg.c2 for reg in scene.regions]
+    l11, l21, l22 = (np.array(v) for v in zip(*(_cholesky2(m) for m in matrices)))
+
+    def uniforms(counters):
+        return _counter_uniforms(scene.seed, np.array(counters, dtype=np.uint64))
+
+    bands = np.empty((4, h, w), dtype=np.float32)
+    per_pixel = 2 * looks + 2
+    chunk = max(1, synth._CHUNK_COUNTERS // (w * per_pixel))
+    for row0 in range(0, h, chunk):
+        row1 = min(h, row0 + chunk)
+        draws = np.arange(row0 * w * per_pixel, row1 * w * per_pixel, dtype=np.uint64)
+        draws = draws.reshape(-1, per_pixel)
+        expo = -np.log(uniforms(draws[:, :2 * looks]))
+        t11 = np.sqrt(expo[:, :looks].sum(axis=1))
+        t22 = np.sqrt(expo[:, looks:2 * looks - 1].sum(axis=1))
+        flat = uniforms(draws[:, 2 * looks:]).reshape(-1, 2)
+        radius = np.sqrt(-2.0 * np.log(flat[:, 0]))
+        angle = 2.0 * math.pi * flat[:, 1]
+        z = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+        t21 = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+        own = owner[row0:row1].reshape(-1) + 1
+        out = _colour(l11[own], l21[own], l22[own], t11, t21, t22, looks)
+        bands[:, row0:row1] = np.reshape(out, (4, row1 - row0, w))
+    return bands
+
+
+def random_c2(rng):
+    """A random PSD covariance; a quarter of them are exactly rank one."""
+    c11, c22 = (float(v) for v in rng.uniform(0.0, 3.0, 2))
+    coherence = 1.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 1.0))
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    mag = coherence * math.sqrt(c11 * c22)
+    return (c11 + 0.01, c22 + 0.01 * (coherence < 1.0), mag * math.cos(phase),
+            mag * math.sin(phase))
+
+
+class TestSamplerMatchesReference:
+    """The pixel-chunked, in-place sampler against the row-chunked one."""
+
+    def assert_same(self, scene):
+        got = generate_scene(scene).values
+        assert got.tobytes() == generate_scene_reference(scene).tobytes()
+
+    def test_random_specs_are_bitwise_equal(self, monkeypatch, caplog):
+        rng = np.random.default_rng(20231019)
+        for case in range(120):
+            # the default chunk, or one that is smaller than a row, straddles
+            # rows or covers several rows at once
+            chunk = [None, 41, 97, 333, 4097][case % 5]
+            if chunk is not None:
+                monkeypatch.setattr(synth, "_CHUNK_COUNTERS", chunk)
+            else:
+                monkeypatch.undo()
+            w, h = int(rng.integers(1, 71)), int(rng.integers(1, 41))
+            looks = [1, 2, int(rng.integers(1, 401))][case % 3]
+            regions = []
+            for _ in range(int(rng.integers(0, 4))):
+                x0, y0 = int(rng.integers(-5, w + 3)), int(rng.integers(-5, h + 3))
+                rect = (x0, y0, x0 + int(rng.integers(1, 30)), y0 + int(rng.integers(1, 20)))
+                regions.append(Region(rect, random_c2(rng)))
+            self.assert_same(SceneSpec(spec=grid(w, h), background=random_c2(rng),
+                                       regions=regions, looks=looks,
+                                       seed=int(rng.integers(0, 2 ** 63))))
+
+    @pytest.mark.parametrize("looks, chunk_counters", [
+        (1, 4 * 5),     # one look: t22 is an empty sum
+        (2, 6 * 13),    # two looks: one exponential each for t11 and t22
+        (9, 20 * 3),    # three pixels per chunk, less than one 11-pixel row
+        (9, 20 * 17),   # 17 pixels per chunk straddle the 11-pixel rows
+        (49, 1),        # below one pixel's counters: one pixel per chunk
+    ])
+    def test_edge_chunks_are_bitwise_equal(self, monkeypatch, looks, chunk_counters):
+        monkeypatch.setattr(synth, "_CHUNK_COUNTERS", chunk_counters)
+        self.assert_same(SceneSpec(
+            spec=grid(11, 7), background=(1.0, 0.5, 0.1, -0.2), looks=looks, seed=4242,
+            regions=[Region((3, 1, 9, 6), (2.0, 0.3, 0.4, 0.1))]))
+
+    def test_memory_does_not_grow_with_row_width_times_looks(self):
+        # a row-chunked sampler holds a whole 256-pixel row of 1000 looks,
+        # about 2 MB per temporary; a pixel chunk keeps each buffer near 512 KB
+        scene = SceneSpec(spec=grid(256, 2), background=(1.0, 0.5, 0.1, -0.2),
+                          looks=1000, seed=3)
+        tracemalloc.start()
+        try:
+            generate_scene(scene)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestSceneFromDict:
