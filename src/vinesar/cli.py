@@ -4,25 +4,50 @@ Stages communicate only through files in the output directory: covariance
 bundles in, index bundles and CSVs out. Logs go to stderr; stdout stays
 silent unless --stdout explicitly asks for the produced table. Reruns with
 identical inputs and seeds produce byte-identical outputs.
+
+The seven stage modules are registered here as lazy modules: each is in
+``sys.modules`` and on the package from ``import vinesar.cli`` on, but it
+executes (and imports numpy) only when a command first touches one of its
+attributes. So a stage compiles only what it runs, and ``report`` and
+``degree-days`` run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as dt
+import importlib.util
 import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from . import optical, parcels, phenology, raster, sar, synth, trend
-from .raster import GridSpec, load_raster, read_header, save_raster
 from .schema import (CORRELATION_CSV_HEADER, TREND_CSV_HEADER, TREND_GROUPS_CSV_HEADER,
                      Abscissa, AlignmentError, BundleError, Orbit, PipelineConfig,
                      json_seed, load_config, read_json_object)
 from .tables import atomic_open, read_table, write_table
+
+
+def _lazy(name: str) -> ModuleType:
+    """The package's module ``name``, executed on first attribute access
+    unless it has been imported already."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+optical, parcels, phenology, raster, sar, synth, trend = map(
+    _lazy, ("optical", "parcels", "phenology", "raster", "sar", "synth", "trend"))
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +88,10 @@ def _map_scenes(fn: Callable[[T], R], scenes: Sequence[T], scene_size: int) -> I
     bounded thread pool (numpy releases the GIL in the kernels). The first
     scene in order that raises ends the iteration with its exception, and
     scenes not yet started are cancelled.
+
+    A lazy stage module is not safe to execute from two threads at once, so
+    the caller touches every module ``fn`` uses before calling this: no
+    module may execute first inside a worker.
     """
     n = _pool_size(len(scenes), scene_size)
     if n == 1:
@@ -183,7 +212,7 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             c2 = sar.boxcar_filter(c2, cfg.boxcar)
         index = sar.dprvi_raster(c2)
         name = f"dprvi_{_bundle_suffix(p.stem, C2_PREFIX)}"
-        save_raster(index, cfg.out_dir / name)
+        raster.save_raster(index, cfg.out_dir / name)
         return name
 
     for name in _map_scenes(index_scene, paths, ref.width * ref.height):
@@ -201,6 +230,9 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     produced = 0
     skipped = []
+    # the tasks run on pool threads, where no lazy module may execute first:
+    # this touch executes optical on the calling thread (see _map_scenes)
+    ndvi, svhi = optical.ndvi, optical.svhi
 
     def index_acquisition(path: Path) -> Optional[str]:
         """Write the acquisition's NDVI and SVHI; why it was skipped, or None."""
@@ -213,8 +245,8 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                                                    cfg.resample_method)
         except (ValueError, BundleError, AlignmentError) as e:
             return str(e)
-        save_raster(optical.ndvi(bands), cfg.out_dir / f"ndvi_{suffix}")
-        save_raster(optical.svhi(bands), cfg.out_dir / f"svhi_{suffix}")
+        raster.save_raster(ndvi(bands), cfg.out_dir / f"ndvi_{suffix}")
+        raster.save_raster(svhi(bands), cfg.out_dir / f"svhi_{suffix}")
         return None
 
     # an acquisition is a bands_* bundle, or a bands10_* bundle and the
@@ -230,7 +262,7 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     scene_px = 0
     if paths:
         try:
-            spec = read_header(paths[0]).spec
+            spec = raster.read_header(paths[0]).spec
             scene_px = spec.width * spec.height
         except BundleError:
             pass  # the acquisition's task reports the bad header
@@ -245,12 +277,12 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     for path in sorted(src.glob("lai_*.json")):
         suffix = _bundle_suffix(path.stem, "lai")
         try:
-            lai = optical.ingest_lai(load_raster(path))
+            lai = optical.ingest_lai(raster.load_raster(path))
         except (ValueError, BundleError) as e:
             log.error("skipping %s: %s", path.name, e)
             skipped.append(path.name)
             continue
-        save_raster(lai, cfg.out_dir / f"lai_{suffix}")
+        raster.save_raster(lai, cfg.out_dir / f"lai_{suffix}")
 
     if produced == 0 and not skipped:
         raise ValueError(f"no bands_*.json or bands10_*.json bundles under {src}")
@@ -273,24 +305,24 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"no index bundles ({', '.join(INDEX_PREFIXES)}) under {cfg.out_dir}")
 
     # grid -> parcel id -> mask: one grid lookup per bundle, not per parcel
-    mask_cache: dict[GridSpec, dict[str, parcels.ParcelMask]] = {}
+    mask_cache: dict[raster.GridSpec, dict[str, parcels.ParcelMask]] = {}
     rows = []
     for path in paths:
-        raster = load_raster(path)
-        masks = mask_cache.setdefault(raster.spec, {})
+        index = raster.load_raster(path)
+        masks = mask_cache.setdefault(index.spec, {})
         for parcel in plist:
             mask = masks.get(parcel.id)
             if mask is None:
-                mask = parcels.erode(parcels.rasterize(parcel, raster.spec), cfg.erode_px)
+                mask = parcels.erode(parcels.rasterize(parcel, index.spec), cfg.erode_px)
                 masks[parcel.id] = mask
                 if mask.is_empty:
                     log.warning("parcel %s has no pixels on grid %dx%d after "
-                                "eroding %d px", parcel.id, raster.spec.width,
-                                raster.spec.height, cfg.erode_px)
+                                "eroding %d px", parcel.id, index.spec.width,
+                                index.spec.height, cfg.erode_px)
             if mask.is_empty:
                 continue
             try:
-                rows.append(parcels.zonal_stats(raster, mask))
+                rows.append(parcels.zonal_stats(index, mask))
             except parcels.EmptyStatsError:
                 log.warning("parcel %s: only nodata under the mask in %s",
                             parcel.id, path.name)
@@ -313,22 +345,23 @@ def _degree_days(weather: Path, t_base_c: float) -> phenology.DegreeDaySeries:
 
 
 def cmd_degree_days(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    """Weather CSV -> daily degree-day CSV with the season diagnostic."""
+    """Weather CSV -> daily degree-day CSV."""
     if cfg.weather_path is None:
         raise ValueError("degree-days needs a weather file; set \"weather\" in the config")
     series = _degree_days(cfg.weather_path, cfg.t_base_c)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.out_dir / "degree_days.csv"
     phenology.write_degree_days_csv(series, out_csv)
-    diag = phenology.fit_cdd_vs_doy(series)
-    log.info("wrote %s (%d days, quadratic-in-time diagnostic r = %.4f)",
-             out_csv.name, len(series.entries), diag.r)
+    log.info("wrote %s (%d days)", out_csv.name, len(series.entries))
     _echo_file(out_csv, args.stdout)
     return 0
 
 
 def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    """Zonal CSV (+ weather) -> trend, group, correlation and scatter CSVs."""
+    """Zonal CSV (+ weather) -> trend, group, correlation and scatter CSVs.
+
+    With the CDD abscissa the degree-day season diagnostic is logged too.
+    """
     zonal_csv = cfg.out_dir / "zonal.csv"
     if not zonal_csv.exists():
         raise ValueError(f"{zonal_csv} not found; run the zonal stage first")
@@ -351,6 +384,11 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                                      cdd_series)
     except ValueError as e:
         raise ValueError(f"{zonal_csv}: {e}") from None
+    if cdd_series is not None:
+        # logged once the season is built, so a record too short for this fit
+        # fails on the season's own error first
+        log.info("degree days: quadratic-in-time diagnostic r = %.4f",
+                 phenology.fit_cdd_vs_doy(cdd_series).r)
     trend_csv = cfg.out_dir / "trend.csv"
     trend.write_trend_csv(tables.trend, trend_csv)
     trend.write_correlation_csv(tables.correlation, cfg.out_dir / "correlation.csv")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .raster import (Bundle, Raster, assert_aligned, load_bundle, resample, row_blocks,
                      valid_values)
-from .schema import ResampleMethod
+from .schema import LAI_BAND_NAME, NDVI_BAND_NAME, SVHI_BAND_NAME, ResampleMethod
 
 log = logging.getLogger(__name__)
 
@@ -27,10 +27,6 @@ BAND_NAMES = ("B4", "B5", "B8", "B11", "B12")
 REFLECTANCE_MAX = 1.2
 
 LAI_RANGE = (0.0, 10.0)
-
-NDVI_BAND_NAME = "NDVI"
-SVHI_BAND_NAME = "SVHI"
-LAI_BAND_NAME = "LAI"
 
 
 def _strike_outside(raster: Raster, lo: float, hi: float, band_name: str,

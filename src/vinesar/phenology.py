@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from . import trend
 from .schema import DEFAULT_BASE_TEMP_C, DEGREE_DAYS_CSV_HEADER
 from .tables import read_table, write_table
 
@@ -159,7 +158,11 @@ def fit_cdd_vs_doy(series: DegreeDaySeries) -> "trend.ParabolicFit":
 
     Over a season the accumulation behaves like the square of calendar time;
     the fit quality of this diagnostic says how closely a year follows that.
+    The fit is ``trend``'s, imported here so that reading weather and
+    accumulating degree days need no numpy.
     """
+    from . import trend
+
     xs = [float(e.doy) for e in series.entries]
     ys = [e.cdd for e in series.entries]
     return trend.fit_quadratic(xs, ys)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .raster import (Bundle, BundleHeader, Raster, load_bundle, read_header, row_blocks,
                      save_bundle)
+from .schema import DPRVI_BAND_NAME
 
 log = logging.getLogger(__name__)
 
@@ -34,8 +35,6 @@ PSD_TOL = 1e-6
 # float32 storage cannot carry a genuine ratio this small, while single-look
 # sample covariances are rank one by construction and must index to exactly 0.
 RANK1_TOL = 1e-5
-
-DPRVI_BAND_NAME = "DpRVI"
 
 
 class CovarianceError(Exception):

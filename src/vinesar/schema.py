@@ -40,6 +40,12 @@ class Abscissa(str, Enum):
 
 DEFAULT_BASE_TEMP_C = 10.0
 
+# band names of the index rasters, as written in their bundles and zonal.csv
+DPRVI_BAND_NAME = "DpRVI"
+NDVI_BAND_NAME = "NDVI"
+SVHI_BAND_NAME = "SVHI"
+LAI_BAND_NAME = "LAI"
+
 ZONAL_CSV_HEADER = ("parcel_id", "band", "timestamp", "orbit",
                     "count", "mean", "std", "min", "max")
 DEGREE_DAYS_CSV_HEADER = ("date", "doy", "gdd", "cdd")

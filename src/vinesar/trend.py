@@ -18,11 +18,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .optical import LAI_BAND_NAME, NDVI_BAND_NAME, SVHI_BAND_NAME
 from .parcels import Orientation, ZonalStats
-from .sar import DPRVI_BAND_NAME
-from .schema import (CORRELATION_CSV_HEADER, SCATTER_CSV_HEADER, TREND_CSV_HEADER,
-                     Abscissa, Orbit)
+from .schema import (CORRELATION_CSV_HEADER, DPRVI_BAND_NAME, LAI_BAND_NAME, NDVI_BAND_NAME,
+                     SCATTER_CSV_HEADER, SVHI_BAND_NAME, TREND_CSV_HEADER, Abscissa, Orbit)
 from .tables import write_table
 
 log = logging.getLogger(__name__)

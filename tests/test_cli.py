@@ -630,6 +630,15 @@ class TestDegreeDaysCommand:
 
 
 class TestTrendCommand:
+    def test_trend_logs_the_degree_day_diagnostic(self, campaign_run, tmp_path, caplog):
+        root = trend_workspace(campaign_run, tmp_path)
+        caplog.set_level(logging.INFO)
+        for stage in ("degree-days", "trend"):
+            assert run_cli(stage, "--config", str(root / "config.json")) == 0
+        infos = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        assert infos[0] == "wrote degree_days.csv (273 days)"
+        assert infos[1] == "degree days: quadratic-in-time diagnostic r = 0.9943"
+
     def test_trend_rows(self, campaign_run):
         rows = read_rows(campaign_run["out"] / "trend.csv")
         assert len(rows) == 24  # 12 parcels x 2 orbits
@@ -682,9 +691,12 @@ class TestTrendCommand:
         assert {int(r["n"]) for r in rows if r["orbit"] == "ASC"} == {5}
         assert {int(r["n"]) for r in rows if r["orbit"] == "DES"} == {6}
 
+    # a record of two days is too short for the degree-day diagnostic's fit,
+    # whose error must not stand in for this one
+    @pytest.mark.parametrize("end", ["2023-03-01", "2023-01-03"])
     def test_no_acquisition_inside_weather_record_fails(self, campaign_run, tmp_path,
-                                                        caplog):
-        rows = [r for r in weather_rows() if r[0] < "2023-03-01"]
+                                                        caplog, end):
+        rows = [r for r in weather_rows() if r[0] < end]
         (tmp_path / "weather.csv").write_text("\n".join(
             ["date,tmin_c,tmax_c,precip_mm"] + [",".join(map(str, r)) for r in rows]) + "\n")
         (tmp_path / "out").mkdir()
@@ -1127,38 +1139,124 @@ FLAG_CASES = {
 }
 
 
+def fresh_python(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports vinesar from this tree."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_config_loads_without_numpy(tmp_path):
     doc = {"out_dir": "out", "rasters_dir": "raw", "parcels": "p.geojson",
            "weather": "w.csv", "multilook": "2x2", "boxcar": 3, "erode": 1, "t_base": 10.0,
            "max_gap_days": 7, "abscissa": "doy", "seed": 5, "resample": "bilinear"}
     assert set(doc) == set(schema.CONFIG_KEYS)
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import argparse, sys; from vinesar import schema, tables; "
              "cfg = schema.load_config(argparse.Namespace(config='cfg.json')); "
              "print(cfg.boxcar, cfg.abscissa.value, 'numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python(tmp_path, "-c", probe)
     assert proc.stdout.split() == ["3", "doy", "False"]
 
 
 def test_module_entry_point_runs(tmp_path):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "vinesar", "--help"], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python(tmp_path, "-m", "vinesar", "--help")
     assert "sar-index" in proc.stdout
 
 
 def test_package_import_loads_no_submodule_and_no_numpy(tmp_path):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import sys, vinesar; print(sorted(m for m in sys.modules "
              "if m.startswith('vinesar.') or m.split('.')[0] == 'numpy'))")
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python(tmp_path, "-c", probe)
     assert proc.stdout.strip() == "[]"
+
+
+def test_phenology_import_loads_no_numpy(tmp_path):
+    probe = "import sys, vinesar.phenology; print('numpy' in sys.modules)"
+    assert fresh_python(tmp_path, "-c", probe).stdout.split() == ["False"]
+
+
+class TestStageImports:
+    """Which vinesar modules each stage executes, in a fresh interpreter.
+
+    ``import vinesar.cli`` registers the seven stage modules lazily; a module
+    counts as executed once it is in ``sys.modules`` and no longer lazy."""
+
+    # runs the stage named by argv, then prints the vinesar modules executed
+    # and whether numpy was imported
+    STAGE_PROBE = """
+import importlib.util, json, sys
+import vinesar.cli
+rc = vinesar.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules, "executed": sorted(
+    name for name, m in sys.modules.items() if name.split(".")[0] == "vinesar"
+    and type(m) is not importlib.util._LazyModule)}))
+"""
+
+    # the stage with its pool forced to two threads; prints the stage modules
+    # still lazy when the pool started that executed after it
+    POOL_PROBE = """
+import importlib.util, json, sys
+import vinesar.cli as cli
+
+def lazy():
+    return {name for name, m in sys.modules.items()
+            if type(m) is importlib.util._LazyModule}
+
+at_pool = []
+map_scenes = cli._map_scenes
+
+def recording_map_scenes(fn, scenes, scene_size):
+    at_pool.append(lazy())
+    yield from map_scenes(fn, scenes, scene_size)
+
+cli._map_scenes = recording_map_scenes
+cli._pool_size = lambda n, size: min(2, n)
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "pools": len(at_pool),
+                  "late": sorted(at_pool[0] - lazy()) if at_pool else []}))
+"""
+
+    BASE = {"vinesar", "vinesar.cli", "vinesar.schema", "vinesar.tables"}
+
+    @pytest.fixture(scope="class")
+    def workspace(self, campaign_run, tmp_path_factory):
+        """A copy of the campaign run: every stage's inputs are in place."""
+        root = tmp_path_factory.mktemp("stage-imports") / "campaign"
+        shutil.copytree(campaign_run["root"], root)
+        write_config(root / "config.json", root / "out")
+        return root
+
+    def stage_argv(self, root: Path, stage: str) -> list[str]:
+        scene = [str(root / "campaign.json")] if stage == "synth" else []
+        return [stage, *scene, "--config", str(root / "config.json")]
+
+    @pytest.mark.parametrize("stage, modules, numpy", [
+        ("synth", {"synth", "sar", "raster"}, True),
+        ("sar-index", {"sar", "raster"}, True),
+        ("optical-index", {"optical", "raster"}, True),
+        ("zonal", {"parcels", "raster"}, True),
+        ("degree-days", {"phenology"}, False),
+        ("trend", {"trend", "parcels", "raster", "phenology"}, True),
+        ("report", set(), False),
+    ])
+    def test_stage_executes_only_the_modules_it_calls(self, workspace, stage, modules,
+                                                      numpy):
+        proc = fresh_python(workspace, "-c", self.STAGE_PROBE,
+                            *self.stage_argv(workspace, stage))
+        got = json.loads(proc.stdout)
+        assert got["rc"] == 0, proc.stderr
+        assert set(got["executed"]) == self.BASE | {f"vinesar.{m}" for m in modules}
+        assert got["numpy"] is numpy
+
+    @pytest.mark.parametrize("stage", ["synth", "sar-index", "optical-index"])
+    def test_no_stage_module_executes_first_in_a_pool_worker(self, workspace, stage):
+        proc = fresh_python(workspace, "-c", self.POOL_PROBE,
+                            *self.stage_argv(workspace, stage))
+        got = json.loads(proc.stdout)
+        assert got["rc"] == 0, proc.stderr
+        assert got["pools"] == 1
+        assert got["late"] == []
