@@ -691,11 +691,7 @@ class TestTrendCommand:
         assert {int(r["n"]) for r in rows if r["orbit"] == "ASC"} == {5}
         assert {int(r["n"]) for r in rows if r["orbit"] == "DES"} == {6}
 
-    # a record of two days is too short for the degree-day diagnostic's fit,
-    # whose error must not stand in for this one
-    @pytest.mark.parametrize("end", ["2023-03-01", "2023-01-03"])
-    def test_no_acquisition_inside_weather_record_fails(self, campaign_run, tmp_path,
-                                                        caplog, end):
+    def _trend_on_record_ending(self, campaign_run, tmp_path, caplog, end):
         rows = [r for r in weather_rows() if r[0] < end]
         (tmp_path / "weather.csv").write_text("\n".join(
             ["date,tmin_c,tmax_c,precip_mm"] + [",".join(map(str, r)) for r in rows]) + "\n")
@@ -708,6 +704,16 @@ class TestTrendCommand:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "inside the weather record" in errors[0]
         assert not (tmp_path / "out" / "trend.csv").exists()
+
+    def test_no_acquisition_inside_weather_record_fails(self, campaign_run, tmp_path,
+                                                        caplog):
+        self._trend_on_record_ending(campaign_run, tmp_path, caplog, "2023-03-01")
+
+    # a record of two days is too short for the degree-day diagnostic's fit,
+    # whose error must not stand in for this one
+    def test_no_acquisition_inside_two_day_weather_record_fails(self, campaign_run,
+                                                                 tmp_path, caplog):
+        self._trend_on_record_ending(campaign_run, tmp_path, caplog, "2023-01-03")
 
     def test_group_rows(self, campaign_run):
         with (campaign_run["out"] / "trend_groups.csv").open(newline="") as f:
