@@ -54,10 +54,18 @@ log = logging.getLogger(__name__)
 C2_PREFIX = "c2"
 INDEX_PREFIXES = ("dprvi", "ndvi", "svhi", "lai")
 
-_FATAL = (ValueError, KeyError, OSError, BundleError, AlignmentError)
+# the faults of reading or checking one acquisition, which skip it
+_SKIPPED = (BundleError, ValueError, AlignmentError, OSError)
+_FATAL = _SKIPPED + (KeyError,)
+
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+class _AllSkipped(Exception):
+    """Every acquisition of a stage was skipped, each with its error line."""
+
 
 # Most threads a stage runs its scenes on: each thread holds one scene's
 # working set in memory, so the cap bounds a stage's memory on a large host.
@@ -101,13 +109,52 @@ def _map_scenes(fn: Callable[[T], R], scenes: Sequence[T], scene_size: int) -> I
         yield from pool.map(fn, scenes)
 
 
+def _largest_scene_px(paths: Sequence[Path]) -> int:
+    """Pixels of the largest grid among the bundles ``paths``; a header that
+    cannot be read counts as 0 (its acquisition's task reports it)."""
+    def pixels(path: Path) -> int:
+        try:
+            spec = raster.read_header(path).spec
+        except _SKIPPED:
+            return 0
+        return spec.width * spec.height
+    return max(map(pixels, paths), default=0)
+
+
+def _each_acquisition(paths: Sequence[Path], read: Callable[[Path], T],
+                      write: Callable[[Path, T], R], scene_size: int) -> Iterator[R]:
+    """``write(path, read(path))`` for each of ``paths`` on the scene pool
+    (sized as for _pool_size; on this thread for a scene_size of 0), the
+    results in path order.
+
+    A fault reading or checking an acquisition (one of _SKIPPED, from
+    ``read``) skips it with one error line; a fault in ``write`` ends the
+    stage, as in _map_scenes. A closing warning lists the skipped files, and
+    a stage that skipped them all exits 1."""
+    def task(path: Path) -> R | Exception:
+        try:
+            loaded = read(path)
+        except _SKIPPED as e:
+            return e
+        return write(path, loaded)
+
+    skipped = []
+    results = _map_scenes(task, paths, scene_size) if scene_size else map(task, paths)
+    for path, result in zip(paths, results):
+        if isinstance(result, _SKIPPED):
+            log.error("skipping %s: %s", path, result)
+            skipped.append(path.name)
+        else:
+            yield result
+    if skipped:
+        log.warning("skipped %d acquisitions: %s", len(skipped), ", ".join(skipped))
+        if len(skipped) == len(paths):
+            raise _AllSkipped
+
+
 def _echo_file(path: Path, wanted: bool) -> None:
     if wanted:
         sys.stdout.write(path.read_text())
-
-
-def _bundle_suffix(stem: str, prefix: str) -> str:
-    return stem[len(prefix) + 1:]
 
 
 def _scene_name(date: Optional[dt.date], orbit: Optional[Orbit]) -> str:
@@ -184,71 +231,39 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    """Covariance bundles -> vegetation index bundles, one per acquisition.
-
-    Every header is checked first, so a bad or misaligned bundle stops the
-    stage before any index is written; then each scene is loaded, filtered,
-    indexed and saved as one task of a bounded thread pool.
-    """
+    """Covariance bundles -> vegetation index bundles, one per acquisition:
+    each scene is loaded, filtered, indexed on its own grid and saved as one
+    task of a bounded thread pool."""
     src = cfg.inputs_dir()
     paths = sorted(src.glob(f"{C2_PREFIX}_*.json"))
     if not paths:
         raise ValueError(f"no {C2_PREFIX}_*.json bundles under {src}")
-
-    ref = sar.read_c2_header(paths[0]).spec
-    for p in paths[1:]:
-        if sar.read_c2_header(p).spec != ref:
-            raise AlignmentError(f"{p.name} is on a different grid than "
-                                 f"{paths[0].name}; the stack must align")
-
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     wx, wy = cfg.multilook
+    load_c2 = sar.load_c2  # executes sar on this thread, not in a worker (see _map_scenes)
 
-    def index_scene(p: Path) -> str:
-        c2 = sar.load_c2(p)
+    def index_scene(p: Path) -> raster.Raster:
+        c2 = load_c2(p)
         if (wx, wy) != (1, 1):
             c2 = sar.multilook(c2, wx, wy)
         if cfg.boxcar is not None and cfg.boxcar > 1:
             c2 = sar.boxcar_filter(c2, cfg.boxcar)
-        index = sar.dprvi_raster(c2)
-        name = f"dprvi_{_bundle_suffix(p.stem, C2_PREFIX)}"
+        return sar.dprvi_raster(c2)
+
+    def save(p: Path, index: raster.Raster) -> str:
+        name = f"dprvi_{p.stem.split('_', 1)[1]}"
         raster.save_raster(index, cfg.out_dir / name)
         return name
 
-    for name in _map_scenes(index_scene, paths, ref.width * ref.height):
+    for name in _each_acquisition(paths, index_scene, save, _largest_scene_px(paths)):
         log.info("wrote %s", name)
     return 0
 
 
 def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Reflectance bundles -> NDVI and SVHI bundles; LAI passes validation.
-
-    Each reflectance acquisition is one task of a bounded thread pool;
-    skips are reported in acquisition order.
-    """
+    Each acquisition, reflectance or LAI, is one task of a bounded thread pool."""
     src = cfg.inputs_dir()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    produced = 0
-    skipped = []
-    # the tasks run on pool threads, where no lazy module may execute first:
-    # this touch executes optical on the calling thread (see _map_scenes)
-    ndvi, svhi = optical.ndvi, optical.svhi
-
-    def index_acquisition(path: Path) -> Optional[str]:
-        """Write the acquisition's NDVI and SVHI; why it was skipped, or None."""
-        prefix, suffix = path.stem.split("_", 1)
-        try:
-            if prefix == "bands":
-                bands = optical.bandset_from_bundle(path)
-            else:
-                bands = optical.bandset_from_split(path, src / f"bands20_{suffix}.json",
-                                                   cfg.resample_method)
-        except (ValueError, BundleError, AlignmentError) as e:
-            return str(e)
-        raster.save_raster(ndvi(bands), cfg.out_dir / f"ndvi_{suffix}")
-        raster.save_raster(svhi(bands), cfg.out_dir / f"svhi_{suffix}")
-        return None
-
     # an acquisition is a bands_* bundle, or a bands10_* bundle and the
     # bands20_* bundle of the same suffix; both would write one ndvi_/svhi_ pair
     single = sorted(src.glob("bands_*.json"))
@@ -258,36 +273,31 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if both:
         raise ValueError(f"bands_{both[0]} and bands10_{both[0]} under {src} would both "
                          f"write ndvi_{both[0]}; keep one")
-    paths = single + split
-    scene_px = 0
-    if paths:
-        try:
-            spec = raster.read_header(paths[0]).spec
-            scene_px = spec.width * spec.height
-        except BundleError:
-            pass  # the acquisition's task reports the bad header
-    results = _map_scenes(index_acquisition, paths, scene_px)
-    for path, reason in zip(paths, results, strict=True):
-        if reason is None:
-            produced += 1
+    paths = single + split + sorted(src.glob("lai_*.json"))
+    if not paths:
+        raise ValueError(f"no bands_*.json, bands10_*.json or lai_*.json bundles under {src}")
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    ndvi, svhi = optical.ndvi, optical.svhi  # executes optical here (see _map_scenes)
+
+    def read(path: Path) -> optical.BandSet | raster.Raster:
+        prefix, suffix = path.stem.split("_", 1)
+        if prefix == "lai":
+            return optical.ingest_lai(raster.load_raster(path))
+        if prefix == "bands":
+            return optical.bandset_from_bundle(path)
+        return optical.bandset_from_split(path, src / f"bands20_{suffix}.json",
+                                          cfg.resample_method)
+
+    def write(path: Path, product: optical.BandSet | raster.Raster) -> None:
+        suffix = path.stem.split("_", 1)[1]
+        if isinstance(product, raster.Raster):
+            raster.save_raster(product, cfg.out_dir / f"lai_{suffix}")
         else:
-            log.error("skipping %s: %s", path.name, reason)
-            skipped.append(path.name)
+            raster.save_raster(ndvi(product), cfg.out_dir / f"ndvi_{suffix}")
+            raster.save_raster(svhi(product), cfg.out_dir / f"svhi_{suffix}")
 
-    for path in sorted(src.glob("lai_*.json")):
-        suffix = _bundle_suffix(path.stem, "lai")
-        try:
-            lai = optical.ingest_lai(raster.load_raster(path))
-        except (ValueError, BundleError) as e:
-            log.error("skipping %s: %s", path.name, e)
-            skipped.append(path.name)
-            continue
-        raster.save_raster(lai, cfg.out_dir / f"lai_{suffix}")
-
-    if produced == 0 and not skipped:
-        raise ValueError(f"no bands_*.json or bands10_*.json bundles under {src}")
-    if skipped:
-        log.warning("skipped %d acquisitions: %s", len(skipped), ", ".join(skipped))
+    for _ in _each_acquisition(paths, read, write, _largest_scene_px(paths)):
+        pass
     return 0
 
 
@@ -298,17 +308,15 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     plist = sorted(parcels.load_parcels(cfg.parcels_path), key=lambda p: p.id)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    paths = []
-    for prefix in INDEX_PREFIXES:
-        paths.extend(sorted(cfg.out_dir.glob(f"{prefix}_*.json")))
+    paths = [p for prefix in INDEX_PREFIXES for p in sorted(cfg.out_dir.glob(f"{prefix}_*.json"))]
     if not paths:
         raise ValueError(f"no index bundles ({', '.join(INDEX_PREFIXES)}) under {cfg.out_dir}")
 
     # grid -> parcel id -> mask: one grid lookup per bundle, not per parcel
     mask_cache: dict[raster.GridSpec, dict[str, parcels.ParcelMask]] = {}
     rows = []
-    for path in paths:
-        index = raster.load_raster(path)
+
+    def summarize(path: Path, index: raster.Raster) -> None:
         masks = mask_cache.setdefault(index.spec, {})
         for parcel in plist:
             mask = masks.get(parcel.id)
@@ -327,6 +335,9 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                 log.warning("parcel %s: only nodata under the mask in %s",
                             parcel.id, path.name)
 
+    # the bundles share the mask cache, so they run on this thread
+    for _ in _each_acquisition(paths, raster.load_raster, summarize, 0):
+        pass
     out_csv = cfg.out_dir / "zonal.csv"
     parcels.write_zonal_csv(rows, out_csv)
     log.info("wrote %s (%d rows)", out_csv.name, len(rows))
@@ -385,10 +396,12 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     except ValueError as e:
         raise ValueError(f"{zonal_csv}: {e}") from None
     if cdd_series is not None:
-        # logged once the season is built, so a record too short for this fit
-        # fails on the season's own error first
-        log.info("degree days: quadratic-in-time diagnostic r = %.4f",
-                 phenology.fit_cdd_vs_doy(cdd_series).r)
+        # only a log line: a record too short for its fit costs no table
+        try:
+            log.info("degree days: quadratic-in-time diagnostic r = %.4f",
+                     phenology.fit_cdd_vs_doy(cdd_series).r)
+        except ValueError as e:
+            log.warning("%s: no degree-day diagnostic: %s", cfg.weather_path, e)
     trend_csv = cfg.out_dir / "trend.csv"
     trend.write_trend_csv(tables.trend, trend_csv)
     trend.write_correlation_csv(tables.correlation, cfg.out_dir / "correlation.csv")
@@ -460,8 +473,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vinesar",
         description="Dual-pol SAR and optical vegetation index pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, func, text in (
+            ("synth", cmd_synth, "generate synthetic covariance bundles"),
+            ("sar-index", cmd_sar_index, "covariance bundles to index bundles"),
+            ("optical-index", cmd_optical, "reflectance bundles to NDVI/SVHI"),
+            ("zonal", cmd_zonal, "per-parcel statistics over index bundles"),
+            ("degree-days", cmd_degree_days, "daily degree days from weather"),
+            ("trend", cmd_trend, "seasonal fits and cross-index correlations"),
+            ("report", cmd_report, "human-readable summary of the trend outputs")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if func is cmd_synth:
+            p.add_argument("scene", help="scene or campaign JSON")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--multilook", help="multilook window, e.g. 4x1")
@@ -473,35 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="64-bit RNG seed")
         p.add_argument("--stdout", action="store_true",
                        help="echo the produced table to stdout")
-
-    p = sub.add_parser("synth", help="generate synthetic covariance bundles")
-    p.add_argument("scene", help="scene or campaign JSON")
-    common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("sar-index", help="covariance bundles to index bundles")
-    common(p)
-    p.set_defaults(func=cmd_sar_index)
-
-    p = sub.add_parser("optical-index", help="reflectance bundles to NDVI/SVHI")
-    common(p)
-    p.set_defaults(func=cmd_optical)
-
-    p = sub.add_parser("zonal", help="per-parcel statistics over index bundles")
-    common(p)
-    p.set_defaults(func=cmd_zonal)
-
-    p = sub.add_parser("degree-days", help="daily degree days from weather")
-    common(p)
-    p.set_defaults(func=cmd_degree_days)
-
-    p = sub.add_parser("trend", help="seasonal fits and cross-index correlations")
-    common(p)
-    p.set_defaults(func=cmd_trend)
-
-    p = sub.add_parser("report", help="human-readable summary of the trend outputs")
-    common(p)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -514,6 +508,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(cfg, args)
     except _FATAL as e:
         log.error("%s", e)
+        return 1
+    except _AllSkipped:
         return 1
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .raster import BLOCK_PX, GridSpec, Raster, valid_values
-from .schema import ZONAL_CSV_HEADER, AlignmentError, Orbit, read_json_object
+from .schema import ZONAL_CSV_HEADER, AlignmentError, Orbit, iso_date, read_json_object
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -500,7 +500,7 @@ def read_zonal_csv(path: str | Path) -> list[ZonalStats]:
         pid, band, day, orbit, count, mean, std, lo, hi = cells
         timestamp = dates.get(day)
         if timestamp is None and day:
-            timestamp = dates[day] = dt.date.fromisoformat(day)
+            timestamp = dates[day] = iso_date(day, "timestamp")
         kind = orbits.get(orbit)
         if kind is None and orbit:
             kind = orbits[orbit] = Orbit(orbit)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .schema import DEFAULT_BASE_TEMP_C, DEGREE_DAYS_CSV_HEADER
+from .schema import DEFAULT_BASE_TEMP_C, DEGREE_DAYS_CSV_HEADER, iso_date
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,7 @@ def load_weather_csv(path: str | Path) -> list[WeatherRecord]:
     def convert(cells: list[str]) -> WeatherRecord:
         precip_raw = "" if precip is None else cells[precip].strip()
         return WeatherRecord(
-            date=dt.date.fromisoformat(cells[col["date"]].strip()),
+            date=iso_date(cells[col["date"]].strip(), "date"),
             tmin_c=float(cells[col["tmin_c"]]),
             tmax_c=float(cells[col["tmax_c"]]),
             precip_mm=float(precip_raw) if precip_raw else None,

@@ -20,8 +20,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .schema import (AlignmentError, BundleError, Orbit, ResampleMethod, json_float,
-                     json_int, read_json_object)
+from .schema import (AlignmentError, BundleError, Orbit, ResampleMethod, iso_date,
+                     json_float, json_int, read_json_object)
 from .tables import temp_path
 
 log = logging.getLogger(__name__)
@@ -245,7 +245,7 @@ def read_header(path: str | Path) -> BundleHeader:
     payload whose size does not match the declared grid and bands. The
     grid fields are integers (width, height), finite JSON numbers and a
     string crs; bands is a list of objects with a string name; nodata is a
-    number or null; timestamp is an ISO date string.
+    number or null; timestamp is a YYYY-MM-DD date string.
     """
     header_path, binary_path = _bundle_paths(path)
     if not header_path.exists():
@@ -277,12 +277,7 @@ def read_header(path: str | Path) -> BundleHeader:
         nodata = header.get("nodata")
         nodata = math.nan if nodata is None else json_float(nodata, "nodata", finite=False)
         timestamp = header.get("timestamp")
-        if timestamp is not None:
-            try:
-                timestamp = dt.date.fromisoformat(timestamp)
-            except (TypeError, ValueError):
-                raise ValueError(f"'timestamp' must be an ISO date string, "
-                                 f"got {timestamp!r}") from None
+        timestamp = None if timestamp is None else iso_date(timestamp, "timestamp")
         orbit = header.get("orbit")
         orbit = None if orbit is None else Orbit(orbit)
     except ValueError as e:

@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import (Bundle, BundleHeader, Raster, load_bundle, read_header, row_blocks,
-                     save_bundle)
+from .raster import Bundle, Raster, load_bundle, row_blocks, save_bundle
 from .schema import DPRVI_BAND_NAME
 
 log = logging.getLogger(__name__)
@@ -78,13 +77,6 @@ def save_c2(c2: Bundle, path: str | Path) -> Path:
     _require_c2_bands(path, c2.band_names)
     return save_bundle(path, c2.spec, list(zip(c2.band_names, c2.values)),
                        nodata=c2.nodata, timestamp=c2.timestamp, orbit=c2.orbit)
-
-
-def read_c2_header(path: str | Path) -> BundleHeader:
-    """Check a covariance bundle as load_c2 does, without reading its payload."""
-    header = read_header(path)
-    _require_c2_bands(path, header.band_names)
-    return header
 
 
 def load_c2(path: str | Path) -> Bundle:

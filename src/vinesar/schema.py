@@ -6,8 +6,10 @@ numpy."""
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -94,6 +96,17 @@ def json_seed(value, name: str = "seed") -> int:
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"{name!r} must fit in 64 bits, got {value!r}")
     return seed
+
+
+def iso_date(value, name: str) -> dt.date:
+    """A date field written YYYY-MM-DD, the form vinesar writes; fromisoformat
+    alone also takes 20230421 and 2023-W16-5, but only from Python 3.11 on."""
+    if not (isinstance(value, str) and re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", value)):
+        raise ValueError(f"{name!r} must be a YYYY-MM-DD date, got {value!r}")
+    try:
+        return dt.date.fromisoformat(value)
+    except ValueError as e:
+        raise ValueError(f"{name!r} {value!r}: {e}") from None
 
 
 def read_json_object(path: Path) -> dict:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .raster import Bundle, GridSpec, grid_from_json
 from .sar import C2_BAND_NAMES, _not_psd
-from .schema import Orbit, json_int, json_seed
+from .schema import Orbit, iso_date, json_int, json_seed
 
 log = logging.getLogger(__name__)
 
@@ -254,7 +254,7 @@ def scene_from_dict(doc: dict, *, seed: Optional[int] = None) -> SceneSpec:
         background = tuple(float(v) for v in doc["background"])
         regions = [Region(tuple(r["rect"]), tuple(r["c2"])) for r in doc.get("regions", [])]
         seed_val = json_seed(doc["seed"] if seed is None else seed)
-        timestamp = dt.date.fromisoformat(doc["timestamp"]) if doc.get("timestamp") else None
+        timestamp = iso_date(doc["timestamp"], "timestamp") if doc.get("timestamp") else None
         orbit = Orbit(doc["orbit"]) if doc.get("orbit") else None
         return SceneSpec(spec=grid, background=background, regions=regions,
                          looks=doc.get("looks", 1), seed=seed_val, timestamp=timestamp,

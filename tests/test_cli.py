@@ -255,21 +255,27 @@ class TestSarIndexCommand:
         smooth = load_raster(tmp_path / "b" / "dprvi_2023-04-21_DES").values
         assert not np.array_equal(plain, smooth)
 
-    def test_misaligned_stack_fails(self, tmp_path):
-        doc_a = scene_doc(seed=1)
-        doc_b = scene_doc(seed=2, date="2023-05-27")
-        doc_b["width"] = 12
-        for name, doc in (("a", doc_a), ("b", doc_b)):
-            p = tmp_path / f"{name}.json"
-            p.write_text(json.dumps(doc))
-            assert run_cli("synth", str(p), "--out", str(tmp_path / "out")) == 0
-        assert run_cli("sar-index", "--out", str(tmp_path / "out")) == 1
+    def test_each_scene_is_indexed_on_its_own_grid(self, tmp_path, caplog):
+        wide = scene_doc(seed=2, date="2023-05-27")
+        wide["width"] = 12
+        for doc in (scene_doc(seed=1), wide):
+            (tmp_path / "s.json").write_text(json.dumps(doc))
+            assert run_cli("synth", str(tmp_path / "s.json"), "--out", str(tmp_path / "a")) == 0
+            alone = tmp_path / doc["timestamp"]
+            assert run_cli("synth", str(tmp_path / "s.json"), "--out", str(alone)) == 0
+            assert run_cli("sar-index", "--out", str(alone), "--multilook", "2x2") == 0
+        caplog.clear()
+        assert run_cli("sar-index", "--out", str(tmp_path / "a"), "--multilook", "2x2") == 0
+        assert not [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")]
+        for date, width in (("2023-04-21", 4), ("2023-05-27", 6)):
+            name = f"dprvi_{date}_DES"
+            assert load_raster(tmp_path / "a" / name).spec.width == width
+            for suffix in (".json", ".bin"):
+                assert (tmp_path / "a" / name).with_suffix(suffix).read_bytes() == \
+                    (tmp_path / date / name).with_suffix(suffix).read_bytes()
 
-    @pytest.mark.parametrize("fault", ["misaligned", "wrong bands", "truncated payload"])
-    def test_bad_bundle_sorted_last_stops_before_any_output(self, tmp_path, caplog, fault):
-        # scenes are processed one at a time, so every header is checked
-        # first: a bad last bundle must not leave the earlier indices behind
-        from vinesar.raster import save_bundle
+    @pytest.mark.parametrize("fault", ["wrong bands", "truncated payload"])
+    def test_bad_bundle_sorted_last_is_skipped(self, tmp_path, caplog, fault):
         rng = np.random.default_rng(4)
         spec = GridSpec(6, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
 
@@ -281,20 +287,20 @@ class TestSarIndexCommand:
             save_c2(c2_bundle(spec, bands(spec), timestamp=dt.date.fromisoformat(date)),
                     tmp_path / f"c2_{date}_DES")
         last = tmp_path / "c2_2023-12-31_DES"
-        if fault == "misaligned":
-            wide = GridSpec(7, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
-            save_c2(c2_bundle(wide, bands(wide)), last)
-        elif fault == "wrong bands":
+        if fault == "wrong bands":
             save_bundle(last, spec, list(zip(("C11", "C22", "C12_re", "X"), bands(spec))))
         else:
             save_c2(c2_bundle(spec, bands(spec)), last)
             with open(last.with_suffix(".bin"), "r+b") as f:
                 f.truncate(4 * 6 * 5 * 4 - 4)
         assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1",
-                       "--boxcar", "3") == 1
+                       "--boxcar", "3") == 0
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1 and "c2_2023-12-31_DES" in errors[0]
-        assert not list(tmp_path.glob("dprvi_*"))
+        assert len(errors) == 1 and errors[0].startswith(f"skipping {last}.json: ")
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["skipped 1 acquisitions: c2_2023-12-31_DES.json"]
+        assert sorted(p.name for p in tmp_path.glob("dprvi_*.json")) == [
+            "dprvi_2023-04-21_DES.json", "dprvi_2023-05-27_DES.json"]
 
     def test_no_bundles_fails(self, tmp_path):
         (tmp_path / "out").mkdir()
@@ -309,13 +315,13 @@ class TestSarIndexCommand:
                               timestamp=dt.date.fromisoformat(date)), tmp_path / f"c2_{date}_DES")
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_first_scene_failing_after_the_header_pass_is_the_one_error(
-            self, tmp_path, caplog, monkeypatch, threads):
+    def test_scenes_failing_to_load_are_skipped(self, tmp_path, caplog, monkeypatch,
+                                                threads):
         dates = [f"2023-0{m}-01" for m in range(3, 8)]
         self.write_small_stack(tmp_path, dates)
-        # the payloads of scenes 1 and 3 become unreadable once their headers
-        # have passed; on the pool, scene 1 fails only after scene 3 has failed,
-        # so it is last in time but first in sorted order
+        # the payloads of scenes 1 and 3 cannot be read; on the pool, scene 1
+        # fails only after scene 3 has failed, so it is last in time but first
+        # in sorted order
         real_load = sar.load_bundle
         attempted = []
         scene3_failed = threading.Event()
@@ -333,19 +339,25 @@ class TestSarIndexCommand:
 
         monkeypatch.setattr(sar, "load_bundle", load)
         monkeypatch.setattr(cli, "_pool_size", lambda n, px: min(threads, n))
-        assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1") == 1
+        assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1") == 0
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1 and f"c2_{dates[1]}_DES" in errors[0], errors
-        assert (tmp_path / f"dprvi_{dates[0]}_DES.json").exists()
-        if threads == 1:
-            assert attempted == [0, 1]
-        else:
-            # scene 4 may start on a thread freed before the failure is read
-            assert {0, 1, 2, 3} <= set(attempted) <= {0, 1, 2, 3, 4}, attempted
+        assert [e.split(":")[0] for e in errors] == [
+            f"skipping {tmp_path / f'c2_{dates[k]}_DES.json'}" for k in (1, 3)], errors
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"skipped 2 acquisitions: c2_{dates[1]}_DES.json, "
+                            f"c2_{dates[3]}_DES.json"]
+        assert sorted(attempted) == [0, 1, 2, 3, 4]
+        assert sorted(p.name for p in tmp_path.glob("dprvi_*.json")) == [
+            f"dprvi_{dates[k]}_DES.json" for k in (0, 2, 4)]
 
-    def test_scenes_not_started_are_cancelled_after_a_failure(self, tmp_path, monkeypatch):
+    def test_scenes_not_started_are_cancelled_after_a_failure(self, tmp_path, monkeypatch,
+                                                              caplog):
         dates = [f"2023-05-0{day}" for day in range(1, 9)]
         self.write_small_stack(tmp_path, dates)
+        # a folder where scene 0's index payload goes: its save fails, which
+        # ends the stage
+        blocked = tmp_path / f"dprvi_{dates[0]}_DES.bin"
+        blocked.mkdir()
         shutting_down = threading.Event()
 
         class Pool(cli.ThreadPoolExecutor):
@@ -360,17 +372,19 @@ class TestSarIndexCommand:
 
         def load(path):
             attempted.append(dates.index(Path(path).stem.split("_")[1]))
-            if dates[0] in str(path):
-                raise OSError(f"cannot read {path}")
-            # every other scene holds its thread until the stage has read the
-            # failure and cancelled what had not started
-            assert shutting_down.wait(timeout=30)
+            if dates[0] not in str(path):
+                # every other scene holds its thread until the stage has read
+                # the failure and cancelled what had not started
+                assert shutting_down.wait(timeout=30)
             return real_load(path)
 
         monkeypatch.setattr(sar, "load_bundle", load)
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(cli, "_pool_size", lambda n, px: 2)
         assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1") == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and str(blocked) in errors[0], errors
+        assert blocked.is_dir()
         # scene 1 runs on the second thread; the first thread may take scene 2
         # before the failure is read; scenes 3 to 7 never start
         assert {0, 1} <= set(attempted) <= {0, 1, 2}, attempted
@@ -440,6 +454,37 @@ class TestOpticalCommand:
         assert not (ws["out"] / "ndvi_2023-04-26.json").exists()
         assert (ws["out"] / "ndvi_2023-03-27.json").exists()
 
+    @staticmethod
+    def optical_workspace(root, keep):
+        """Optical inputs under root/raw, only the bundles whose stem ``keep``
+        accepts, and a config writing to root/out."""
+        (root / "raw").mkdir(parents=True)
+        write_optical_inputs(root / "raw")
+        for p in (root / "raw").iterdir():
+            if not keep(p.stem):
+                p.unlink()
+        (root / "config.json").write_text(json.dumps({"rasters_dir": "raw",
+                                                      "out_dir": "out"}))
+        return root / "config.json"
+
+    def test_lai_alone_is_written(self, tmp_path, caplog):
+        config = self.optical_workspace(tmp_path, lambda stem: stem.startswith("lai_"))
+        assert run_cli("optical-index", "--config", str(config)) == 0
+        assert not [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            f"lai_{d.isoformat()}{suffix}" for d in OPTICAL_DATES for suffix in (".bin", ".json"))
+
+    def test_every_acquisition_skipped_writes_nothing_and_fails(self, tmp_path, caplog):
+        tag = OPTICAL_DATES[0].isoformat()
+        config = self.optical_workspace(tmp_path, lambda stem: stem == f"bands10_{tag}")
+        assert run_cli("optical-index", "--config", str(config)) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"skipping {tmp_path / 'raw' / f'bands10_{tag}.json'}: missing "
+                          f"header {tmp_path / 'raw' / f'bands20_{tag}.json'}"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"skipped 1 acquisitions: bands10_{tag}.json"]
+        assert not list((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_single_and_split_bundles_of_one_suffix_are_refused(
             self, tmp_path, caplog, monkeypatch, threads):
@@ -474,6 +519,80 @@ def test_index_stages_write_the_same_bytes_on_one_thread_and_on_three(
     assert len([n for n in outs[1] if n.startswith(("dprvi_", "ndvi_", "svhi_"))]) == 2 * (
         len(SAR_DATES) + 2 * len(OPTICAL_DATES))
     assert outs[1] == outs[3]
+
+
+def _fault_bundle(stem: Path, fault: str) -> None:
+    """Break the bundle ``stem`` (a path without suffix) in the way ``fault`` names."""
+    header = stem.with_suffix(".json")
+    if fault == "truncated payload":
+        with open(stem.with_suffix(".bin"), "r+b") as f:
+            f.truncate(stem.with_suffix(".bin").stat().st_size - 4)
+    elif fault == "bad header field":
+        header.write_text(json.dumps(dict(json.loads(header.read_text()), dtype="f64le")))
+    elif fault == "wrong bands":
+        b = raster.load_bundle(stem)
+        save_bundle(stem, b.spec, [("X", b.values[0]), ("Y", b.values[0])],
+                    timestamp=b.timestamp, orbit=b.orbit)
+    else:  # unreadable file
+        header.unlink()
+        header.mkdir()
+
+
+# stage -> (input folder, the bundles copied into it from the campaign run,
+# the bad acquisition's bundles, the one the fault breaks, an output's prefix)
+SKIP_CASES = {
+    "sar-index": ("raw", ["c2_2023-03-28_DES", "c2_2023-05-27_DES", "c2_2023-07-20_DES"],
+                  ["c2_2023-05-27_DES"], "c2_2023-05-27_DES", "dprvi_"),
+    "optical-index": ("raw", [f"{kind}_{day}" for kind in ("bands10", "bands20", "lai")
+                              for day in ("2023-03-27", "2023-04-26", "2023-05-26")],
+                      ["bands10_2023-04-26", "bands20_2023-04-26"], "bands10_2023-04-26",
+                      "svhi_"),
+    "zonal": ("out", ["dprvi_2023-03-28_DES", "dprvi_2023-05-27_DES", "ndvi_2023-04-26",
+                      "lai_2023-04-26"], ["dprvi_2023-05-27_DES"], "dprvi_2023-05-27_DES",
+              "zonal.csv"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("fault", ["truncated payload", "bad header field", "wrong bands",
+                                   "unreadable file"])
+@pytest.mark.parametrize("stage", sorted(SKIP_CASES))
+def test_bad_acquisition_is_skipped(campaign_run, tmp_path, monkeypatch, caplog, stage,
+                                    fault, threads):
+    """One bad file in a per-acquisition stage gives one error line and a
+    closing skip list; every other output is as from a folder without that
+    acquisition, whatever the pool size."""
+    folder, bundles, acquisition, bad, written = SKIP_CASES[stage]
+    monkeypatch.setattr(cli, "_pool_size", lambda n, size: min(threads, n))
+    outs = {}
+    for case in ("with", "without"):
+        root = tmp_path / case
+        (root / "raw").mkdir(parents=True)
+        (root / "out").mkdir()
+        write_parcels_geojson(root / "parcels.geojson")
+        (root / "config.json").write_text(json.dumps({
+            "rasters_dir": "raw", "out_dir": "out", "parcels": "parcels.geojson",
+            "multilook": [2, 2], "boxcar": 3}))
+        for name in bundles:
+            if case == "with" or name not in acquisition:
+                for suffix in (".json", ".bin"):
+                    shutil.copy(campaign_run["out"] / f"{name}{suffix}", root / folder)
+        if case == "with":
+            _fault_bundle(root / folder / bad, fault)
+        caplog.clear()
+        assert run_cli(stage, "--config", str(root / "config.json")) == 0
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        if case == "with":
+            assert len(errors) == 1, errors
+            assert errors[0].startswith(f"skipping {root / folder / bad}.json: "), errors
+            assert skips == [f"skipped 1 acquisitions: {bad}.json"]
+        else:
+            assert errors == [] and skips == []
+        outs[case] = {p.name: p.read_bytes() for p in (root / "out").iterdir()
+                      if p.is_file() and not p.name.startswith(bad)}
+    assert outs["with"] == outs["without"]
+    assert any(name.startswith(written) for name in outs["with"])
 
 
 class TestScenePool:
@@ -715,6 +834,28 @@ class TestTrendCommand:
                                                                  tmp_path, caplog):
         self._trend_on_record_ending(campaign_run, tmp_path, caplog, "2023-01-03")
 
+    def test_degree_day_diagnostic_too_short_to_fit_is_a_warning(self, tmp_path, caplog):
+        from vinesar.parcels import ZonalStats, write_zonal_csv
+        # a two-day record holds both acquisitions, but too few days for the
+        # diagnostic's quadratic fit
+        rows = [r for r in weather_rows() if r[0] < "2023-01-03"]
+        weather = tmp_path / "weather.csv"
+        weather.write_text("\n".join(
+            ["date,tmin_c,tmax_c,precip_mm"] + [",".join(map(str, r)) for r in rows]) + "\n")
+        (tmp_path / "out").mkdir()
+        write_zonal_csv([ZonalStats("EW1", "DpRVI", dt.date(2023, 1, day), Orbit.DESCENDING,
+                                    24, 0.3 + 0.1 * day, 0.01, 0.2, 0.6) for day in (1, 2)],
+                        tmp_path / "out" / "zonal.csv")
+        write_config(tmp_path / "config.json", tmp_path / "out")
+        write_parcels_geojson(tmp_path / "parcels.geojson")
+        assert run_cli("trend", "--config", str(tmp_path / "config.json")) == 0
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert f"{weather}: no degree-day diagnostic: quadratic fit needs >= 3 distinct " \
+            "x values, got 2" in warnings
+        for name in self.OUTPUTS:
+            assert (tmp_path / "out" / name).is_file(), name
+
     def test_group_rows(self, campaign_run):
         with (campaign_run["out"] / "trend_groups.csv").open(newline="") as f:
             reader = csv.DictReader(f)
@@ -788,6 +929,8 @@ class TestTrendCommand:
         (lambda cells: cells[:-1], "8 cells, expected 9"),                  # short row
         (lambda cells: cells[:3] + [""] + cells[3:], "10 cells, expected 9"),  # shifted
         (lambda cells: cells[:2] + ["2023-02-30"] + cells[3:], "day is out of range"),
+        (lambda cells: cells[:2] + ["20230421"] + cells[3:], "must be a YYYY-MM-DD date"),
+        (lambda cells: cells[:2] + ["2023-W16-5"] + cells[3:], "must be a YYYY-MM-DD date"),
         (lambda cells: cells[:3] + ["EAST"] + cells[4:], "'EAST' is not a valid Orbit"),
         (lambda cells: cells[:4] + ["12.5"] + cells[5:], "invalid literal for int()"),
         (lambda cells: cells[:5] + [""] + cells[6:], "could not convert string to float"),
@@ -795,8 +938,9 @@ class TestTrendCommand:
         (lambda cells: cells[:5] + ["1e400"] + cells[6:], "statistics must be finite"),
         (lambda cells: cells[:6] + ["-nan"] + cells[7:], "statistics must be finite"),
         (lambda cells: cells[:8] + ["inf"], "statistics must be finite"),
-    ], ids=["short-row", "shifted-row", "bad-date", "bad-orbit", "fractional-count",
-            "empty-mean", "nan-mean", "infinite-mean", "nan-std", "infinite-max"])
+    ], ids=["short-row", "shifted-row", "bad-date", "compact-date", "week-date", "bad-orbit",
+            "fractional-count", "empty-mean", "nan-mean", "infinite-mean", "nan-std",
+            "infinite-max"])
     def test_malformed_zonal_row_is_one_error_line(self, campaign_run, tmp_path, caplog,
                                                    edit, problem):
         root = trend_workspace(campaign_run, tmp_path)

@@ -199,7 +199,9 @@ class TestBundleIO:
         ("bands", ["k"]), ("bands", {"name": "k"}), ("pixel_size_x", [10.0]),
         ("nodata", [0.0]), ("timestamp", 20230527), ("origin_x", math.nan),
         ("pixel_size_x", math.inf), ("crs", 5), ("origin_x", "a"),
-        ("timestamp", "2023-13-01")])
+        ("timestamp", "2023-13-01"),
+        pytest.param("timestamp", "20230527", id="timestamp-compact-date"),
+        pytest.param("timestamp", "2023-W21-6", id="timestamp-week-date")])
     def test_wrong_typed_header_field_names_the_header(self, tmp_path, key, value):
         save_bundle(tmp_path / "h", grid(), [("k", np.zeros((2, 2)))],
                     timestamp=dt.date(2023, 5, 27))
