@@ -274,6 +274,48 @@ class TestSarIndexCommand:
                 assert (tmp_path / "a" / name).with_suffix(suffix).read_bytes() == \
                     (tmp_path / date / name).with_suffix(suffix).read_bytes()
 
+    def test_misaligned_stack_fails(self, tmp_path, caplog):
+        """A stack on two grids no longer fails as a whole: only its scene too
+        narrow for the multilook window fails, with one error line, and the
+        wider scene is indexed on its own grid."""
+        wide = scene_doc(seed=2, date="2023-05-27")
+        wide["width"] = 12
+        for name, doc in (("a", scene_doc(seed=1)), ("b", wide)):
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(doc))
+            assert run_cli("synth", str(p), "--out", str(tmp_path / "out")) == 0
+        caplog.clear()
+        assert run_cli("sar-index", "--out", str(tmp_path / "out"),
+                       "--multilook", "10x1") == 0
+        narrow = tmp_path / "out" / "c2_2023-04-21_DES.json"
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"skipping {narrow}: window 10x1 exceeds raster 8x6"]
+        assert sorted(p.name for p in (tmp_path / "out").glob("dprvi_*.json")) == [
+            "dprvi_2023-05-27_DES.json"]
+        assert load_raster(tmp_path / "out" / "dprvi_2023-05-27_DES").spec.width == 1
+
+    @pytest.mark.parametrize("fault", ["misaligned"])
+    def test_bad_bundle_sorted_last_stops_before_any_output(self, tmp_path, caplog, fault):
+        """A bundle on another grid sorted last once stopped the stage before
+        any output; it is now indexed on its own grid after the others."""
+        rng = np.random.default_rng(4)
+        spec = GridSpec(6, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
+        wide = GridSpec(7, 5, 500000.0, 5000000.0, 10.0, -10.0, "EPSG:32632")
+        for date, s in (("2023-04-21", spec), ("2023-05-27", spec), ("2023-12-31", wide)):
+            c11 = rng.uniform(0.5, 2.0, size=(s.height, s.width))
+            save_c2(c2_bundle(s, (c11, 0.5 * c11, 0.1 * c11, 0.0 * c11),
+                              timestamp=dt.date.fromisoformat(date)),
+                    tmp_path / f"c2_{date}_DES")
+        caplog.set_level(logging.INFO)
+        assert run_cli("sar-index", "--out", str(tmp_path), "--multilook", "1x1",
+                       "--boxcar", "3") == 0
+        assert not [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")]
+        wrote = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        assert wrote == [f"wrote dprvi_{d}_DES" for d in ("2023-04-21", "2023-05-27",
+                                                          "2023-12-31")]
+        assert [load_raster(tmp_path / f"dprvi_{d}_DES").spec.width
+                for d in ("2023-04-21", "2023-12-31")] == [6, 7]
+
     @pytest.mark.parametrize("fault", ["wrong bands", "truncated payload"])
     def test_bad_bundle_sorted_last_is_skipped(self, tmp_path, caplog, fault):
         rng = np.random.default_rng(4)
