@@ -268,12 +268,15 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     # bands20_* bundle of the same suffix; both would write one ndvi_/svhi_ pair
     single = sorted(src.glob("bands_*.json"))
     split = sorted(src.glob("bands10_*.json"))
-    both = sorted({p.stem[len("bands_"):] for p in single}
-                  & {p.stem[len("bands10_"):] for p in split})
+    halves = {p.stem[len("bands10_"):] for p in split}
+    both = sorted({p.stem[len("bands_"):] for p in single} & halves)
     if both:
         raise ValueError(f"bands_{both[0]} and bands10_{both[0]} under {src} would both "
                          f"write ndvi_{both[0]}; keep one")
-    paths = single + split + sorted(src.glob("lai_*.json"))
+    # a bands20_* bundle without its bands10_* half is an acquisition to skip
+    lone = [p for p in sorted(src.glob("bands20_*.json"))
+            if p.stem[len("bands20_"):] not in halves]
+    paths = single + split + lone + sorted(src.glob("lai_*.json"))
     if not paths:
         raise ValueError(f"no bands_*.json, bands10_*.json or lai_*.json bundles under {src}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,6 +288,8 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             return optical.ingest_lai(raster.load_raster(path))
         if prefix == "bands":
             return optical.bandset_from_bundle(path)
+        if prefix == "bands20":
+            raise ValueError(f"no bands10_{suffix}.json beside it")
         return optical.bandset_from_split(path, src / f"bands20_{suffix}.json",
                                           cfg.resample_method)
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .raster import (Bundle, Raster, assert_aligned, load_bundle, resample, row_blocks,
-                     valid_values)
+from .raster import Bundle, Raster, assert_aligned, load_bundle, resample, row_blocks
 from .schema import LAI_BAND_NAME, NDVI_BAND_NAME, SVHI_BAND_NAME, ResampleMethod
 
 log = logging.getLogger(__name__)
@@ -34,14 +33,13 @@ def _strike_outside(raster: Raster, lo: float, hi: float, band_name: str,
     """``raster`` as band ``band_name``, its valid samples outside [lo, hi]
     struck to nodata and counted in one warning that calls them ``samples``."""
     values = raster.values
-    bad = raster.valid_mask() & ((values < lo) | (values > hi))
+    bad = np.isfinite(values) & ((values < lo) | (values > hi))
     n_bad = int(bad.sum())
     if n_bad:
         log.warning("%s: %d %s outside [%g, %g] set to nodata",
                     band_name or "band", n_bad, samples, lo, hi)
         values = np.where(bad, np.nan, values)
-    return Raster(raster.spec, values, band_name=band_name,
-                  nodata=raster.nodata, timestamp=raster.timestamp, orbit=raster.orbit)
+    return replace(raster, values=values, band_name=band_name)
 
 
 def _sanitize_reflectance(raster: Raster) -> Raster:
@@ -115,7 +113,7 @@ def _ratio_index(rasters: Sequence[Raster], formula, band_name: str,
         num, den = formula(*(r.values[rows] for r in rasters))
         ok = den != 0
         for r in rasters:
-            ok &= valid_values(r.values[rows], r.nodata)
+            ok &= np.isfinite(r.values[rows])
         np.divide(num, den, out=num, where=ok)
         num[~ok] = np.nan
         out[rows] = num

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .raster import BLOCK_PX, GridSpec, Raster, valid_values
+from .raster import BLOCK_PX, GridSpec, Raster
 from .schema import ZONAL_CSV_HEADER, AlignmentError, Orbit, iso_date, read_json_object
 from .tables import read_table, write_table
 
@@ -466,7 +466,7 @@ def zonal_stats(raster: Raster, mask: ParcelMask) -> ZonalStats:
         raise AlignmentError(f"raster grid {raster.spec} does not match "
                              f"mask grid {mask.spec}")
     vals = raster.values[mask.window][mask.local]
-    ok = valid_values(vals, raster.nodata)
+    ok = np.isfinite(vals)
     n = int(np.count_nonzero(ok))
     if n == 0:
         raise EmptyStatsError(f"parcel {mask.parcel_id}: no valid pixels under the mask")
@@ -490,8 +490,8 @@ def read_zonal_csv(path: str | Path) -> list[ZonalStats]:
     """The rows of a zonal.csv that write_zonal_csv wrote.
 
     Raises ValueError, naming the file and line, for a wrong header, a row
-    with the wrong number of cells, a cell that does not convert or a
-    non-finite statistic, which zonal_stats never writes.
+    with the wrong number of cells, a cell that does not convert, a count
+    below 1 or a non-finite statistic, which zonal_stats never writes.
     """
     dates: dict[str, Optional[dt.date]] = {"": None}
     orbits: dict[str, Optional[Orbit]] = {"": None}
@@ -504,10 +504,13 @@ def read_zonal_csv(path: str | Path) -> list[ZonalStats]:
         kind = orbits.get(orbit)
         if kind is None and orbit:
             kind = orbits[orbit] = Orbit(orbit)
+        n = int(count)
+        if n < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
         values = float(mean), float(std), float(lo), float(hi)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"statistics must be finite, got mean {mean}, "
                              f"std {std}, min {lo}, max {hi}")
-        return ZonalStats(pid, band, timestamp, kind, int(count), *values)
+        return ZonalStats(pid, band, timestamp, kind, n, *values)
 
     return read_table(path, ZONAL_CSV_HEADER, convert)

@@ -46,11 +46,13 @@ def load_weather_csv(path: str | Path) -> list[WeatherRecord]:
     """Read daily weather rows; dates must be strictly increasing.
 
     The header names ``date``, ``tmin_c`` and ``tmax_c``, and optionally
-    ``precip_mm``, in any order. Rows are read by ``read_table`` under the
-    file's own header, so every error names the file and line.
+    ``precip_mm``, in any order, each once. Rows are read by ``read_table``
+    under the file's own header, so every error names the file and line.
     """
     with open(path, newline="") as f:
         header = next(csv.reader(f), [])
+    if len(set(header)) < len(header):
+        raise ValueError(f"{path}: weather CSV names a column twice: {header}")
     need = {"date", "tmin_c", "tmax_c"}
     if not need <= set(header):
         raise ValueError(f"{path}: weather CSV needs columns {sorted(need)}, "

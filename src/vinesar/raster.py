@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -80,15 +80,14 @@ class GridSpec:
 class Raster:
     """One band of float32 samples on a grid.
 
-    ``values`` has shape (height, width). Pixels equal to ``nodata`` (NaN by
-    default, matched with isnan) carry no measurement and are skipped by every
-    statistic downstream.
+    ``values`` has shape (height, width). Non-finite pixels (NaN is the
+    nodata value) carry no measurement and are skipped by every statistic
+    downstream.
     """
 
     spec: GridSpec
     values: np.ndarray
     band_name: str = ""
-    nodata: float = math.nan
     timestamp: Optional[dt.date] = None
     orbit: Optional[Orbit] = None
 
@@ -98,17 +97,6 @@ class Raster:
             raise ValueError(f"value shape {v.shape} does not match grid "
                              f"{self.spec.height}x{self.spec.width}")
         self.values = v
-
-    def valid_mask(self) -> np.ndarray:
-        """Boolean mask of pixels that carry data."""
-        return valid_values(self.values, self.nodata)
-
-
-def valid_values(values: np.ndarray, nodata: float) -> np.ndarray:
-    """Which of ``values`` carry data: finite and, unless NaN, not ``nodata``."""
-    if math.isnan(nodata):
-        return np.isfinite(values)
-    return np.isfinite(values) & (values != np.float32(nodata))
 
 
 @dataclass
@@ -121,7 +109,6 @@ class Bundle:
     spec: GridSpec
     band_names: list[str]
     values: np.ndarray
-    nodata: float = math.nan
     timestamp: Optional[dt.date] = None
     orbit: Optional[Orbit] = None
 
@@ -138,8 +125,7 @@ class Bundle:
             i = self.band_names.index(name)
         except ValueError:
             raise BundleError(f"bundle has no band {name!r}; bands are {self.band_names}")
-        return Raster(self.spec, self.values[i], band_name=name, nodata=self.nodata,
-                      timestamp=self.timestamp, orbit=self.orbit)
+        return Raster(self.spec, self.values[i], name, self.timestamp, self.orbit)
 
 
 def _bundle_paths(path: str | Path) -> tuple[Path, Path]:
@@ -153,7 +139,6 @@ def save_bundle(path: str | Path,
                 spec: GridSpec,
                 bands: Sequence[tuple[str, np.ndarray]],
                 *,
-                nodata: float = math.nan,
                 timestamp: Optional[dt.date] = None,
                 orbit: Optional[Orbit] = None) -> Path:
     """Write a bundle; returns the header path.
@@ -178,8 +163,7 @@ def save_bundle(path: str | Path,
         "crs": spec.crs,
         "bands": [{"name": name} for name, _ in bands],
         "dtype": DTYPE_TAG,
-        # JSON has no NaN literal; null stands for the NaN sentinel
-        "nodata": None if math.isnan(nodata) else nodata,
+        "nodata": None,  # NaN, the nodata value in memory, has no JSON literal
     }
     if timestamp is not None:
         header["timestamp"] = timestamp.isoformat()
@@ -228,7 +212,8 @@ def grid_from_json(doc: dict) -> GridSpec:
 
 @dataclass(frozen=True)
 class BundleHeader:
-    """What a bundle's header declares; the payload size is already checked."""
+    """What a bundle's header declares (``nodata`` NaN for null); the payload
+    size is already checked."""
 
     spec: GridSpec
     band_names: list[str]
@@ -244,8 +229,8 @@ def read_header(path: str | Path) -> BundleHeader:
     header, an unknown dtype or orbit, a field of the wrong type, or a
     payload whose size does not match the declared grid and bands. The
     grid fields are integers (width, height), finite JSON numbers and a
-    string crs; bands is a list of objects with a string name; nodata is a
-    number or null; timestamp is a YYYY-MM-DD date string.
+    string crs; bands is a list of objects with distinct string names;
+    nodata is a number or null; timestamp is a YYYY-MM-DD date string.
     """
     header_path, binary_path = _bundle_paths(path)
     if not header_path.exists():
@@ -285,6 +270,8 @@ def read_header(path: str | Path) -> BundleHeader:
     band_names = [b["name"] for b in bands]
     if not band_names:
         raise BundleError(f"header {header_path} declares no bands")
+    if len(set(band_names)) < len(band_names):
+        raise BundleError(f"header {header_path}: 'bands' repeats a name: {band_names}")
 
     size = binary_path.stat().st_size
     expected = 4 * spec.width * spec.height * len(band_names)
@@ -295,18 +282,23 @@ def read_header(path: str | Path) -> BundleHeader:
 
 
 def load_bundle(path: str | Path) -> Bundle:
-    """Read a bundle back; raises BundleError on any header/payload mismatch."""
+    """Read a bundle back; raises BundleError on any header/payload mismatch.
+    Samples equal to the header's numeric ``nodata`` (as float32, so -0.0
+    matches 0.0) come back as NaN, the one nodata value in memory."""
     h = read_header(path)
     values = np.fromfile(_bundle_paths(path)[1], dtype="<f4").reshape(
         len(h.band_names), h.spec.height, h.spec.width)
+    if not math.isnan(h.nodata):
+        with np.errstate(over="ignore"):  # a sentinel beyond float32 is +-inf
+            values[values == np.float32(h.nodata)] = np.nan
     return Bundle(spec=h.spec, band_names=h.band_names, values=values,
-                  nodata=h.nodata, timestamp=h.timestamp, orbit=h.orbit)
+                  timestamp=h.timestamp, orbit=h.orbit)
 
 
 def save_raster(raster: Raster, path: str | Path) -> Path:
     """Write a single-band bundle."""
     return save_bundle(path, raster.spec, [(raster.band_name or "band", raster.values)],
-                       nodata=raster.nodata, timestamp=raster.timestamp, orbit=raster.orbit)
+                       timestamp=raster.timestamp, orbit=raster.orbit)
 
 
 def load_raster(path: str | Path) -> Raster:
@@ -374,7 +366,7 @@ def resample(raster: Raster, target: GridSpec,
     in_x = (col >= 0) & (col < src.width)
     in_y = (row >= 0) & (row < src.height)
 
-    src_valid = raster.valid_mask()
+    src_valid = np.isfinite(raster.values)
     col_c = np.clip(col, 0, src.width - 1)
     row_c = np.clip(row, 0, src.height - 1)
     if method is ResampleMethod.BILINEAR:
@@ -412,5 +404,4 @@ def resample(raster: Raster, target: GridSpec,
             np.copyto(block, blend, casting="same_kind",
                       where=across_ok.take(r0, axis=0) & across_ok.take(r1, axis=0) & inside)
 
-    return Raster(target, out, band_name=raster.band_name,
-                  nodata=math.nan, timestamp=raster.timestamp, orbit=raster.orbit)
+    return replace(raster, spec=target, values=out)

@@ -76,7 +76,7 @@ def _require_c2_bands(path: str | Path, band_names: list[str]) -> None:
 def save_c2(c2: Bundle, path: str | Path) -> Path:
     _require_c2_bands(path, c2.band_names)
     return save_bundle(path, c2.spec, list(zip(c2.band_names, c2.values)),
-                       nodata=c2.nodata, timestamp=c2.timestamp, orbit=c2.orbit)
+                       timestamp=c2.timestamp, orbit=c2.orbit)
 
 
 def load_c2(path: str | Path) -> Bundle:
@@ -90,7 +90,7 @@ def load_c2(path: str | Path) -> Bundle:
     _require_c2_bands(path, b.band_names)
     n_valid = n_bad = 0
     for rows in row_blocks(b.spec.height, b.spec.width):
-        block = b.values[:, rows]  # a view: nodata is written into the bundle
+        block = b.values[:, rows]  # a view: NaN is written into the bundle
         valid = valid_mask(block)
         bad = valid & _not_psd(*block.astype(np.float64))
         n_valid += int(valid.sum())

@@ -157,6 +157,14 @@ def seasonal_shape(day: dt.date) -> float:
     return max(0.0, 1.0 - ((doy - 172.0) / 140.0) ** 2)
 
 
+def save_with_nodata(path: Path, spec: GridSpec, bands, nodata: float, **kw) -> Path:
+    """save_bundle's bundle with ``nodata`` as the header's sentinel, as
+    another tool might write it (vinesar writes null); returns the header."""
+    header = save_bundle(path, spec, bands, **kw)
+    header.write_text(json.dumps(dict(json.loads(header.read_text()), nodata=nodata)))
+    return header
+
+
 def write_optical_inputs(out_dir: Path) -> None:
     """Reflectance bundles (split 10 m / 20 m) plus LAI, built so that NDVI,
     SVHI and LAI all ride the same seasonal bump."""

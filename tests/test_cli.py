@@ -527,6 +527,23 @@ class TestOpticalCommand:
         assert warnings == [f"skipped 1 acquisitions: bands10_{tag}.json"]
         assert not list((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("paired, rc", [(True, 0), (False, 1)])
+    def test_lone_bands20_is_one_skip_line(self, tmp_path, caplog, paired, rc):
+        """A bands20_* bundle without its bands10_* half is skipped with one
+        error line; beside nothing else, the stage exits 1."""
+        tag, lone = (d.isoformat() for d in OPTICAL_DATES[:2])
+        keep = {f"bands20_{lone}"} | ({f"bands10_{tag}", f"bands20_{tag}"} if paired else set())
+        config = self.optical_workspace(tmp_path, keep.__contains__)
+        assert run_cli("optical-index", "--config", str(config)) == rc
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"skipping {tmp_path / 'raw' / f'bands20_{lone}.json'}: "
+                          f"no bands10_{lone}.json beside it"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"skipped 1 acquisitions: bands20_{lone}.json"]
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == (sorted(f"{kind}_{tag}{suffix}" for kind in ("ndvi", "svhi")
+                                  for suffix in (".bin", ".json")) if paired else [])
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_single_and_split_bundles_of_one_suffix_are_refused(
             self, tmp_path, caplog, monkeypatch, threads):
@@ -980,9 +997,11 @@ class TestTrendCommand:
         (lambda cells: cells[:5] + ["1e400"] + cells[6:], "statistics must be finite"),
         (lambda cells: cells[:6] + ["-nan"] + cells[7:], "statistics must be finite"),
         (lambda cells: cells[:8] + ["inf"], "statistics must be finite"),
+        (lambda cells: cells[:4] + ["-3"] + cells[5:], "count must be at least 1, got -3"),
+        (lambda cells: cells[:4] + ["0"] + cells[5:], "count must be at least 1, got 0"),
     ], ids=["short-row", "shifted-row", "bad-date", "compact-date", "week-date", "bad-orbit",
             "fractional-count", "empty-mean", "nan-mean", "infinite-mean", "nan-std",
-            "infinite-max"])
+            "infinite-max", "negative-count", "zero-count"])
     def test_malformed_zonal_row_is_one_error_line(self, campaign_run, tmp_path, caplog,
                                                    edit, problem):
         root = trend_workspace(campaign_run, tmp_path)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import save_with_nodata
 from vinesar.optical import (BAND_NAMES, LAI_BAND_NAME, NDVI_BAND_NAME,
                              SVHI_BAND_NAME, BandSet, bandset_from_bundle,
                              ingest_lai, ndvi, svhi)
@@ -64,6 +65,16 @@ class TestBandSet:
         bs = bandset_from_bundle(tmp_path / "bands_20230625")
         assert bs.timestamp == dt.date(2023, 6, 25)
         assert bs.b11.values.tobytes() == bands[3][1].tobytes()
+
+    def test_header_sentinel_is_nodata(self, tmp_path, caplog):
+        bands = [(n, np.full((1, 2), 0.2, dtype=np.float32)) for n in BAND_NAMES]
+        bands[0][1][0, 0] = -9999.0  # B4
+        save_with_nodata(tmp_path / "bands_s", grid(2, 1), bands, -9999.0)
+        with caplog.at_level("WARNING"):
+            out = ndvi(bandset_from_bundle(tmp_path / "bands_s"))
+        assert math.isnan(out.values[0, 0]) and out.values[0, 1] == 0.0
+        # nodata, not an out-of-range reflectance sample
+        assert not caplog.records
 
     def test_from_bundle_requires_all_bands(self, tmp_path):
         g = grid()
@@ -183,7 +194,8 @@ class TestBlockedIndices:
         bs = bandset(*arrs)
         b4, b5, b8, b11, b12 = (getattr(bs, n).values.astype(np.float64)
                                 for n in ("b4", "b5", "b8", "b11", "b12"))
-        valid = {n: getattr(bs, n).valid_mask() for n in ("b4", "b5", "b8", "b11", "b12")}
+        valid = {n: np.isfinite(getattr(bs, n).values)
+                 for n in ("b4", "b5", "b8", "b11", "b12")}
         want_ndvi = ratio_reference(b8 - b4, b8 + b4, valid["b8"] & valid["b4"])
         absorb = b4 + b5 + b11 + b12
         want_svhi = ratio_reference(4.0 * b8 - absorb, 4.0 * b8 + absorb,

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import save_with_nodata
 from vinesar import parcels
 from vinesar.parcels import (EmptyStatsError, Orientation, Parcel, ParcelMask,
                              ZonalStats, erode, load_parcels, rasterize,
                              read_zonal_csv, write_zonal_csv, zonal_stats)
-from vinesar.raster import AlignmentError, GridSpec, Orbit, Raster
+from vinesar.raster import AlignmentError, GridSpec, Orbit, Raster, load_raster
 
 
 def grid(w=10, h=10, ox=0.0, oy=0.0, px=1.0, py=-1.0):
@@ -510,11 +511,11 @@ class TestWindowPath:
             assert s.mean == float(want.mean()) and s.std == float(want.std())
             assert s.min == float(want.min()) and s.max == float(want.max())
 
-    def test_zonal_honours_finite_nodata_value(self):
+    def test_zonal_honours_finite_nodata_value(self, tmp_path):
         g = grid(3, 2)
         vals = np.array([[1.0, -9999.0, 3.0], [4.0, np.inf, 6.0]], dtype=np.float32)
-        r = Raster(g, vals, band_name="b", nodata=-9999.0)
-        s = zonal_stats(r, pmask(np.ones((2, 3)), g))
+        save_with_nodata(tmp_path / "b", g, [("b", vals)], -9999.0)
+        s = zonal_stats(load_raster(tmp_path / "b"), pmask(np.ones((2, 3)), g))
         assert s.count == 4 and s.mean == 3.5
 
 
@@ -903,7 +904,7 @@ class TestLeanZonalStats:
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 8192, 8193, 20000])
     @pytest.mark.parametrize("nodata", [math.nan, -9999.0])
     @pytest.mark.parametrize("dirty", [False, True])
-    def test_bit_equal_to_numpy(self, size, nodata, dirty):
+    def test_bit_equal_to_numpy(self, tmp_path, size, nodata, dirty):
         rng = np.random.default_rng(size)
         # magnitudes over 14 decades, so float64 sums round and their order shows
         good = (rng.normal(loc=3.0, scale=50.0, size=size)
@@ -922,20 +923,21 @@ class TestLeanZonalStats:
         mask = np.zeros(h * width, dtype=bool)
         mask[:vals.size] = True
         g = grid(width, h)
-        r = Raster(g, padded.reshape(h, width), band_name="b", nodata=nodata)
-        s = zonal_stats(r, pmask(mask.reshape(h, width), g))
+        # a numeric nodata reaches zonal_stats through a bundle's header
+        save_with_nodata(tmp_path / "b", g, [("b", padded.reshape(h, width))], nodata)
+        s = zonal_stats(load_raster(tmp_path / "b"), pmask(mask.reshape(h, width), g))
         want = good.astype(np.float64)
         assert s.count == size
         assert bits(s.mean) == bits(np.mean(want))
         assert bits(s.std) == bits(np.std(want, ddof=0))
         assert bits(s.min) == bits(want.min()) and bits(s.max) == bits(want.max())
 
-    def test_all_nodata_window_raises(self):
+    def test_all_nodata_window_raises(self, tmp_path):
         g = grid(4, 2)
         vals = np.array([[math.nan, math.inf, -math.inf, -9999.0]] * 2, dtype=np.float32)
-        r = Raster(g, vals, band_name="b", nodata=-9999.0)
+        save_with_nodata(tmp_path / "b", g, [("b", vals)], -9999.0)
         with pytest.raises(EmptyStatsError):
-            zonal_stats(r, pmask(np.ones((2, 4)), g))
+            zonal_stats(load_raster(tmp_path / "b"), pmask(np.ones((2, 4)), g))
 
     def test_is_empty_follows_the_cropped_window(self):
         m = pmask(np.zeros((5, 5)))

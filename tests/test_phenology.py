@@ -151,6 +151,12 @@ class TestWeatherCsv:
         with pytest.raises(ValueError, match="tmin_c"):
             load_weather_csv(p)
 
+    def test_rejects_a_column_named_twice(self, tmp_path):
+        p = self.write(tmp_path, "date,tmin_c,tmax_c,tmax_c\n2023-01-01,2.0,20.0,30.0\n")
+        with pytest.raises(ValueError) as err:
+            load_weather_csv(p)
+        assert str(err.value).startswith(f"{p}: weather CSV names a column twice")
+
     def test_rejects_unsorted_dates(self, tmp_path):
         p = self.write(tmp_path, "date,tmin_c,tmax_c\n"
                                  "2023-01-02,2.0,8.5\n"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_with_nodata
 from vinesar.raster import (AlignmentError, Bundle, BundleError, GridSpec, Orbit,
                             Raster, ResampleMethod, assert_aligned,
                             load_bundle, load_raster, read_header, resample,
@@ -201,7 +202,9 @@ class TestBundleIO:
         ("pixel_size_x", math.inf), ("crs", 5), ("origin_x", "a"),
         ("timestamp", "2023-13-01"),
         pytest.param("timestamp", "20230527", id="timestamp-compact-date"),
-        pytest.param("timestamp", "2023-W21-6", id="timestamp-week-date")])
+        pytest.param("timestamp", "2023-W21-6", id="timestamp-week-date"),
+        pytest.param("bands", [{"name": n} for n in ("B4", "B4", "B5", "B8", "B11", "B12")],
+                     id="bands-repeated-name")])
     def test_wrong_typed_header_field_names_the_header(self, tmp_path, key, value):
         save_bundle(tmp_path / "h", grid(), [("k", np.zeros((2, 2)))],
                     timestamp=dt.date(2023, 5, 27))
@@ -221,8 +224,8 @@ class TestBundleIO:
         assert back.band_name == "DpRVI"
         assert back.timestamp == r.timestamp and back.orbit == r.orbit
         assert np.array_equal(back.values, r.values, equal_nan=True)
-        # NaN nodata masks exactly the NaN pixel
-        assert back.valid_mask().tolist() == [[True, True], [True, False]]
+        # NaN marks exactly the nodata pixel
+        assert np.isfinite(back.values).tolist() == [[True, True], [True, False]]
 
     def test_load_raster_rejects_multiband(self, tmp_path):
         z = np.zeros((2, 2), dtype=np.float32)
@@ -231,14 +234,15 @@ class TestBundleIO:
             load_raster(tmp_path / "multi")
 
     def test_non_nan_sentinel(self, tmp_path):
-        g = grid()
         vals = np.array([[1.0, -9999.0], [2.0, 3.0]], dtype=np.float32)
-        r = Raster(g, vals, band_name="k", nodata=-9999.0)
-        assert r.valid_mask().tolist() == [[True, False], [True, True]]
-        save_raster(r, tmp_path / "s")
+        save_with_nodata(tmp_path / "s", grid(), [("k", vals)], -9999.0)
+        assert read_header(tmp_path / "s").nodata == -9999.0
         back = load_raster(tmp_path / "s")
-        assert back.nodata == -9999.0
-        assert back.valid_mask().tolist() == [[True, False], [True, True]]
+        assert np.isfinite(back.values).tolist() == [[True, False], [True, True]]
+        # written back, the sentinel pixel is NaN and the header's nodata null
+        save_raster(back, tmp_path / "w")
+        assert json.loads((tmp_path / "w.json").read_text())["nodata"] is None
+        assert load_raster(tmp_path / "w").values.tobytes() == back.values.tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -247,7 +251,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def bundles(draw):
     """Keyword arguments of save_bundle; payload bits drawn as raw uint32, so
-    NaNs with any payload, +-inf, -0.0 and subnormals all occur."""
+    NaNs with any payload, +-inf, -0.0 and subnormals all occur. Band names
+    are distinct, as read_header requires."""
     h, w, nb = (draw(st.integers(1, 6)) for _ in range(3))
     spec = GridSpec(width=w, height=h, origin_x=draw(finite), origin_y=draw(finite),
                     pixel_size_x=draw(finite.filter(bool)),
@@ -255,15 +260,10 @@ def bundles(draw):
     bits = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=nb * h * w,
                          max_size=nb * h * w))
     values = np.array(bits, dtype=np.uint32).view(np.float32).reshape(nb, h, w)
-    names = draw(st.lists(st.text(max_size=8), min_size=nb, max_size=nb))
+    names = draw(st.lists(st.text(max_size=8), min_size=nb, max_size=nb, unique=True))
     return dict(spec=spec, bands=list(zip(names, values)),
-                nodata=draw(st.floats(allow_infinity=True, allow_nan=True)),
                 timestamp=draw(st.none() | st.dates()),
                 orbit=draw(st.none() | st.sampled_from(Orbit)))
-
-
-def same_nodata(a, b):
-    return math.isnan(a) and math.isnan(b) or repr(a) == repr(b)
 
 
 class TestBundleProperties:
@@ -272,12 +272,38 @@ class TestBundleProperties:
     def test_round_trip_is_bitwise_exact(self, kw):
         with tempfile.TemporaryDirectory() as d:
             save_bundle(Path(d) / "b", **kw)
+            nodata = read_header(Path(d) / "b").nodata
             back = load_bundle(Path(d) / "b")
+        assert math.isnan(nodata)  # vinesar writes null
         assert back.spec == kw["spec"]
         assert back.band_names == [name for name, _ in kw["bands"]]
         assert back.values.tobytes() == np.stack([v for _, v in kw["bands"]]).tobytes()
-        assert same_nodata(back.nodata, kw["nodata"])
         assert (back.timestamp, back.orbit) == (kw["timestamp"], kw["orbit"])
+
+    @settings(max_examples=80)
+    @given(bundles(), st.floats() | st.integers(-2 ** 53, 2 ** 53), st.data())
+    def test_header_sentinel_loads_as_nan(self, kw, sentinel, data):
+        """A hand-written header's numeric nodata: NaN exactly where the
+        payload equals float32(sentinel), every other bit unchanged."""
+        values = np.stack([v for _, v in kw["bands"]])
+        with np.errstate(over="ignore"):
+            s32 = np.float32(sentinel)
+        # plant the sentinel at some pixels, as -0.0 for some zero sentinels
+        at = data.draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size))
+        values[np.reshape(at, values.shape)] = (
+            -s32 if s32 == 0 and data.draw(st.booleans()) else s32)
+        names = [name for name, _ in kw["bands"]]
+        with tempfile.TemporaryDirectory() as d:
+            save_with_nodata(Path(d) / "b", kw["spec"], list(zip(names, values)), sentinel)
+            nodata = read_header(Path(d) / "b").nodata
+            back = load_bundle(Path(d) / "b")
+        if math.isnan(sentinel):
+            assert math.isnan(nodata)
+        else:
+            assert repr(nodata) == repr(float(sentinel))
+        hit = values == s32
+        assert np.array_equal(np.isnan(back.values), hit | np.isnan(values))
+        assert back.values[~hit].tobytes() == values[~hit].tobytes()
 
     @settings(max_examples=40)
     @given(bundles())
@@ -288,7 +314,6 @@ class TestBundleProperties:
             full = load_bundle(Path(d) / "b")
         assert head.spec == full.spec
         assert head.band_names == full.band_names
-        assert same_nodata(head.nodata, full.nodata)
         assert (head.timestamp, head.orbit) == (full.timestamp, full.orbit)
 
 
@@ -371,6 +396,17 @@ class TestResample:
         target2 = GridSpec(1, 1, 11.0, -1.0, 8.0, -8.0, "EPSG:32632")
         out2 = resample(src, target2, ResampleMethod.BILINEAR)
         assert math.isnan(out2.values[0, 0])
+
+    def test_header_sentinel_is_nodata(self, tmp_path):
+        vals = np.array([[1.0, -9999.0], [3.0, 4.0]], dtype=np.float32)
+        save_with_nodata(tmp_path / "s", grid(w=2, h=2), [("k", vals)], -9999.0)
+        src = load_raster(tmp_path / "s")
+        # the blend beside the sentinel falls back to the nearest value
+        target = GridSpec(1, 1, 1.0, -1.0, 10.0, -10.0, "EPSG:32632")
+        assert resample(src, target, ResampleMethod.BILINEAR).values[0, 0] == np.float32(1.0)
+        # and the sentinel's own pixel resamples to nodata
+        for method in ResampleMethod:
+            assert math.isnan(resample(src, grid(w=2, h=2), method).values[0, 1])
 
     def test_outside_extent_is_nodata(self):
         src = Raster(grid(w=2, h=2), np.ones((2, 2), dtype=np.float32))

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import save_with_nodata
 from vinesar import raster
 from vinesar.raster import Bundle, GridSpec, Orbit, load_bundle, row_blocks
 from vinesar.sar import (C2_BAND_NAMES, DPRVI_BAND_NAME, PSD_TOL, RANK1_TOL, CovarianceError,
@@ -209,6 +210,23 @@ class TestCovarianceBundle:
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert " 1 of 12 valid pixels" in warnings[0].getMessage()
+
+    def test_zero_sentinel_pixel_is_not_averaged_in(self, tmp_path):
+        # the second pixel holds the header's nodata, 0.0, in all four bands
+        c2 = c2_raster([[1.0, 0.0]], [[0.5, 0.0]], [[0.25, 0.0]], [[0.125, 0.0]])
+        save_with_nodata(tmp_path / "c2_s", c2.spec, list(zip(C2_BAND_NAMES, c2.values)), 0.0)
+        out = multilook(load_c2(tmp_path / "c2_s"), 2, 1)
+        assert out.values[:, 0, 0].tolist() == [1.0, 0.5, 0.25, 0.125]
+
+    def test_sentinel_pixel_is_nodata_not_a_bad_matrix(self, tmp_path, caplog):
+        s = -9999.0
+        c2 = c2_raster([[1.0, s]], [[0.5, s]], [[0.25, s]], [[0.125, s]])
+        save_with_nodata(tmp_path / "c2_s", c2.spec, list(zip(C2_BAND_NAMES, c2.values)), s)
+        with caplog.at_level("WARNING"):
+            back = load_c2(tmp_path / "c2_s")
+        assert back.values[:, 0, 0].tolist() == [1.0, 0.5, 0.25, 0.125]
+        assert np.isnan(back.values[:, 0, 1]).all()
+        assert not caplog.records  # no "violate the covariance constraints" count
 
     def test_valid_mask_requires_all_bands(self):
         c2 = c2_raster([[1.0, math.nan]], [[1.0, 1.0]], [[0.0, 0.0]], [[0.0, 0.0]])
