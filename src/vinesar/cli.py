@@ -139,8 +139,7 @@ def _each_acquisition(paths: Sequence[Path], read: Callable[[Path], T],
         return write(path, loaded)
 
     skipped = []
-    results = _map_scenes(task, paths, scene_size) if scene_size else map(task, paths)
-    for path, result in zip(paths, results):
+    for path, result in zip(paths, _map_scenes(task, paths, scene_size)):
         if isinstance(result, _SKIPPED):
             log.error("skipping %s: %s", path, result)
             skipped.append(path.name)

@@ -31,12 +31,14 @@ LAI_RANGE = (0.0, 10.0)
 def _strike_outside(raster: Raster, lo: float, hi: float, band_name: str,
                     samples: str) -> Raster:
     """``raster`` as band ``band_name``, its valid samples outside [lo, hi]
-    struck to nodata and counted in one warning that calls them ``samples``."""
+    struck to nodata and counted in one warning that calls them ``samples``,
+    after the raster's date if it has one (pooled scenes log in any order)."""
     values = raster.values
     bad = np.isfinite(values) & ((values < lo) | (values > hi))
     n_bad = int(bad.sum())
     if n_bad:
-        log.warning("%s: %d %s outside [%g, %g] set to nodata",
+        log.warning("%s%s: %d %s outside [%g, %g] set to nodata",
+                    f"{raster.timestamp}: " if raster.timestamp else "",
                     band_name or "band", n_bad, samples, lo, hi)
         values = np.where(bad, np.nan, values)
     return replace(raster, values=values, band_name=band_name)

@@ -13,8 +13,7 @@ import datetime as dt
 import json
 import logging
 import math
-import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .schema import (AlignmentError, BundleError, Orbit, ResampleMethod, iso_date,
                      json_float, json_int, read_json_object)
-from .tables import temp_path
+from .tables import atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -143,32 +142,25 @@ def save_bundle(path: str | Path,
                 orbit: Optional[Orbit] = None) -> Path:
     """Write a bundle; returns the header path.
 
-    Band arrays must all be (height, width). Values are stored verbatim as
-    little-endian float32, so a save/load round trip is bitwise exact. Both
-    files are written under temporary names in the target directory and then
-    renamed over the targets, payload first, so a failed or interrupted save
-    never leaves a header beside a missing or partial payload. (No fsync:
-    this guards against a failing process, not against a power loss.)
+    The header is checked by read_header's field rules before anything is
+    written, so a bundle that read_header would refuse (no band, a repeated
+    band name, a non-finite origin, a crs that is not a string, a timestamp
+    that is not a date) raises BundleError naming the header and leaves no
+    file. Band arrays must all be (height, width). Values are stored
+    verbatim as little-endian float32, so a save/load round trip is bitwise
+    exact. Both files are written through tables.atomic_open, payload
+    renamed first, so a failed or interrupted save never leaves a header
+    beside a missing or partial payload. (No fsync: this guards against a
+    failing process, not against a power loss.)
     """
-    if not bands:
-        raise BundleError("a bundle needs at least one band")
     header_path, binary_path = _bundle_paths(path)
-    header = {
-        "width": spec.width,
-        "height": spec.height,
-        "origin_x": spec.origin_x,
-        "origin_y": spec.origin_y,
-        "pixel_size_x": spec.pixel_size_x,
-        "pixel_size_y": spec.pixel_size_y,
-        "crs": spec.crs,
-        "bands": [{"name": name} for name, _ in bands],
-        "dtype": DTYPE_TAG,
-        "nodata": None,  # NaN, the nodata value in memory, has no JSON literal
-    }
+    header = dict(asdict(spec), bands=[{"name": name} for name, _ in bands], dtype=DTYPE_TAG,
+                  nodata=None)  # NaN, the nodata value in memory, has no JSON literal
     if timestamp is not None:
         header["timestamp"] = timestamp.isoformat()
     if orbit is not None:
-        header["orbit"] = Orbit(orbit).value
+        header["orbit"] = orbit
+    _parse_header(header, header_path)
 
     arrays = []
     for name, arr in bands:
@@ -178,18 +170,11 @@ def save_bundle(path: str | Path,
                               f"({spec.height}, {spec.width})")
         arrays.append(a)
 
-    # one writer per process and thread, so pooled saves never share a file
-    tmp_binary, tmp_header = temp_path(binary_path), temp_path(header_path)
-    try:
-        with open(tmp_binary, "wb") as f:
-            for a in arrays:
-                a.tofile(f)  # row-major whatever the array's memory order
-        tmp_header.write_text(json.dumps(header, indent=2) + "\n")
-        os.replace(tmp_binary, binary_path)
-        os.replace(tmp_header, header_path)
-    finally:
-        tmp_binary.unlink(missing_ok=True)
-        tmp_header.unlink(missing_ok=True)
+    # the payload's block is the inner one, so it is renamed first
+    with atomic_open(header_path) as h, atomic_open(binary_path, "wb") as f:
+        for a in arrays:
+            a.tofile(f)  # row-major whatever the array's memory order
+        h.write(json.dumps(header, indent=2) + "\n")
     return header_path
 
 
@@ -212,8 +197,7 @@ def grid_from_json(doc: dict) -> GridSpec:
 
 @dataclass(frozen=True)
 class BundleHeader:
-    """What a bundle's header declares (``nodata`` NaN for null); the payload
-    size is already checked."""
+    """What a bundle's header declares (``nodata`` NaN for null)."""
 
     spec: GridSpec
     band_names: list[str]
@@ -222,28 +206,10 @@ class BundleHeader:
     orbit: Optional[Orbit] = None
 
 
-def read_header(path: str | Path) -> BundleHeader:
-    """Parse and check a bundle's header without reading its payload.
-
-    Raises BundleError on a missing file, an unparseable or incomplete
-    header, an unknown dtype or orbit, a field of the wrong type, or a
-    payload whose size does not match the declared grid and bands. The
-    grid fields are integers (width, height), finite JSON numbers and a
-    string crs; bands is a list of objects with distinct string names;
-    nodata is a number or null; timestamp is a YYYY-MM-DD date string.
-    """
-    header_path, binary_path = _bundle_paths(path)
-    if not header_path.exists():
-        raise BundleError(f"missing header {header_path}")
-    if not binary_path.exists():
-        raise BundleError(f"missing binary payload {binary_path}")
-    try:
-        header = read_json_object(header_path)
-    except ValueError as e:
-        raise BundleError(str(e)) from None
-
-    required = ("width", "height", "origin_x", "origin_y",
-                "pixel_size_x", "pixel_size_y", "crs", "bands", "dtype")
+def _parse_header(header: dict, header_path: Path) -> BundleHeader:
+    """The fields of a header object, checked by the rules read_header
+    gives; BundleError naming ``header_path`` when one is broken."""
+    required = [f.name for f in fields(GridSpec)] + ["bands", "dtype"]
     missing = [k for k in required if k not in header]
     if missing:
         raise BundleError(f"header {header_path} lacks fields {missing}")
@@ -272,13 +238,36 @@ def read_header(path: str | Path) -> BundleHeader:
         raise BundleError(f"header {header_path} declares no bands")
     if len(set(band_names)) < len(band_names):
         raise BundleError(f"header {header_path}: 'bands' repeats a name: {band_names}")
-
-    size = binary_path.stat().st_size
-    expected = 4 * spec.width * spec.height * len(band_names)
-    if size != expected:
-        raise BundleError(f"{binary_path} holds {size} bytes, header implies {expected}")
     return BundleHeader(spec=spec, band_names=band_names, nodata=nodata,
                         timestamp=timestamp, orbit=orbit)
+
+
+def read_header(path: str | Path) -> BundleHeader:
+    """Parse and check a bundle's header without reading its payload.
+
+    Raises BundleError on a missing file, an unparseable or incomplete
+    header, an unknown dtype or orbit, a field of the wrong type, or a
+    payload whose size does not match the declared grid and bands. The
+    grid fields are integers (width, height), finite JSON numbers and a
+    string crs; bands is a non-empty list of objects with distinct string
+    names; nodata is a number or null; timestamp is a YYYY-MM-DD date string.
+    """
+    header_path, binary_path = _bundle_paths(path)
+    if not header_path.exists():
+        raise BundleError(f"missing header {header_path}")
+    if not binary_path.exists():
+        raise BundleError(f"missing binary payload {binary_path}")
+    try:
+        doc = read_json_object(header_path)
+    except ValueError as e:
+        raise BundleError(str(e)) from None
+    header = _parse_header(doc, header_path)
+
+    size = binary_path.stat().st_size
+    expected = 4 * header.spec.width * header.spec.height * len(header.band_names)
+    if size != expected:
+        raise BundleError(f"{binary_path} holds {size} bytes, header implies {expected}")
+    return header
 
 
 def load_bundle(path: str | Path) -> Bundle:

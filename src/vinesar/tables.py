@@ -29,14 +29,15 @@ def temp_path(path: Path) -> Path:
 
 
 @contextlib.contextmanager
-def atomic_open(path: str | Path, **kwargs) -> Iterator[IO[str]]:
-    """Open a temporary sibling of ``path`` for writing text, with ``open``'s
-    keyword arguments, and rename it over ``path`` when the block ends
-    without an error; on an error the target is untouched."""
+def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open a temporary sibling of ``path`` for writing, with ``open``'s mode
+    and keyword arguments, and rename it over ``path`` when the block ends
+    without an error; on an error the target is untouched. Every file
+    vinesar writes goes through here."""
     target = Path(path)
     tmp = temp_path(target)
     try:
-        with open(tmp, "w", **kwargs) as f:
+        with open(tmp, mode, **kwargs) as f:
             yield f
         os.replace(tmp, target)
     finally:

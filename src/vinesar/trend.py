@@ -322,15 +322,22 @@ def season_tables(stats: Sequence[ZonalStats], orientation: dict[str, Orientatio
     LAI, NDVI and SVHI series; the LAI pairs are also the scatter rows. Each
     parcel's NDVI series is correlated with its SVHI series. Fit r is
     averaged by orientation (a parcel absent from ``orientation`` counts as
-    Other) and orbit. On the degree-day abscissa, rows dated outside the
-    weather record are dropped with one warning. A fit or a correlation
-    that cannot be made is logged and left out.
+    Other) and orbit. Rows with no date, and on the degree-day abscissa
+    rows dated outside the weather record, are dropped with one warning
+    each. A fit or a correlation that cannot be made is logged and left out.
     """
     abscissa = Abscissa(abscissa)
+    # an undated acquisition has no abscissa, nor on degree days one outside
+    # the weather record: each is dropped so that it cannot stop every fit
+    dated = [s for s in stats if s.timestamp is not None]
+    if len(dated) < len(stats):
+        log.warning("dropped %d zonal rows with no date: %s", len(stats) - len(dated),
+                    ", ".join(sorted({s.band_name for s in stats if s.timestamp is None})))
+        if not dated:
+            raise ValueError("no zonal row has a date")
+        stats = dated
     if abscissa is Abscissa.CDD and cdd_series is not None:
-        # an acquisition the weather record does not cover has no thermal
-        # time; it is dropped so that it cannot stop every other fit
-        kept = [s for s in stats if s.timestamp is None or cdd_series.covers(s.timestamp)]
+        kept = [s for s in stats if cdd_series.covers(s.timestamp)]
         if len(kept) < len(stats):
             first, last = cdd_series.entries[0].date, cdd_series.entries[-1].date
             dropped = sorted({s.timestamp for s in stats} - {s.timestamp for s in kept})

@@ -622,7 +622,9 @@ def test_bad_acquisition_is_skipped(campaign_run, tmp_path, monkeypatch, caplog,
     closing skip list; every other output is as from a folder without that
     acquisition, whatever the pool size."""
     folder, bundles, acquisition, bad, written = SKIP_CASES[stage]
-    monkeypatch.setattr(cli, "_pool_size", lambda n, size: min(threads, n))
+    # a scene size of 0 (zonal, whose bundles share the mask cache) keeps
+    # one thread, as in _pool_size
+    monkeypatch.setattr(cli, "_pool_size", lambda n, size: min(threads, n) if size else 1)
     outs = {}
     for case in ("with", "without"):
         root = tmp_path / case
@@ -868,6 +870,47 @@ class TestTrendCommand:
         assert len(rows) == 24
         assert {int(r["n"]) for r in rows if r["orbit"] == "ASC"} == {5}
         assert {int(r["n"]) for r in rows if r["orbit"] == "DES"} == {6}
+
+    def test_undated_acquisition_is_dropped(self, campaign_run, tmp_path, caplog):
+        """A c2 scene with no timestamp or orbit is indexed and summarized
+        with an empty date; trend drops its rows with one warning, on both
+        abscissas, and writes the tables of a campaign without it."""
+        outputs = ("trend.csv", "trend_groups.csv", "correlation.csv", "scatter.csv")
+        got = {}
+        for case in ("with", "without"):
+            root = tmp_path / case
+            shutil.copytree(campaign_run["root"], root)
+            if case == "with":
+                first = sorted((root / "out").glob("c2_*.json"))[0]
+                doc = json.loads(first.read_text())
+                del doc["timestamp"], doc["orbit"]
+                (root / "out" / "c2_scene.json").write_text(json.dumps(doc))
+                shutil.copy(first.with_suffix(".bin"), root / "out" / "c2_scene.bin")
+            write_config(root / "config.json", root / "out")
+            for stage in ("sar-index", "zonal"):
+                assert run_cli(stage, "--config", str(root / "config.json")) == 0
+            for abscissa in ("cdd", "doy"):
+                write_config(root / "config.json", root / "out", abscissa=abscissa)
+                caplog.clear()
+                assert run_cli("trend", "--config", str(root / "config.json")) == 0
+                warnings = [r.getMessage() for r in caplog.records
+                            if r.levelname == "WARNING"]
+                assert warnings == (["dropped 12 zonal rows with no date: DpRVI"]
+                                    if case == "with" else [])
+                got[case, abscissa] = [(root / "out" / f).read_bytes() for f in outputs]
+        for abscissa in ("cdd", "doy"):
+            assert got["with", abscissa] == got["without", abscissa]
+
+    def test_no_dated_zonal_row_fails(self, campaign_run, tmp_path, caplog):
+        root = trend_workspace(campaign_run, tmp_path)
+        zonal_csv = root / "out" / "zonal.csv"
+        lines = zonal_csv.read_text().splitlines()
+        undated = [re.sub(r",2023-[0-9-]+,", ",,", line, count=1) for line in lines[1:]]
+        zonal_csv.write_text("\n".join(lines[:1] + undated) + "\n")
+        assert run_cli("trend", "--config", str(root / "config.json")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{zonal_csv}: no zonal row has a date"]
+        assert not (root / "out" / "trend.csv").exists()
 
     def _trend_on_record_ending(self, campaign_run, tmp_path, caplog, end):
         rows = [r for r in weather_rows() if r[0] < end]

@@ -49,6 +49,17 @@ class TestBandSet:
             "B4: 1 reflectance samples outside [0, 1.2] set to nodata",
             "B8: 1 reflectance samples outside [0, 1.2] set to nodata"]
 
+    def test_out_of_range_warning_names_its_acquisition(self, tmp_path, caplog):
+        for day, b4 in ((dt.date(2023, 5, 26), 0.2), (dt.date(2023, 6, 1), 1.3)):
+            bands = [(n, np.full((1, 2), 0.2, dtype=np.float32)) for n in BAND_NAMES]
+            bands[0][1][0, 1] = b4
+            save_bundle(tmp_path / f"bands_{day}", grid(2, 1), bands, timestamp=day)
+        with caplog.at_level("WARNING"):
+            for day in ("2023-05-26", "2023-06-01"):
+                bandset_from_bundle(tmp_path / f"bands_{day}")
+        assert [r.getMessage() for r in caplog.records] == [
+            "2023-06-01: B4: 1 reflectance samples outside [0, 1.2] set to nodata"]
+
     def test_boundary_values_survive(self):
         bs = bandset([[0.0, 1.2]], [[0.3, 0.3]], [[0.5, 0.5]],
                      [[0.1, 0.1]], [[0.1, 0.1]])
@@ -165,7 +176,7 @@ class TestLai:
         assert math.isnan(out.values[1, 0])  # negative leaf area
         assert math.isnan(out.values[1, 1])  # above the plausible cap
         assert [r.getMessage() for r in caplog.records] == [
-            "LAI: 2 samples outside [0, 10] set to nodata"]
+            "2023-04-26: LAI: 2 samples outside [0, 10] set to nodata"]
 
     def test_bounds_inclusive(self):
         g = grid(2, 1)

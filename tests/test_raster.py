@@ -110,13 +110,13 @@ class TestBundleIO:
         assert back.values[0].tobytes() == vals.astype("<f4").tobytes()
 
     def test_failed_save_leaves_no_header(self, tmp_path, monkeypatch):
-        from vinesar import raster
+        from vinesar import tables
 
         def fail(src, dst):
             raise OSError("disk full")
 
         z = np.zeros((2, 2), dtype=np.float32)
-        monkeypatch.setattr(raster.os, "replace", fail)
+        monkeypatch.setattr(tables.os, "replace", fail)
         with pytest.raises(OSError):
             save_bundle(tmp_path / "new", grid(), [("k", z)])
         assert list(tmp_path.iterdir()) == []
@@ -124,7 +124,7 @@ class TestBundleIO:
 
         # a failed overwrite keeps the previous bundle whole
         save_bundle(tmp_path / "old", grid(), [("k", z)])
-        monkeypatch.setattr(raster.os, "replace", fail)
+        monkeypatch.setattr(tables.os, "replace", fail)
         with pytest.raises(OSError):
             save_bundle(tmp_path / "old", grid(), [("k", z + 1.0)])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.bin", "old.json"]
@@ -215,6 +215,21 @@ class TestBundleIO:
         assert str(tmp_path / "h.json") in str(err.value)
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("kw", [
+        pytest.param(dict(bands=[("a", np.zeros((2, 2))), ("a", np.ones((2, 2)))]),
+                     id="repeated-band-name"),
+        pytest.param(dict(bands=[]), id="no-band"),
+        pytest.param(dict(spec=grid(ox=math.nan)), id="nan-origin"),
+        pytest.param(dict(spec=grid(oy=-math.inf)), id="infinite-origin"),
+        pytest.param(dict(timestamp=dt.datetime(2023, 3, 28)), id="datetime-timestamp"),
+        pytest.param(dict(spec=grid(crs=32632)), id="integer-crs")])
+    def test_save_refuses_what_read_header_refuses(self, tmp_path, kw):
+        kw = {"spec": grid(), "bands": [("k", np.zeros((2, 2)))], **kw}
+        with pytest.raises(BundleError) as err:
+            save_bundle(tmp_path / "h", **kw)
+        assert str(tmp_path / "h.json") in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_band_helpers(self, tmp_path):
         r = Raster(grid(), np.array([[1, 2], [3, math.nan]], dtype=np.float32),
                    band_name="DpRVI", timestamp=dt.date(2023, 6, 20),
@@ -263,6 +278,26 @@ def bundles(draw):
     names = draw(st.lists(st.text(max_size=8), min_size=nb, max_size=nb, unique=True))
     return dict(spec=spec, bands=list(zip(names, values)),
                 timestamp=draw(st.none() | st.dates()),
+                orbit=draw(st.none() | st.sampled_from(Orbit)))
+
+
+@st.composite
+def header_fields(draw):
+    """Keyword arguments of save_bundle whose header fields read_header may
+    refuse: band names that repeat or none at all, an origin that is NaN or
+    +-inf, a timestamp that is a date or a datetime, a crs that is a str or
+    an int."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    spec = GridSpec(width=w, height=h, origin_x=draw(st.floats()), origin_y=draw(st.floats()),
+                    pixel_size_x=draw(finite.filter(bool)),
+                    pixel_size_y=draw(finite.filter(bool)),
+                    crs=draw(st.sampled_from(["EPSG:32632", "", 32632])))
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", ""]), max_size=3))
+    bits = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=len(names) * h * w,
+                         max_size=len(names) * h * w))
+    values = np.array(bits, dtype=np.uint32).view(np.float32).reshape(len(names), h, w)
+    return dict(spec=spec, bands=list(zip(names, values)),
+                timestamp=draw(st.none() | st.dates() | st.datetimes()),
                 orbit=draw(st.none() | st.sampled_from(Orbit)))
 
 
@@ -315,6 +350,40 @@ class TestBundleProperties:
         assert head.spec == full.spec
         assert head.band_names == full.band_names
         assert (head.timestamp, head.orbit) == (full.timestamp, full.orbit)
+
+    @settings(max_examples=150)
+    @given(header_fields())
+    def test_save_refuses_exactly_what_read_header_refuses(self, kw):
+        spec, names = kw["spec"], [name for name, _ in kw["bands"]]
+        values = np.array([v for _, v in kw["bands"]], dtype="<f4").reshape(
+            len(names), spec.height, spec.width)
+        doc = {"width": spec.width, "height": spec.height, "origin_x": spec.origin_x,
+               "origin_y": spec.origin_y, "pixel_size_x": spec.pixel_size_x,
+               "pixel_size_y": spec.pixel_size_y, "crs": spec.crs,
+               "bands": [{"name": n} for n in names], "dtype": "f32le", "nodata": None}
+        if kw["timestamp"] is not None:
+            doc["timestamp"] = kw["timestamp"].isoformat()
+        if kw["orbit"] is not None:
+            doc["orbit"] = kw["orbit"].value
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "b.json").write_text(json.dumps(doc))
+            (Path(d) / "b.bin").write_bytes(values.tobytes())
+            try:
+                read_header(Path(d) / "b")
+                refused = False
+            except BundleError:
+                refused = True
+        with tempfile.TemporaryDirectory() as d:
+            if refused:
+                with pytest.raises(BundleError):
+                    save_bundle(Path(d) / "b", **kw)
+                assert list(Path(d).iterdir()) == []
+                return
+            save_bundle(Path(d) / "b", **kw)
+            back = load_bundle(Path(d) / "b")
+        assert back.spec == spec and back.band_names == names
+        assert back.values.tobytes() == values.tobytes()
+        assert (back.timestamp, back.orbit) == (kw["timestamp"], kw["orbit"])
 
 
 class TestAssertAligned:
