@@ -318,9 +318,9 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     # grid -> parcel id -> mask: one grid lookup per bundle, not per parcel
     mask_cache: dict[raster.GridSpec, dict[str, parcels.ParcelMask]] = {}
-    rows = []
 
-    def summarize(path: Path, index: raster.Raster) -> None:
+    def summarize(path: Path, index: raster.Raster) -> list[parcels.ZonalStats]:
+        rows = []
         masks = mask_cache.setdefault(index.spec, {})
         for parcel in plist:
             mask = masks.get(parcel.id)
@@ -338,10 +338,12 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             except parcels.EmptyStatsError:
                 log.warning("parcel %s: only nodata under the mask in %s",
                             parcel.id, path.name)
+        return rows
 
-    # the bundles share the mask cache, so they run on this thread
-    for _ in _each_acquisition(paths, raster.load_raster, summarize, 0):
-        pass
+    # the acquisitions share the mask cache, so they stay on the calling
+    # thread (a scene size of 0); the rows come back in path order either way
+    rows = [row for acquisition in _each_acquisition(paths, raster.load_raster, summarize, 0)
+            for row in acquisition]
     out_csv = cfg.out_dir / "zonal.csv"
     parcels.write_zonal_csv(rows, out_csv)
     log.info("wrote %s (%d rows)", out_csv.name, len(rows))

@@ -40,7 +40,10 @@ class Orientation(str, Enum):
 class Parcel:
     """One field polygon. ``rings[0]`` is the exterior, the rest are holes.
 
-    Rings are (n, 2) float arrays, closed (first vertex repeated last).
+    Rings are (n, 2) float arrays, closed (first vertex repeated last). The
+    constructor converts and checks the rings in order, and the first that is
+    not such an array of finite numbers, or touches itself, is a ValueError
+    naming the parcel and the ring.
     """
 
     id: str
@@ -48,21 +51,30 @@ class Parcel:
     orientation: Orientation = Orientation.OTHER
 
     def __post_init__(self) -> None:
-        rings, error = _shaped_rings(self.id, self.rings)
-        k = _first_crossing(rings)
-        if k is not None:
-            raise ValueError(f"parcel {self.id!r} ring {k} self-intersects")
-        if error is not None:
-            raise error
+        if not self.rings:
+            raise ValueError(f"parcel {self.id!r} has no rings")
+        rings = []
+        for k, ring in enumerate(self.rings):
+            r = np.asarray(ring)
+            if r.dtype.kind in "iuf":
+                r = r.astype(np.float64, copy=False)
+            if r.dtype != np.float64:
+                problem = "has a coordinate that is not a number"
+            elif r.ndim != 2 or r.shape[1] != 2:
+                problem = "is not a list of (x, y) pairs"
+            elif not np.isfinite(r).all():
+                problem = "has a non-finite coordinate"
+            elif r.shape[0] < 4:
+                problem = f"has {r.shape[0]} vertices, a closed ring needs at least 4"
+            elif not np.array_equal(r[0], r[-1]):
+                problem = "is not closed (first vertex must repeat last)"
+            elif _self_intersecting(r):
+                problem = "self-intersects"
+            else:
+                rings.append(r)
+                continue
+            raise ValueError(f"parcel {self.id!r} ring {k} {problem}")
         self.rings = rings
-
-    @classmethod
-    def _checked(cls, pid: str, rings: list[np.ndarray],
-                 orientation: Orientation) -> "Parcel":
-        """Parcel from rings that already passed the shape and ring checks."""
-        out = cls.__new__(cls)
-        out.id, out.rings, out.orientation = pid, rings, orientation
-        return out
 
     def bounds(self) -> tuple[float, float, float, float]:
         pts = np.vstack(self.rings)
@@ -70,10 +82,9 @@ class Parcel:
                 float(pts[:, 0].max()), float(pts[:, 1].max()))
 
 
-# Segment pairs the ring check tests per batch, gathered across the rings of
-# a file (a ring with more segments than this gives each batch whole rows of
-# its pairs): bounds the temporaries for rings of any size and number while
-# keeping numpy calls few for files of many 5-100 vertex rings.
+# Segment pairs the ring check tests per pass: a ring with more segments than
+# this is checked a few rows of its pairs at a time, which bounds the
+# temporaries for rings of any size.
 _PAIR_CHUNK = 1 << 16
 
 
@@ -108,94 +119,37 @@ def _all_segment_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _shaped_rings(pid: str, rings: Sequence) -> tuple[list[np.ndarray], Optional[Exception]]:
-    """The leading rings of a parcel that are closed (n >= 4, 2) float64
-    arrays of finite vertices, and the error for the first ring that is not
-    (None when every ring is)."""
-    if not rings:
-        return [], ValueError(f"parcel {pid!r} has no rings")
-    out = []
-    for k, ring in enumerate(rings):
-        try:
-            r = np.asarray(ring, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            return out, e
-        if r.ndim != 2 or r.shape[1] != 2:
-            problem = "is not a list of (x, y) pairs"
-        elif not np.isfinite(r).all():
-            problem = "has a non-finite coordinate"
-        elif r.shape[0] < 4:
-            problem = f"has {r.shape[0]} vertices, a closed ring needs at least 4"
-        elif not np.array_equal(r[0], r[-1]):
-            problem = "is not closed (first vertex must repeat last)"
-        else:
-            out.append(r)
-            continue
-        return out, ValueError(f"parcel {pid!r} ring {k} {problem}")
-    return out, None
-
-
-def _self_intersecting(rings: Sequence[np.ndarray]) -> np.ndarray:
-    """Whether each closed ring touches itself, for every ring at once.
+def _self_intersecting(ring: np.ndarray) -> bool:
+    """Whether a closed ring, an (n, 2) float array, touches itself.
 
     Adjacent segments legitimately share an endpoint and are skipped; any
-    other contact between two segments of a ring makes it invalid: a proper
+    other contact between two segments makes the ring invalid: a proper
     crossing, or an endpoint of one that is collinear with the other and
     within its extent (T-contacts, overlaps and repeated vertices). The
-    non-adjacent segment pairs of all rings are tested together, about
-    ``_PAIR_CHUNK`` pairs per batch of numpy calls. A pair whose closed
-    bounding boxes are disjoint cannot touch and is dropped before the
-    orientation tests.
+    non-adjacent segment pairs are tested about ``_PAIR_CHUNK`` at a time,
+    stopping at the first contact. A pair whose closed bounding boxes are
+    disjoint cannot touch and is dropped before the orientation tests.
     """
-    bad = np.zeros(len(rings), dtype=bool)
-    if not rings:
-        return bad
-    a = np.concatenate([r[:-1] for r in rings])  # segment k runs from a[k] to b[k]
-    b = np.concatenate([r[1:] for r in rings])
+    a, b = ring[:-1], ring[1:]  # segment k runs from a[k] to b[k]
+    n = len(a)
     # box corners per coordinate: contiguous 1-D gathers beat an all(axis=1)
     (lox, loy), (hix, hiy) = np.minimum(a, b).T.copy(), np.maximum(a, b).T.copy()
-
-    def check(batch: list[tuple[int, int, np.ndarray, np.ndarray]]) -> None:
-        sizes = [i.size for _, _, i, _ in batch]
-        shift = np.repeat([start for _, start, _, _ in batch], sizes)
-        i = np.concatenate([i for _, _, i, _ in batch]) + shift
-        j = np.concatenate([j for _, _, _, j in batch]) + shift
+    rows = max(1, _PAIR_CHUNK // n)
+    for i0 in range(0, n, rows):
+        i, j = _all_segment_pairs(n) if rows >= n else _segment_pairs(n, i0, rows)
         near = np.flatnonzero((lox[i] <= hix[j]) & (lox[j] <= hix[i])
                               & (loy[i] <= hiy[j]) & (loy[j] <= hiy[i]))
         if near.size == 0:
-            return
+            continue
         i, j = i[near], j[near]
         p, q, r, s = a[i], b[i], a[j], b[j]
         o1, o2 = _orient(p, q, r), _orient(p, q, s)
         o3, o4 = _orient(r, s, p), _orient(r, s, q)
-        touch = (((o1 != o2) & (o3 != o4))
-                 | ((o1 == 0) & _in_box(p, q, r)) | ((o2 == 0) & _in_box(p, q, s))
-                 | ((o3 == 0) & _in_box(r, s, p)) | ((o4 == 0) & _in_box(r, s, q)))
-        owner = np.repeat([k for k, _, _, _ in batch], sizes)[near]
-        bad[owner[touch]] = True
-
-    batch: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-    pairs = start = 0
-    for k, ring in enumerate(rings):
-        n = len(ring) - 1
-        rows = max(1, _PAIR_CHUNK // n)
-        for i0 in range(0, n, rows):
-            i, j = _all_segment_pairs(n) if rows >= n else _segment_pairs(n, i0, rows)
-            batch.append((k, start, i, j))
-            pairs += i.size
-            if pairs >= _PAIR_CHUNK:
-                check(batch)
-                batch, pairs = [], 0
-        start += n
-    if batch:
-        check(batch)
-    return bad
-
-
-def _first_crossing(rings: Sequence[np.ndarray]) -> Optional[int]:
-    """Index of the first ring that touches itself, None if none does."""
-    bad = np.flatnonzero(_self_intersecting(rings))
-    return int(bad[0]) if bad.size else None
+        if ((((o1 != o2) & (o3 != o4))
+             | ((o1 == 0) & _in_box(p, q, r)) | ((o2 == 0) & _in_box(p, q, s))
+             | ((o3 == 0) & _in_box(r, s, p)) | ((o4 == 0) & _in_box(r, s, q))).any()):
+            return True
+    return False
 
 
 def load_parcels(path: str | Path) -> list[Parcel]:
@@ -205,35 +159,20 @@ def load_parcels(path: str | Path) -> list[Parcel]:
     (``EW``, ``NS``, or ``Other``) defaults to ``Other``.
     """
     p = Path(path)
-    features = _features(p)
-
-    # Every feature's rings are shape-checked in file order up to the first
-    # error; the rings read before it then take one batched ring check, so the
-    # error reported is the first in file order, as one check per ring gives.
-    found = []
-    rings: list[np.ndarray] = []
-    owners: list[tuple[int, str, int]] = []  # (feature, parcel id, ring) of each ring
-    error = None
-    for k, feature in enumerate(features):
+    parcels = []
+    for k, feature in enumerate(_features(p)):
+        pid, orientation = _id_and_orientation(p, k, feature)
+        geom = feature.get("geometry") or {}
+        gtype = geom.get("type") if isinstance(geom, dict) else type(geom).__name__
+        if gtype != "Polygon":
+            raise ValueError(f"{p}: feature #{k} is {gtype!r}, only "
+                             "Polygon features are supported")
+        if not isinstance(geom.get("coordinates"), list):
+            raise ValueError(f"{p}: feature #{k} lacks a coordinates list")
         try:
-            pid, raw, orientation = _feature_parts(p, k, feature)
+            parcels.append(Parcel(pid, geom["coordinates"], orientation))
         except ValueError as e:
-            error = e
-            break
-        shaped, bad = _shaped_rings(pid, raw)
-        rings.extend(shaped)
-        owners.extend((k, pid, j) for j in range(len(shaped)))
-        if bad is not None:
-            error = ValueError(f"{p}: feature #{k}: {bad}")
-            break
-        found.append((pid, shaped, orientation))
-    first = _first_crossing(rings)
-    if first is not None:
-        k, pid, j = owners[first]
-        raise ValueError(f"{p}: feature #{k}: parcel {pid!r} ring {j} self-intersects")
-    if error is not None:
-        raise error
-    parcels = [Parcel._checked(*parts) for parts in found]
+            raise ValueError(f"{p}: feature #{k}: {e}") from None
     _check_unique(p, [pc.id for pc in parcels])
     return parcels
 
@@ -278,24 +217,6 @@ def _id_and_orientation(p: Path, k: int, feature) -> tuple[str, Orientation]:
     except (TypeError, ValueError) as e:
         raise ValueError(f"{p}: feature #{k}: {e}") from None
     return str(props["id"]), orientation
-
-
-def _feature_parts(p: Path, k: int, feature) -> tuple[str, list[np.ndarray], Orientation]:
-    """Id, ring arrays and orientation of feature #k of file p; the rings'
-    shapes are not checked yet."""
-    pid, orientation = _id_and_orientation(p, k, feature)
-    geom = feature.get("geometry") or {}
-    gtype = geom.get("type") if isinstance(geom, dict) else type(geom).__name__
-    if gtype != "Polygon":
-        raise ValueError(f"{p}: feature #{k} is {gtype!r}, only "
-                         "Polygon features are supported")
-    if not isinstance(geom.get("coordinates"), list):
-        raise ValueError(f"{p}: feature #{k} lacks a coordinates list")
-    try:
-        rings = [np.asarray(ring, dtype=np.float64) for ring in geom["coordinates"]]
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{p}: feature #{k}: {e}") from None
-    return pid, rings, orientation
 
 
 class ParcelMask:

@@ -149,9 +149,11 @@ def save_bundle(path: str | Path,
     file. Band arrays must all be (height, width). Values are stored
     verbatim as little-endian float32, so a save/load round trip is bitwise
     exact. Both files are written through tables.atomic_open, payload
-    renamed first, so a failed or interrupted save never leaves a header
-    beside a missing or partial payload. (No fsync: this guards against a
-    failing process, not against a power loss.)
+    renamed first, and an old header is removed between the two renames, so
+    a failed or interrupted save never leaves a header beside a missing,
+    partial or other bundle's payload: a failed payload rename keeps the old
+    bundle, a failed header rename leaves no header. (No fsync: this guards
+    against a failing process, not against a power loss.)
     """
     header_path, binary_path = _bundle_paths(path)
     header = dict(asdict(spec), bands=[{"name": name} for name, _ in bands], dtype=DTYPE_TAG,
@@ -170,10 +172,12 @@ def save_bundle(path: str | Path,
                               f"({spec.height}, {spec.width})")
         arrays.append(a)
 
-    # the payload's block is the inner one, so it is renamed first
-    with atomic_open(header_path) as h, atomic_open(binary_path, "wb") as f:
-        for a in arrays:
-            a.tofile(f)  # row-major whatever the array's memory order
+    with atomic_open(header_path) as h:
+        with atomic_open(binary_path, "wb") as f:
+            for a in arrays:
+                a.tofile(f)  # row-major whatever the array's memory order
+        # the new payload is in place: an old header must not outlive it
+        header_path.unlink(missing_ok=True)
         h.write(json.dumps(header, indent=2) + "\n")
     return header_path
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .raster import Bundle, GridSpec, grid_from_json
 from .sar import C2_BAND_NAMES, _not_psd
-from .schema import Orbit, iso_date, json_int, json_seed
+from .schema import Orbit, iso_date, json_float, json_int, json_seed
 
 log = logging.getLogger(__name__)
 
@@ -110,27 +110,37 @@ class SceneSpec:
         self.looks = json_int(self.looks, "looks")
         if self.looks < 1:
             raise ValueError(f"looks must be >= 1, got {self.looks}")
-        _check_true_c2(self.background, "background")
+        if self.looks > _MAX_LOOKS:
+            raise ValueError(f"looks must be <= {_MAX_LOOKS}, got {self.looks}")
+        self.background = _true_c2(self.background, "background")
         regions = []
         for k, reg in enumerate(self.regions):
-            reg = Region(tuple(json_int(v, "rect") for v in reg[0]),
-                         tuple(float(v) for v in reg[1]))
-            x0, y0, x1, y1 = reg.rect
+            rect = tuple(json_int(v, "rect") for v in reg[0])
+            x0, y0, x1, y1 = rect
             if not (x0 < x1 and y0 < y1):
-                raise ValueError(f"region #{k} rectangle {reg.rect} is empty")
-            _check_true_c2(reg.c2, f"region #{k}")
-            regions.append(reg)
+                raise ValueError(f"region #{k} rectangle {rect} is empty")
+            regions.append(Region(rect, _true_c2(reg[1], f"region #{k}")))
         self.regions = regions
 
 
-def _check_true_c2(c2: Sequence[float], label: str) -> None:
-    c11, c22, re, im = (float(v) for v in c2)
+def _true_c2(c2: Sequence[float], label: str) -> tuple[float, float, float, float]:
+    """The true covariance (c11, c22, c12 real, c12 imaginary) as floats:
+    exactly four JSON numbers, finite, PSD, with a positive trace."""
+    entries = tuple(c2)
+    if len(entries) != 4:
+        raise ValueError(f"{label}: a covariance has 4 entries (c11, c22, c12 real, "
+                         f"c12 imaginary), got {len(entries)}")
+    try:
+        c11, c22, re, im = (json_float(v, "covariance entry", finite=False) for v in entries)
+    except ValueError as e:
+        raise ValueError(f"{label}: {e}") from None
     if not all(math.isfinite(v) for v in (c11, c22, re, im)):
         raise ValueError(f"{label}: covariance entries must be finite")
     if c11 < 0 or c22 < 0 or c11 + c22 <= 0:
         raise ValueError(f"{label}: diagonal powers must be >= 0 with positive trace")
     if _not_psd(c11, c22, re, im):
         raise ValueError(f"{label}: covariance is not positive semidefinite")
+    return c11, c22, re, im
 
 
 def _cholesky2(c2: Sequence[float]) -> tuple[float, complex, float]:
@@ -169,6 +179,9 @@ def _colour(l11, l21, l22, t11, t21, t22, looks: int):
 # fastest of 2^13..2^22 on a 2-vCPU Xeon at 49 looks, and a scene's working
 # set no longer grows with its width or look count.
 _CHUNK_COUNTERS = 1 << 16
+# Most looks a scene takes: one pixel's 2 * looks + 2 draws fit in a chunk,
+# so the bound above holds for every look count.
+_MAX_LOOKS = _CHUNK_COUNTERS // 2 - 1
 
 
 def generate_scene(scene: SceneSpec) -> Bundle:
@@ -251,7 +264,7 @@ def scene_from_dict(doc: dict, *, seed: Optional[int] = None) -> SceneSpec:
     """
     try:
         grid = grid_from_json(doc)
-        background = tuple(float(v) for v in doc["background"])
+        background = doc["background"]
         regions = [Region(tuple(r["rect"]), tuple(r["c2"])) for r in doc.get("regions", [])]
         seed_val = json_seed(doc["seed"] if seed is None else seed)
         timestamp = iso_date(doc["timestamp"], "timestamp") if doc.get("timestamp") else None

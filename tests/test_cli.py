@@ -146,6 +146,17 @@ class TestSynthCommand:
         # bundle that sar-index would refuse
         dict(scene_doc(), origin_x=float("nan")),
         dict(scene_doc(), crs=5),
+        # covariance entries are JSON numbers, exactly four of them: float()
+        # would read "1" and true as 1.0
+        dict(scene_doc(), background=["1", "0.5", "0", "0"]),
+        dict(scene_doc(), background=[True, 0.5, 0, 0]),
+        dict(scene_doc(), background=[1.0, 0.5, 0.0]),
+        dict(scene_doc(), regions=[{"rect": [1, 1, 5, 5], "c2": [2.0, "0.2", 0.0, 0.0]}]),
+        # one pixel's draws fit in one sampler chunk: 2 * looks + 2 <= 2^16
+        dict(scene_doc(), looks=32768),
+        dict(scene_doc(), looks=10 ** 30),
+        {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
+         "scenes": [{"date": "2023-03-28"}, {"date": "2023-04-01", "looks": 32768}]},
     ])
     def test_malformed_campaign_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -748,6 +759,16 @@ class TestZonalCommand:
                                        "count,mean,std,min,max")
         assert got == (campaign_run["out"] / "zonal.csv").read_text()
 
+    def test_rows_are_in_path_order_on_any_pool(self, campaign_run, tmp_path, monkeypatch):
+        written = {}
+        for threads in (1, 3):
+            monkeypatch.setattr(cli, "_pool_size", lambda n, size: threads)
+            out = shutil.copytree(campaign_run["out"], tmp_path / f"threads{threads}")
+            assert run_cli("zonal", "--config", str(campaign_run["config"]),
+                           "--out", str(out)) == 0
+            written[threads] = (out / "zonal.csv").read_bytes()
+        assert written[3] == written[1] == (campaign_run["out"] / "zonal.csv").read_bytes()
+
 
 class TestDegreeDaysCommand:
     def test_hits_pinned_accumulations(self, campaign_run):
@@ -1002,7 +1023,7 @@ class TestTrendCommand:
                                                               monkeypatch):
         from vinesar import parcels
 
-        def no_ring_check(rings):
+        def no_ring_check(ring):
             raise AssertionError("trend checked parcel rings")
 
         monkeypatch.setattr(parcels, "_self_intersecting", no_ring_check)

@@ -146,6 +146,21 @@ class TestLoadParcels:
         with pytest.raises(ValueError, match="p.geojson"):
             parcels.load_orientations(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda r: [[str(x), str(y)] for x, y in r],  # float() would read "0" as 0.0
+        lambda r: [r[0], [r[1][0], "1"], *r[2:]],
+        lambda r: [[bool(x), bool(y)] for x, y in r],
+        lambda r: [r[0], [r[1][0], None], *r[2:]],
+    ])
+    def test_non_numeric_coordinate_is_one_error_line(self, tmp_path, edit):
+        square = ring((0, 0), (1, 0), (1, 1), (0, 1))
+        doc = collection(feature("a", [square]), feature("b", [square, edit(square)]))
+        path = write_geojson(tmp_path / "p.geojson", doc)
+        with pytest.raises(ValueError) as exc:
+            load_parcels(path)
+        assert str(exc.value) == (f"{path}: feature #1: parcel 'b' ring 1 has a "
+                                  "coordinate that is not a number")
+
     def test_orientations_agree_with_load_parcels(self, tmp_path):
         doc = collection(
             feature("A1", [ring((0, 0), (4, 0), (4, 2), (0, 2))], "EW"),
@@ -552,8 +567,8 @@ def ring_self_intersects_oracle(ring):
 
 
 def self_intersects(ring):
-    """The batched ring check on one ring."""
-    return bool(parcels._self_intersecting([ring])[0])
+    """The ring check on one ring."""
+    return parcels._self_intersecting(ring)
 
 
 class TestRingCheck:
@@ -587,31 +602,24 @@ class TestRingCheck:
         # T-contacts and repeated vertices often
         monkeypatch.setattr(parcels, "_PAIR_CHUNK", chunk)
         rng = np.random.default_rng(45)
-        rings, wants = [], []
+        wants = []
         for _ in range(400):
             pts = rng.integers(0, 5, size=(int(rng.integers(3, 12)), 2)).astype(float)
             r = np.vstack([pts, pts[:1]])
             want = ring_self_intersects_oracle(r)
             assert self_intersects(r) is want, r.tolist()
-            rings.append(r)
             wants.append(want)
         assert set(wants) == {True, False}
-        assert parcels._self_intersecting(rings).tolist() == wants
 
     def test_matches_scalar_oracle_on_star_rings(self):
         rng = np.random.default_rng(46)
-        rings, wants = [], []
         for _ in range(60):
             r = star_ring(rng, 0.0, 0.0, 10.0, int(rng.integers(3, 40)))
             if rng.random() < 0.5:  # swapping two vertices folds the ring
                 k = int(rng.integers(0, len(r) - 2))
                 r[[k, k + 1]] = r[[k + 1, k]]
                 r[-1] = r[0]
-            want = ring_self_intersects_oracle(r)
-            assert self_intersects(r) is want
-            rings.append(r)
-            wants.append(want)
-        assert parcels._self_intersecting(rings).tolist() == wants
+            assert self_intersects(r) is ring_self_intersects_oracle(r)
 
     def test_fold_found_at_every_position_across_chunks(self, monkeypatch):
         monkeypatch.setattr(parcels, "_PAIR_CHUNK", 100)  # 2 segments per chunk
@@ -664,18 +672,15 @@ def mixed_file_rings():
 
 
 class TestBatchedRingCheck:
-    """One batched check per parcel file gives the per-ring verdicts and the
-    first error in file order."""
+    """The ring check over the rings of whole parcel files: the verdict of
+    each ring, and the first error in file order."""
 
     @pytest.mark.parametrize("chunk", [parcels._PAIR_CHUNK, 7, 97, 1000])
     def test_mixed_sizes_match_the_oracle(self, chunk, mixed_file_rings, monkeypatch):
         monkeypatch.setattr(parcels, "_PAIR_CHUNK", chunk)
         rings, wants = mixed_file_rings
         assert {len(r) for r in rings} >= {300} and set(wants) == {True, False}
-        assert parcels._self_intersecting(rings).tolist() == wants
-        bad = [k for k, w in enumerate(wants) if w]
-        assert parcels._first_crossing(rings) == bad[0]
-        assert parcels._first_crossing([r for r, w in zip(rings, wants) if not w]) is None
+        assert [self_intersects(r) for r in rings] == wants
 
     @pytest.mark.parametrize("chunk", [parcels._PAIR_CHUNK, 7, 97])
     def test_load_names_the_first_bad_ring_of_a_mixed_file(self, chunk, mixed_file_rings,
@@ -694,10 +699,9 @@ class TestBatchedRingCheck:
         loaded = load_parcels(write_geojson(tmp_path / "good.geojson", doc))
         assert [len(pc.rings[0]) for pc in loaded] == [len(r) for r in good]
 
-    def test_empty_list_and_triangles(self):
-        assert parcels._self_intersecting([]).tolist() == []
+    def test_triangle_is_simple(self):
         tri = np.array(ring((0, 0), (1, 0), (0, 1)), dtype=float)
-        assert parcels._self_intersecting([tri, tri]).tolist() == [False, False]
+        assert self_intersects(tri) is False
 
     @pytest.mark.parametrize("pts", [
         ((0, 0), (4, 0), (4, 2), (2, 0), (0, 2)),                  # T-contact
@@ -725,7 +729,7 @@ class TestBatchedRingCheck:
             apex = (p0 + p1) / 2 + np.array([p0[1] - p1[1], p1[0] - p0[0]])
             rings.append(np.array([p0, p0 + (p1 - p0) * t0, p0 + (p1 - p0) * t1,
                                    p1, apex, p0]))
-        assert not parcels._self_intersecting(rings).any()
+        assert not any(map(self_intersects, rings))
 
     UNCLOSED = [[0, 0], [2, 0], [2, 2], [0, 2], [0, 1]]
     BOW_TIE = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]

@@ -130,6 +130,30 @@ class TestBundleIO:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.bin", "old.json"]
         assert load_bundle(tmp_path / "old").values[0].tolist() == z.tolist()
 
+    def test_failed_header_rename_leaves_no_header(self, tmp_path, monkeypatch):
+        # an overwrite whose payload is renamed but whose header is not: the
+        # old header must not describe the new payload
+        from vinesar import tables
+
+        z = np.zeros((2, 2), dtype=np.float32)
+        save_bundle(tmp_path / "b", grid(), [("k", z)], timestamp=dt.date(2023, 3, 28))
+        replace, calls = tables.os.replace, []
+
+        def fail_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(tables.os, "replace", fail_second)
+        with pytest.raises(OSError):
+            save_bundle(tmp_path / "b", grid(), [("k", z + 1.0)],
+                        timestamp=dt.date(2023, 6, 1))
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin"]
+        with pytest.raises(BundleError, match="missing header"):
+            load_bundle(tmp_path / "b")
+
     def test_threads_saving_one_bundle_never_share_a_temporary(self, tmp_path):
         g = grid(4, 3)
         values = [np.full((3, 4), k, dtype=np.float32) for k in range(8)]
