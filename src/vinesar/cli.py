@@ -54,9 +54,9 @@ log = logging.getLogger(__name__)
 C2_PREFIX = "c2"
 INDEX_PREFIXES = ("dprvi", "ndvi", "svhi", "lai")
 
-# the faults of reading or checking one acquisition, which skip it
+# the faults of reading or checking input: one acquisition's skip it, and
+# any other is the stage's one error line
 _SKIPPED = (BundleError, ValueError, AlignmentError, OSError)
-_FATAL = _SKIPPED + (KeyError,)
 
 
 T = TypeVar("T")
@@ -174,37 +174,9 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     doc = read_json_object(path)
     try:
         seed = json_seed(args.seed if args.seed is not None else doc.get("seed", cfg.seed))
+        scenes = synth.scenes_from_json(doc, seed)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-
-    if "scenes" in doc:
-        grid_doc = doc.get("grid")
-        if not isinstance(grid_doc, dict):
-            raise ValueError(f"{path}: a campaign needs a \"grid\" object")
-        if not isinstance(doc["scenes"], list):
-            raise ValueError(f"{path}: \"scenes\" must be a list")
-        scenes = []
-        for idx, entry in enumerate(doc["scenes"]):
-            if not isinstance(entry, dict):
-                raise ValueError(f"{path}: scene #{idx} is not a JSON object")
-            scene_doc = dict(grid_doc)
-            scene_doc["background"] = entry.get("background", doc.get("background"))
-            if scene_doc["background"] is None:
-                raise ValueError(f"{path}: scene #{idx}: no background covariance given")
-            scene_doc["regions"] = entry.get("regions", doc.get("regions", []))
-            scene_doc["looks"] = entry.get("looks", doc.get("looks", 1))
-            scene_doc["seed"] = entry.get("seed", synth.derive_seed(seed, idx))
-            scene_doc["timestamp"] = entry.get("date")
-            scene_doc["orbit"] = entry.get("orbit")
-            try:
-                scenes.append(synth.scene_from_dict(scene_doc))
-            except ValueError as e:
-                raise ValueError(f"{path}: scene #{idx}: {e}") from None
-    else:
-        try:
-            scenes = [synth.scene_from_dict(doc, seed=seed)]
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
 
     first_with: dict[str, int] = {}
     for idx, scene in enumerate(scenes):
@@ -512,7 +484,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args)
         return args.func(cfg, args)
-    except _FATAL as e:
+    except _SKIPPED as e:
         log.error("%s", e)
         return 1
     except _AllSkipped:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .raster import BLOCK_PX, GridSpec, Raster
-from .schema import ZONAL_CSV_HEADER, AlignmentError, Orbit, iso_date, read_json_object
+from .schema import ZONAL_CSV_HEADER, AlignmentError, Orbit, iso_date, json_int, read_json_object
 from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -42,8 +43,8 @@ class Parcel:
 
     Rings are (n, 2) float arrays, closed (first vertex repeated last). The
     constructor converts and checks the rings in order, and the first that is
-    not such an array of finite numbers, or touches itself, is a ValueError
-    naming the parcel and the ring.
+    not such an array of finite numbers (a boolean is none), or touches
+    itself, is a ValueError naming the parcel and the ring.
     """
 
     id: str
@@ -58,7 +59,7 @@ class Parcel:
             r = np.asarray(ring)
             if r.dtype.kind in "iuf":
                 r = r.astype(np.float64, copy=False)
-            if r.dtype != np.float64:
+            if r.dtype != np.float64 or (r.ndim == 2 and _holds_bool(ring)):
                 problem = "has a coordinate that is not a number"
             elif r.ndim != 2 or r.shape[1] != 2:
                 problem = "is not a list of (x, y) pairs"
@@ -80,6 +81,12 @@ class Parcel:
         pts = np.vstack(self.rings)
         return (float(pts[:, 0].min()), float(pts[:, 1].min()),
                 float(pts[:, 0].max()), float(pts[:, 1].max()))
+
+
+def _holds_bool(ring) -> bool:
+    """Whether a ring given as (x, y) lists holds a JSON boolean: numpy reads
+    true as 1 among numbers, so the converted array cannot show it."""
+    return isinstance(ring, list) and bool in map(type, itertools.chain.from_iterable(ring))
 
 
 # Segment pairs the ring check tests per pass: a ring with more segments than
@@ -155,7 +162,8 @@ def _self_intersecting(ring: np.ndarray) -> bool:
 def load_parcels(path: str | Path) -> list[Parcel]:
     """Read a GeoJSON FeatureCollection of Polygon features.
 
-    Each feature must carry ``properties.id``; ``properties.orientation``
+    Each feature must carry ``properties.id``, a non-empty string or an
+    integer (loaded as its decimal string); ``properties.orientation``
     (``EW``, ``NS``, or ``Other``) defaults to ``Other``.
     """
     p = Path(path)
@@ -212,11 +220,18 @@ def _id_and_orientation(p: Path, k: int, feature) -> tuple[str, Orientation]:
     props = feature.get("properties") or {}
     if not isinstance(props, dict) or props.get("id") in (None, ""):
         raise ValueError(f"{p}: feature #{k} lacks properties.id")
+    pid = props["id"]
+    if not isinstance(pid, str):
+        try:
+            pid = str(json_int(pid, "properties.id"))
+        except ValueError:
+            raise ValueError(f"{p}: feature #{k}: properties.id must be a string or an "
+                             f"integer, got {pid!r}") from None
     try:
         orientation = Orientation(props.get("orientation", "Other"))
     except (TypeError, ValueError) as e:
         raise ValueError(f"{p}: feature #{k}: {e}") from None
-    return str(props["id"]), orientation
+    return pid, orientation
 
 
 class ParcelMask:

@@ -185,7 +185,10 @@ def save_bundle(path: str | Path,
 def grid_from_json(doc: dict) -> GridSpec:
     """The grid a JSON object's fields declare: integer ``width`` and
     ``height``, finite numbers for the origin and pixel sizes, a string
-    ``crs``. A missing field is a KeyError, a wrong one a ValueError."""
+    ``crs``. A missing or wrong field is a ValueError naming it."""
+    missing = [f.name for f in fields(GridSpec) if f.name not in doc]
+    if missing:
+        raise ValueError(f"{missing[0]!r} is missing")
     if not isinstance(doc["crs"], str):
         raise ValueError(f"'crs' must be a string, got {doc['crs']!r}")
     return GridSpec(

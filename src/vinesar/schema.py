@@ -189,7 +189,7 @@ def _parse_t_base(value, name: str) -> float:
     return t_base
 
 
-def _json_choice(enum: type[Enum], value, name: str) -> Enum:
+def json_choice(enum: type[Enum], value, name: str) -> Enum:
     choices = [m.value for m in enum]
     if value not in choices:
         raise ValueError(f"{name!r} must be one of {choices}, got {value!r}")
@@ -208,9 +208,9 @@ CONFIG_KEYS: dict[str, tuple[str, Callable, Optional[str]]] = {
     "erode": ("erode_px", _parse_count, "erode"),
     "t_base": ("t_base_c", _parse_t_base, "tbase"),
     "max_gap_days": ("max_gap_days", _parse_count, "max_gap"),
-    "abscissa": ("abscissa", partial(_json_choice, Abscissa), None),
+    "abscissa": ("abscissa", partial(json_choice, Abscissa), None),
     "seed": ("seed", json_seed, "seed"),
-    "resample": ("resample_method", partial(_json_choice, ResampleMethod), None),
+    "resample": ("resample_method", partial(json_choice, ResampleMethod), None),
 }
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .raster import Bundle, GridSpec, grid_from_json
 from .sar import C2_BAND_NAMES, _not_psd
-from .schema import Orbit, iso_date, json_float, json_int, json_seed
+from .schema import Orbit, iso_date, json_choice, json_float, json_int, json_seed
 
 log = logging.getLogger(__name__)
 
@@ -255,24 +255,51 @@ def generate_scene(scene: SceneSpec) -> Bundle:
                   timestamp=scene.timestamp, orbit=scene.orbit)
 
 
-def scene_from_dict(doc: dict, *, seed: Optional[int] = None) -> SceneSpec:
-    """Build a SceneSpec from its JSON form.
+def scenes_from_json(doc: dict, seed: int) -> list[SceneSpec]:
+    """The scenes of a scene document (see scene_from_dict) or a campaign, in
+    file order. Campaign entries share its ``grid``, and its ``background``,
+    ``regions`` and ``looks`` unless they give their own, and a missing seed is
+    ``derive_seed(seed, index)``. A missing or mistyped field is a ValueError."""
+    if "scenes" not in doc:
+        return [scene_from_dict(doc, seed=seed)]
+    spec = grid_from_json(_field(doc, "grid", dict))
+    scenes = []
+    for idx, entry in enumerate(_field(doc, "scenes", list)):
+        if not isinstance(entry, dict):
+            raise ValueError(f"scene #{idx} is not a JSON object")
+        try:
+            entry_seed = json_seed(entry["seed"]) if "seed" in entry else derive_seed(seed, idx)
+            scenes.append(_scene(spec, doc | entry, entry, entry_seed, "date"))
+        except ValueError as e:
+            raise ValueError(f"scene #{idx}: {e}") from None
+    return scenes
 
-    The JSON object carries the grid fields at top level plus ``background``,
-    ``regions`` (list of {rect, c2}), ``looks`` and ``seed``; ``timestamp``
-    and ``orbit`` are optional. A ``seed`` argument overrides the document's.
-    """
-    try:
-        grid = grid_from_json(doc)
-        background = doc["background"]
-        regions = [Region(tuple(r["rect"]), tuple(r["c2"])) for r in doc.get("regions", [])]
-        seed_val = json_seed(doc["seed"] if seed is None else seed)
-        timestamp = iso_date(doc["timestamp"], "timestamp") if doc.get("timestamp") else None
-        orbit = Orbit(doc["orbit"]) if doc.get("orbit") else None
-        return SceneSpec(spec=grid, background=background, regions=regions,
-                         looks=doc.get("looks", 1), seed=seed_val, timestamp=timestamp,
-                         orbit=orbit)
-    except KeyError as e:
-        raise ValueError(f"scene JSON lacks field {e.args[0]!r}") from e
-    except TypeError as e:
-        raise ValueError(f"scene JSON has a field of the wrong type: {e}") from e
+
+def scene_from_dict(doc: dict, *, seed: Optional[int] = None) -> SceneSpec:
+    """The scene of a document with the grid fields at top level (README lists
+    the rest); a ``seed`` argument overrides the document's ``seed``."""
+    seed = json_seed(_field(doc, "seed") if seed is None else seed)
+    return _scene(grid_from_json(doc), doc, doc, seed, "timestamp")
+
+
+def _scene(spec: GridSpec, shared: dict, own: dict, seed: int, date_field: str) -> SceneSpec:
+    """Background, regions and looks from ``shared``; date and orbit (null: none) from ``own``."""
+    regions = _field(shared, "regions", list) if "regions" in shared else []
+    if not all(isinstance(r, dict) for r in regions):
+        raise ValueError(f"'regions' must be a list of objects, got {regions!r}")
+    regions = [Region(_field(r, "rect", list), _field(r, "c2", list)) for r in regions]
+    date, orbit = own.get(date_field), own.get("orbit")
+    return SceneSpec(spec=spec, background=_field(shared, "background", list),
+                     regions=regions, looks=shared.get("looks", 1), seed=seed,
+                     timestamp=None if date is None else iso_date(date, date_field),
+                     orbit=None if orbit is None else json_choice(Orbit, orbit, "orbit"))
+
+
+def _field(doc: dict, name: str, kind: type = object):
+    """Field ``name`` of a JSON object; it must be there and be a ``kind``."""
+    if name not in doc:
+        raise ValueError(f"{name!r} is missing")
+    if not isinstance(doc[name], kind):
+        raise ValueError(f"{name!r} must be {'an object' if kind is dict else 'a list'}, "
+                         f"got {doc[name]!r}")
+    return doc[name]

@@ -22,11 +22,11 @@ from conftest import (GRID, OPTICAL_DATES, PARCELS, SAR_CDD, SAR_DATES,
                       build_campaign_workspace, run_cli, seasonal_shape,
                       weather_rows, write_campaign_json, write_config,
                       write_optical_inputs, write_parcels_geojson)
-from vinesar import cli, raster, sar, schema
+from vinesar import cli, raster, sar, schema, synth
 from vinesar.optical import BAND_NAMES
 from vinesar.raster import Bundle, GridSpec, Orbit, load_raster, save_bundle
 from vinesar.sar import C2_BAND_NAMES, dprvi_from_eigen, eigen_decompose, load_c2, save_c2
-from vinesar.synth import derive_seed, generate_scene, scene_from_dict
+from vinesar.synth import Region, SceneSpec, derive_seed, generate_scene, scene_from_dict
 
 
 def c2_bundle(spec, bands, **kw):
@@ -166,6 +166,40 @@ class TestSynthCommand:
         assert len(errors) == 1 and "bad.json" in errors[0]
         # every scene is checked before the first one is generated
         assert not list(tmp_path.glob("out/*"))
+
+    @pytest.mark.parametrize("field, doc", [
+        ("date", {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
+                  "scenes": [{"date": False, "orbit": "DES"}]}),
+        ("orbit", {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
+                   "scenes": [{"date": "2023-03-28", "orbit": 0}]}),
+        ("timestamp", dict(scene_doc(), timestamp=[])),
+        ("date", {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
+                  "scenes": [{"date": 20230101}]}),
+        ("regions", {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
+                     "scenes": [{"date": "2023-03-28", "regions": [5]}]}),
+    ])
+    def test_wrong_type_is_one_error_line_naming_the_field(self, tmp_path, caplog, field,
+                                                           doc):
+        """A date or orbit of the wrong JSON type is an error, never an
+        absent one, and the error names the field as the file spells it."""
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert run_cli("synth", str(tmp_path / "bad.json"),
+                       "--out", str(tmp_path / "out")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "bad.json" in errors[0] and f"'{field}'" in errors[0]
+        assert not list(tmp_path.glob("out/*"))
+
+    def test_a_key_error_is_a_fault_not_an_error_line(self, tmp_path, monkeypatch, caplog):
+        """No KeyError comes from parsed input, so one from a kernel is a
+        fault of the program: it propagates, and no error line hides it."""
+        def broken(scene):
+            raise KeyError("C11")
+
+        monkeypatch.setattr(synth, "generate_scene", broken)
+        (tmp_path / "scene.json").write_text(json.dumps(scene_doc()))
+        with pytest.raises(KeyError, match="C11"):
+            run_cli("synth", str(tmp_path / "scene.json"), "--out", str(tmp_path / "out"))
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
     def test_integral_float_fields_are_integers(self, tmp_path):
         doc = scene_doc(looks=3)
@@ -1036,6 +1070,7 @@ class TestTrendCommand:
     @pytest.mark.parametrize("props, problem", [
         ({"orientation": "diagonal"}, ": 'diagonal' is not a valid Orientation"),
         ({"id": ""}, " lacks properties.id"),
+        ({"id": [1, 2]}, ": properties.id must be a string or an integer, got [1, 2]"),
     ])
     def test_bad_parcel_id_or_orientation_is_one_error_line(self, campaign_run, tmp_path,
                                                             caplog, props, problem):
@@ -1248,6 +1283,124 @@ class TestJsonBoundaries:
                 [bundle.with_suffix("")])
         finally:
             bundle.write_text(text)
+
+
+# a value of each JSON type, some close to a valid one of another type
+JSON_TYPE_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.sampled_from([0, 1, 2.0, -1.5]),
+    "string": st.sampled_from(["", "2", "DES", "2023-04-21"]),
+    "list": st.lists(st.integers(0, 2), max_size=4),
+    "object": st.dictionaries(st.sampled_from(["rect", "c2"]), st.integers(0, 2), max_size=2),
+}
+
+# the JSON type of each field of a scene file or campaign entry
+SCENE_FIELD_TYPES = {
+    "width": "number", "height": "number", "origin_x": "number", "origin_y": "number",
+    "pixel_size_x": "number", "pixel_size_y": "number", "crs": "string",
+    "background": "list", "regions": "list", "looks": "number", "seed": "number",
+    "timestamp": "string", "date": "string", "orbit": "string",
+}
+
+SMALL_GRID = dict(GRID, width=8, height=6)
+FIELD_CAMPAIGN = {
+    "grid": SMALL_GRID, "seed": 7, "looks": 1, "background": [1.0, 0.5, 0.0, 0.0],
+    "regions": [{"rect": [0, 0, 2, 2], "c2": [2.0, 0.2, 0.0, 0.0]}],
+    "scenes": [{"date": "2023-03-28", "orbit": "DES"},
+               {"date": "2023-04-01", "orbit": "ASC", "seed": 5, "looks": 3,
+                "background": [1.5, 0.5, 0.1, 0.0],
+                "regions": [{"rect": [2, 1, 6, 4], "c2": [0.5, 0.4, 0.0, 0.1]}]}],
+}
+# (form, field): a field of the scene file, or of the campaign's second entry
+SCENE_FIELDS = [("scene", f) for f in SCENE_FIELD_TYPES if f != "date"] + [
+    ("campaign", f) for f in ("date", "orbit", "seed", "background", "regions", "looks")]
+DELETED = object()
+
+
+def expected_scenes(form, field, value):
+    """The scenes a scene file (scene_doc()) or FIELD_CAMPAIGN holds after
+    ``field`` of the scene, or of the campaign's second entry, is set to
+    ``value`` (a value of another JSON type) or DELETED; None when that makes
+    the file invalid. Of the values only a null date or orbit is valid, and
+    it reads as none. A deleted field is valid unless it is a scene file's
+    grid field or background: it reads as its default (no regions, 1 look,
+    the config's seed 0, no date or orbit) or, in a campaign entry, as the
+    campaign's value or the derived seed."""
+    absent = value is DELETED or (value is None and field in ("timestamp", "date", "orbit"))
+    if not absent or (form == "scene" and field not in ("regions", "looks", "seed",
+                                                          "timestamp", "orbit")):
+        return None
+
+    def scene(fields, seed, date):
+        return SceneSpec(GridSpec(**SMALL_GRID), tuple(fields["background"]),
+                         [Region(tuple(r["rect"]), tuple(r["c2"])) for r in fields["regions"]],
+                         fields["looks"], seed,
+                         date and dt.date.fromisoformat(date),
+                         fields["orbit"] and Orbit(fields["orbit"]))
+
+    if form == "scene":
+        doc = dict(scene_doc(), **{field: {"regions": [], "looks": 1, "seed": 0}.get(field)})
+        return [scene(doc, doc["seed"], doc["timestamp"])]
+    first, second = FIELD_CAMPAIGN["scenes"]
+    second = dict(second, **{field: {"background": FIELD_CAMPAIGN["background"],
+                                     "regions": FIELD_CAMPAIGN["regions"],
+                                     "looks": FIELD_CAMPAIGN["looks"],
+                                     "seed": derive_seed(7, 1)}.get(field)})
+    return [scene(dict(FIELD_CAMPAIGN, **first), derive_seed(7, 0), first["date"]),
+            scene(dict(FIELD_CAMPAIGN, **second), second["seed"], second["date"])]
+
+
+class TestSceneFields:
+    """One field of a scene file or of a campaign entry set to a value of
+    each other JSON type, or deleted: the file is still valid and synth
+    writes the bundles its meaning gives, or it is one error line naming
+    the file and the field as written, exit 1 and no bundle."""
+
+    @settings(max_examples=25)
+    @given(form_field=st.sampled_from(SCENE_FIELDS),
+           values=st.fixed_dictionaries(JSON_TYPE_VALUES))
+    @example(form_field=("campaign", "date"), values={
+        "null": None, "boolean": False, "number": 20230101, "string": "",
+        "list": [], "object": {}})
+    def test_other_json_type_or_deletion(self, tmp_path_factory, form_field, values):
+        form, field = form_field
+        root = tmp_path_factory.mktemp("scene-fields")
+        base = scene_doc() if form == "scene" else FIELD_CAMPAIGN
+        kinds = [k for k in JSON_TYPE_VALUES if k != SCENE_FIELD_TYPES[field]]
+        for value in [values[k] for k in kinds] + [DELETED]:
+            doc = json.loads(json.dumps(base))
+            fields = doc if form == "scene" else doc["scenes"][1]
+            if value is DELETED:
+                del fields[field]
+            else:
+                fields[field] = value
+            path, out = root / "bad.json", root / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            path.write_text(json.dumps(doc))
+            handler = ErrorLines()
+            logging.getLogger("vinesar").addHandler(handler)
+            try:
+                rc = run_cli("synth", str(path), "--out", str(out))
+            finally:
+                logging.getLogger("vinesar").removeHandler(handler)
+            want = expected_scenes(form, field, value)
+            if want is None:
+                assert rc == 1 and len(handler.lines) == 1, (field, value, handler.lines)
+                assert "bad.json" in handler.lines[0] and f"'{field}'" in handler.lines[0], \
+                    (field, value, handler.lines)
+                assert not list(out.glob("*"))
+                continue
+            assert rc == 0 and handler.lines == [], (field, value, handler.lines)
+            names = ["_".join(["c2", s.timestamp.isoformat() if s.timestamp else "scene"]
+                              + ([s.orbit.value] if s.orbit else [])) for s in want]
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                n + ext for n in names for ext in (".bin", ".json"))
+            for name, scene in zip(names, want):
+                got = load_c2(out / name)
+                assert (got.timestamp, got.orbit) == (scene.timestamp, scene.orbit)
+                assert got.values.tobytes() == generate_scene(scene).values.tobytes(), \
+                    (field, value, name)
 
 
 class TestReportCommand:

@@ -151,6 +151,9 @@ class TestLoadParcels:
         lambda r: [r[0], [r[1][0], "1"], *r[2:]],
         lambda r: [[bool(x), bool(y)] for x, y in r],
         lambda r: [r[0], [r[1][0], None], *r[2:]],
+        # numpy reads a boolean among numbers as 0 or 1
+        lambda r: [r[0], [True, r[1][1]], *r[2:]],
+        lambda r: [[0.5, 0.0], [1.0, False], *r[2:]],
     ])
     def test_non_numeric_coordinate_is_one_error_line(self, tmp_path, edit):
         square = ring((0, 0), (1, 0), (1, 1), (0, 1))
@@ -160,6 +163,14 @@ class TestLoadParcels:
             load_parcels(path)
         assert str(exc.value) == (f"{path}: feature #1: parcel 'b' ring 1 has a "
                                   "coordinate that is not a number")
+
+    def test_integer_id_loads_as_its_decimal_string(self, tmp_path):
+        square = ring((0, 0), (1, 0), (1, 1), (0, 1))
+        path = write_geojson(tmp_path / "p.geojson",
+                             collection(feature(7, [square]), feature(3.0, [square])))
+        assert [p.id for p in load_parcels(path)] == ["7", "3"]
+        assert parcels.load_orientations(path) == {"7": Orientation.OTHER,
+                                                   "3": Orientation.OTHER}
 
     def test_orientations_agree_with_load_parcels(self, tmp_path):
         doc = collection(
@@ -172,7 +183,10 @@ class TestLoadParcels:
             pc.id: pc.orientation for pc in load_parcels(path)}
 
     @pytest.mark.parametrize("props", [{}, {"id": ""}, {"id": "a", "orientation": "up"},
-                                       {"id": "a", "orientation": ["EW"]}])
+                                       {"id": "a", "orientation": ["EW"]},
+                                       # str() would read these as ids
+                                       {"id": [1, 2]}, {"id": True}, {"id": 1.5},
+                                       {"id": {"a": 1}}])
     def test_orientations_give_load_parcels_errors(self, tmp_path, props):
         square = ring((0, 0), (1, 0), (1, 1), (0, 1))
         doc = collection(feature("ok", [square]),
