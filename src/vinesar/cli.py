@@ -15,19 +15,21 @@ attributes. So a stage compiles only what it runs, and ``report`` and
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import importlib.util
 import logging
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter
 from pathlib import Path
 from types import ModuleType
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .schema import (CORRELATION_CSV_HEADER, TREND_CSV_HEADER, TREND_GROUPS_CSV_HEADER,
-                     Abscissa, AlignmentError, BundleError, Orbit, PipelineConfig,
-                     json_seed, load_config, read_json_object)
+from .schema import (CORRELATION_CSV_HEADER, DEGREE_DAYS_CSV_HEADER, SCATTER_CSV_HEADER,
+                     TREND_CSV_HEADER, TREND_GROUPS_CSV_HEADER, ZONAL_CSV_HEADER, Abscissa,
+                     AlignmentError, BundleError, PipelineConfig, json_seed, load_config,
+                     read_json_object)
 from .tables import atomic_open, read_table, write_table
 
 
@@ -50,9 +52,6 @@ optical, parcels, phenology, raster, sar, synth, trend = map(
     _lazy, ("optical", "parcels", "phenology", "raster", "sar", "synth", "trend"))
 
 log = logging.getLogger(__name__)
-
-C2_PREFIX = "c2"
-INDEX_PREFIXES = ("dprvi", "ndvi", "svhi", "lai")
 
 # the faults of reading or checking input: one acquisition's skip it, and
 # any other is the stage's one error line
@@ -151,17 +150,14 @@ def _each_acquisition(paths: Sequence[Path], read: Callable[[Path], T],
             raise _AllSkipped
 
 
-def _echo_file(path: Path, wanted: bool) -> None:
-    if wanted:
-        sys.stdout.write(path.read_text())
+def _suffix(path: Path) -> str:
+    """What follows the prefix in a bundle's name: its date and orbit."""
+    return path.stem.split("_", 1)[1]
 
 
-def _scene_name(date: Optional[dt.date], orbit: Optional[Orbit]) -> str:
-    parts = [C2_PREFIX]
-    parts.append(date.isoformat() if date else "scene")
-    if orbit:
-        parts.append(orbit.value)
-    return "_".join(parts)
+def _bundles(folder: Path, prefix: str) -> list[Path]:
+    """The headers of the ``prefix`` bundles in ``folder``, sorted."""
+    return sorted(folder.glob(f"{prefix}_*.json"))
 
 
 def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
@@ -178,9 +174,11 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
+    (prefix,) = args.stage.bundles
     first_with: dict[str, int] = {}
     for idx, scene in enumerate(scenes):
-        name = _scene_name(scene.timestamp, scene.orbit)
+        date = scene.timestamp.isoformat() if scene.timestamp else "scene"
+        name = "_".join([prefix, date] + ([scene.orbit.value] if scene.orbit else []))
         if name in first_with:
             raise ValueError(f"{path}: scenes #{first_with[name]} and #{idx} "
                              f"would both write {name}")
@@ -205,10 +203,11 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Covariance bundles -> vegetation index bundles, one per acquisition:
     each scene is loaded, filtered, indexed on its own grid and saved as one
     task of a bounded thread pool."""
-    src = cfg.inputs_dir()
-    paths = sorted(src.glob(f"{C2_PREFIX}_*.json"))
+    (c2_prefix,), (index_prefix,) = args.stage.reads, args.stage.bundles
+    src = args.stage.source(cfg)
+    paths = _bundles(src, c2_prefix)
     if not paths:
-        raise ValueError(f"no {C2_PREFIX}_*.json bundles under {src}")
+        raise ValueError(f"no {c2_prefix}_*.json bundles under {src}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     wx, wy = cfg.multilook
     load_c2 = sar.load_c2  # executes sar on this thread, not in a worker (see _map_scenes)
@@ -222,7 +221,7 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         return sar.dprvi_raster(c2)
 
     def save(p: Path, index: raster.Raster) -> str:
-        name = f"dprvi_{p.stem.split('_', 1)[1]}"
+        name = f"{index_prefix}_{_suffix(p)}"
         raster.save_raster(index, cfg.out_dir / name)
         return name
 
@@ -234,43 +233,44 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     """Reflectance bundles -> NDVI and SVHI bundles; LAI passes validation.
     Each acquisition, reflectance or LAI, is one task of a bounded thread pool."""
-    src = cfg.inputs_dir()
+    bands, bands10, bands20, lai_in = args.stage.reads
+    ndvi_out, svhi_out, lai_out = args.stage.bundles
+    src = args.stage.source(cfg)
     # an acquisition is a bands_* bundle, or a bands10_* bundle and the
     # bands20_* bundle of the same suffix; both would write one ndvi_/svhi_ pair
-    single = sorted(src.glob("bands_*.json"))
-    split = sorted(src.glob("bands10_*.json"))
-    halves = {p.stem[len("bands10_"):] for p in split}
-    both = sorted({p.stem[len("bands_"):] for p in single} & halves)
+    single, split = _bundles(src, bands), _bundles(src, bands10)
+    halves = set(map(_suffix, split))
+    both = sorted(set(map(_suffix, single)) & halves)
     if both:
-        raise ValueError(f"bands_{both[0]} and bands10_{both[0]} under {src} would both "
-                         f"write ndvi_{both[0]}; keep one")
+        raise ValueError(f"{bands}_{both[0]} and {bands10}_{both[0]} under {src} would both "
+                         f"write {ndvi_out}_{both[0]}; keep one")
     # a bands20_* bundle without its bands10_* half is an acquisition to skip
-    lone = [p for p in sorted(src.glob("bands20_*.json"))
-            if p.stem[len("bands20_"):] not in halves]
-    paths = single + split + lone + sorted(src.glob("lai_*.json"))
+    lone = [p for p in _bundles(src, bands20) if _suffix(p) not in halves]
+    paths = single + split + lone + _bundles(src, lai_in)
     if not paths:
-        raise ValueError(f"no bands_*.json, bands10_*.json or lai_*.json bundles under {src}")
+        raise ValueError(f"no {bands}_*.json, {bands10}_*.json or {lai_in}_*.json bundles "
+                         f"under {src}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     ndvi, svhi = optical.ndvi, optical.svhi  # executes optical here (see _map_scenes)
 
     def read(path: Path) -> optical.BandSet | raster.Raster:
         prefix, suffix = path.stem.split("_", 1)
-        if prefix == "lai":
+        if prefix == lai_in:
             return optical.ingest_lai(raster.load_raster(path))
-        if prefix == "bands":
+        if prefix == bands:
             return optical.bandset_from_bundle(path)
-        if prefix == "bands20":
-            raise ValueError(f"no bands10_{suffix}.json beside it")
-        return optical.bandset_from_split(path, src / f"bands20_{suffix}.json",
+        if prefix == bands20:
+            raise ValueError(f"no {bands10}_{suffix}.json beside it")
+        return optical.bandset_from_split(path, src / f"{bands20}_{suffix}.json",
                                           cfg.resample_method)
 
     def write(path: Path, product: optical.BandSet | raster.Raster) -> None:
-        suffix = path.stem.split("_", 1)[1]
+        suffix = _suffix(path)
         if isinstance(product, raster.Raster):
-            raster.save_raster(product, cfg.out_dir / f"lai_{suffix}")
+            raster.save_raster(product, cfg.out_dir / f"{lai_out}_{suffix}")
         else:
-            raster.save_raster(ndvi(product), cfg.out_dir / f"ndvi_{suffix}")
-            raster.save_raster(svhi(product), cfg.out_dir / f"svhi_{suffix}")
+            raster.save_raster(ndvi(product), cfg.out_dir / f"{ndvi_out}_{suffix}")
+            raster.save_raster(svhi(product), cfg.out_dir / f"{svhi_out}_{suffix}")
 
     for _ in _each_acquisition(paths, read, write, _largest_scene_px(paths)):
         pass
@@ -284,9 +284,10 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     plist = sorted(parcels.load_parcels(cfg.parcels_path), key=lambda p: p.id)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    paths = [p for prefix in INDEX_PREFIXES for p in sorted(cfg.out_dir.glob(f"{prefix}_*.json"))]
+    src = args.stage.source(cfg)
+    paths = [p for prefix in args.stage.reads for p in _bundles(src, prefix)]
     if not paths:
-        raise ValueError(f"no index bundles ({', '.join(INDEX_PREFIXES)}) under {cfg.out_dir}")
+        raise ValueError(f"no index bundles ({', '.join(args.stage.reads)}) under {src}")
 
     # grid -> parcel id -> mask: one grid lookup per bundle, not per parcel
     mask_cache: dict[raster.GridSpec, dict[str, parcels.ParcelMask]] = {}
@@ -316,10 +317,9 @@ def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     # thread (a scene size of 0); the rows come back in path order either way
     rows = [row for acquisition in _each_acquisition(paths, raster.load_raster, summarize, 0)
             for row in acquisition]
-    out_csv = cfg.out_dir / "zonal.csv"
+    (out_csv,) = args.stage.table_paths(cfg)
     parcels.write_zonal_csv(rows, out_csv)
     log.info("wrote %s (%d rows)", out_csv.name, len(rows))
-    _echo_file(out_csv, args.stdout)
     return 0
 
 
@@ -339,10 +339,9 @@ def cmd_degree_days(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         raise ValueError("degree-days needs a weather file; set \"weather\" in the config")
     series = _degree_days(cfg.weather_path, cfg.t_base_c)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = cfg.out_dir / "degree_days.csv"
+    (out_csv,) = args.stage.table_paths(cfg)
     phenology.write_degree_days_csv(series, out_csv)
     log.info("wrote %s (%d days)", out_csv.name, len(series.entries))
-    _echo_file(out_csv, args.stdout)
     return 0
 
 
@@ -351,7 +350,7 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     With the CDD abscissa the degree-day season diagnostic is logged too.
     """
-    zonal_csv = cfg.out_dir / "zonal.csv"
+    (zonal_csv,) = (args.stage.source(cfg) / name for name in args.stage.reads)
     if not zonal_csv.exists():
         raise ValueError(f"{zonal_csv} not found; run the zonal stage first")
     stats = parcels.read_zonal_csv(zonal_csv)
@@ -380,15 +379,14 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                      phenology.fit_cdd_vs_doy(cdd_series).r)
         except ValueError as e:
             log.warning("%s: no degree-day diagnostic: %s", cfg.weather_path, e)
-    trend_csv = cfg.out_dir / "trend.csv"
+    trend_csv, groups_csv, corr_csv, scatter_csv = args.stage.table_paths(cfg)
     trend.write_trend_csv(tables.trend, trend_csv)
-    trend.write_correlation_csv(tables.correlation, cfg.out_dir / "correlation.csv")
-    trend.write_scatter_csv(tables.scatter, cfg.out_dir / "scatter.csv")
-    write_table(cfg.out_dir / "trend_groups.csv", TREND_GROUPS_CSV_HEADER, tables.groups)
-    log.info("wrote trend.csv (%d rows), correlation.csv (%d), scatter.csv (%d), "
-             "trend_groups.csv (%d)", len(tables.trend), len(tables.correlation),
-             len(tables.scatter), len(tables.groups))
-    _echo_file(trend_csv, args.stdout)
+    trend.write_correlation_csv(tables.correlation, corr_csv)
+    trend.write_scatter_csv(tables.scatter, scatter_csv)
+    write_table(groups_csv, args.stage.tables[groups_csv.name], tables.groups)
+    log.info("wrote %s (%d rows), %s (%d), %s (%d), %s (%d)",
+             trend_csv.name, len(tables.trend), corr_csv.name, len(tables.correlation),
+             scatter_csv.name, len(tables.scatter), groups_csv.name, len(tables.groups))
     return 0
 
 
@@ -412,14 +410,13 @@ def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         return (f"  {index_a:>6} vs {index_b:<6}{parcel_id:<12}{orbit or '-':<5}"
                 f"n={n:<4}r={float(r):.3f}")
 
-    def read_lines(name: str, header: Sequence[str],
-                   convert: Callable[[list[str]], str]) -> list[str]:
-        path = cfg.out_dir / name
-        return read_table(path, header, convert) if path.exists() else []
+    def read_lines(name: str, convert: Callable[[list[str]], str]) -> list[str]:
+        path = args.stage.source(cfg) / name
+        return read_table(path, _TREND.tables[name], convert) if path.exists() else []
 
-    trend_lines = read_lines("trend.csv", TREND_CSV_HEADER, trend_line)
-    group_lines = read_lines("trend_groups.csv", TREND_GROUPS_CSV_HEADER, group_line)
-    corr_lines = read_lines("correlation.csv", CORRELATION_CSV_HEADER, correlation_line)
+    trend_lines, group_lines, corr_lines = (
+        read_lines(name, convert)
+        for name, convert in zip(args.stage.reads, (trend_line, group_line, correlation_line)))
     if not trend_lines and not corr_lines:
         raise ValueError(f"nothing to report under {cfg.out_dir}; run trend first")
 
@@ -438,12 +435,70 @@ def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     text = "\n".join(lines)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(cfg.out_dir / "report.txt") as f:
+    (out_txt,) = args.stage.table_paths(cfg)
+    with atomic_open(out_txt) as f:
         f.write(text)
-    log.info("wrote report.txt")
-    if args.stdout:
-        sys.stdout.write(text)
+    log.info("wrote %s", out_txt.name)
     return 0
+
+
+def _named(folder: Path, names: Iterable[str]) -> list[Path]:
+    """The files in ``folder`` that the bundle prefixes or file ``names`` name."""
+    return [path for name in names
+            for pattern in ((name,) if "." in name else (f"{name}_*.json", f"{name}_*.bin"))
+            for path in sorted(folder.glob(pattern))]
+
+
+class Stage(NamedTuple):
+    """A subcommand and its files. It reads ``reads`` from ``source(cfg)``
+    and writes ``bundles`` and ``tables`` (with their header from schema,
+    None for text) into ``cfg.out_dir``, where it owns every file they name.
+    A name with a dot is a file, any other a bundle prefix: ``<prefix>_*``."""
+
+    name: str
+    run: Callable[[PipelineConfig, argparse.Namespace], int]
+    help: str
+    reads: tuple[str, ...] = ()
+    source: Callable[[PipelineConfig], Path] = attrgetter("out_dir")
+    bundles: tuple[str, ...] = ()
+    tables: dict[str, Optional[tuple[str, ...]]] = {}  # never mutated
+    removes_stale: bool = True  # see _remove_stale
+
+    def table_paths(self, cfg: PipelineConfig) -> list[Path]:
+        return [cfg.out_dir / name for name in self.tables]
+
+    def inputs(self, cfg: PipelineConfig) -> list[Path]:
+        return _named(self.source(cfg), self.reads)
+
+    def outputs(self, cfg: PipelineConfig) -> list[Path]:
+        return _named(cfg.out_dir, self.bundles + tuple(self.tables))
+
+
+# synth's --out folder holds the inputs of the stages after it
+_SYNTH = Stage("synth", cmd_synth, "generate synthetic covariance bundles",
+               bundles=("c2",), removes_stale=False)
+_SAR = Stage("sar-index", cmd_sar_index, "covariance bundles to index bundles",
+             reads=_SYNTH.bundles, source=PipelineConfig.inputs_dir, bundles=("dprvi",))
+# with rasters_dir unset, inputs_dir() is out_dir: lai_* is read where it is written
+_OPTICAL = Stage("optical-index", cmd_optical, "reflectance bundles to NDVI/SVHI",
+                 reads=("bands", "bands10", "bands20", "lai"), source=PipelineConfig.inputs_dir,
+                 bundles=("ndvi", "svhi", "lai"))
+_ZONAL = Stage("zonal", cmd_zonal, "per-parcel statistics over index bundles",
+               reads=_SAR.bundles + _OPTICAL.bundles, tables={"zonal.csv": ZONAL_CSV_HEADER})
+_TREND = Stage("trend", cmd_trend, "seasonal fits and cross-index correlations",
+               reads=tuple(_ZONAL.tables),
+               tables={"trend.csv": TREND_CSV_HEADER, "trend_groups.csv": TREND_GROUPS_CSV_HEADER,
+                       "correlation.csv": CORRELATION_CSV_HEADER,
+                       "scatter.csv": SCATTER_CSV_HEADER})
+# in pipeline order; --stdout echoes a stage's first table
+STAGES = {stage.name: stage for stage in (
+    _SYNTH, _SAR, _OPTICAL, _ZONAL,
+    Stage("degree-days", cmd_degree_days, "daily degree days from weather",
+          tables={"degree_days.csv": DEGREE_DAYS_CSV_HEADER}),
+    _TREND,
+    Stage("report", cmd_report, "human-readable summary of the trend outputs",
+          reads=tuple(name for name in _TREND.tables if name != "scatter.csv"),
+          tables={"report.txt": None}))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,17 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vinesar",
         description="Dual-pol SAR and optical vegetation index pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, text in (
-            ("synth", cmd_synth, "generate synthetic covariance bundles"),
-            ("sar-index", cmd_sar_index, "covariance bundles to index bundles"),
-            ("optical-index", cmd_optical, "reflectance bundles to NDVI/SVHI"),
-            ("zonal", cmd_zonal, "per-parcel statistics over index bundles"),
-            ("degree-days", cmd_degree_days, "daily degree days from weather"),
-            ("trend", cmd_trend, "seasonal fits and cross-index correlations"),
-            ("report", cmd_report, "human-readable summary of the trend outputs")):
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
-        if func is cmd_synth:
+    for stage in STAGES.values():
+        p = sub.add_parser(stage.name, help=stage.help)
+        p.set_defaults(stage=stage)
+        if stage is _SYNTH:
             p.add_argument("scene", help="scene or campaign JSON")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")
@@ -477,18 +525,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stat_keys(paths: Iterable[Path]) -> dict[Path, tuple[int, int]]:
+    """Inode and mtime of each of ``paths`` that is a file: a write through
+    tables.atomic_open changes both."""
+    stats = {p: p.stat() for p in paths}
+    return {p: (st.st_ino, st.st_mtime_ns) for p, st in stats.items()
+            if stat.S_ISREG(st.st_mode)}
+
+
+def _remove_stale(stage: Stage, cfg: PipelineConfig, before: dict[Path, tuple[int, int]],
+                  inputs: Sequence[Path], rc: int) -> None:
+    """Remove, with one warning, the outputs ``stage`` owns that its run did
+    not write (unchanged since ``before``), or all of them after a nonzero
+    ``rc``; but never one of ``inputs``, what its reads matched in this run."""
+    stale = [p for p, key in _stat_keys(stage.outputs(cfg)).items()
+             if rc != 0 or before.get(p) == key]
+    if not stale:
+        return
+    kept = {p.resolve() for p in inputs}
+    stale = sorted(p for p in stale if p.resolve() not in kept)
+    for p in stale:
+        p.unlink(missing_ok=True)
+    if stale:
+        log.warning("removed %d stale outputs: %s", len(stale),
+                    ", ".join(p.name for p in stale))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
+    stage: Stage = args.stage
+    before = None
     try:
         cfg = load_config(args)
-        return args.func(cfg, args)
+        inputs, before = stage.inputs(cfg), _stat_keys(stage.outputs(cfg))
+        rc = stage.run(cfg, args)
+        if rc == 0 and args.stdout and stage.tables:
+            sys.stdout.write(stage.table_paths(cfg)[0].read_text())
     except _SKIPPED as e:
         log.error("%s", e)
-        return 1
+        rc = 1
     except _AllSkipped:
-        return 1
+        rc = 1
+    if before is not None and stage.removes_stale:
+        _remove_stale(stage, cfg, before, inputs, rc)
+    return rc
 
 
 if __name__ == "__main__":

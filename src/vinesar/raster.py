@@ -57,6 +57,13 @@ class GridSpec:
             raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
         if self.pixel_size_x == 0 or self.pixel_size_y == 0:
             raise ValueError("pixel sizes must be nonzero")
+        # with a finite origin and pixel size (json_float refuses others in a
+        # file), a finite far edge keeps every pixel center finite
+        near = (self.origin_x, self.origin_y, self.pixel_size_x, self.pixel_size_y)
+        far = (self.origin_x + self.width * self.pixel_size_x,
+               self.origin_y + self.height * self.pixel_size_y)
+        if all(map(math.isfinite, near)) and not all(map(math.isfinite, far)):
+            raise ValueError(f"grid extent overflows: origin + size x pixel size is {far}")
 
     def x_centers(self) -> np.ndarray:
         return self.origin_x + (np.arange(self.width, dtype=np.float64) + 0.5) * self.pixel_size_x

@@ -116,6 +116,9 @@ class SceneSpec:
         regions = []
         for k, reg in enumerate(self.regions):
             rect = tuple(json_int(v, "rect") for v in reg[0])
+            if len(rect) != 4:
+                raise ValueError(f"region #{k}: 'rect' must hold 4 integers (x0, y0, x1, y1), "
+                                 f"got {len(rect)}")
             x0, y0, x1, y1 = rect
             if not (x0 < x1 and y0 < y1):
                 raise ValueError(f"region #{k} rectangle {rect} is empty")
@@ -263,6 +266,9 @@ def scenes_from_json(doc: dict, seed: int) -> list[SceneSpec]:
     if "scenes" not in doc:
         return [scene_from_dict(doc, seed=seed)]
     spec = grid_from_json(_field(doc, "grid", dict))
+    # the campaign's background, regions and looks meet an entry's rules even
+    # when every entry gives its own (a stand-in background if it has none)
+    _scene(spec, {"background": [1.0, 0.0, 0.0, 0.0]} | doc, {}, seed, "date")
     scenes = []
     for idx, entry in enumerate(_field(doc, "scenes", list)):
         if not isinstance(entry, dict):

@@ -34,6 +34,13 @@ def c2_bundle(spec, bands, **kw):
     return Bundle(spec, list(C2_BAND_NAMES), np.stack(bands), **kw)
 
 
+# a campaign whose one entry gives its own background, regions and looks
+CAMPAIGN_OVERRIDDEN = {
+    "grid": GRID, "background": [1.0, 0.5, 0.0, 0.0], "looks": 1, "regions": [],
+    "scenes": [{"date": "2023-04-01", "orbit": "ASC", "background": [1.0, 0.5, 0.0, 0.0],
+                "looks": 1, "regions": []}]}
+
+
 def scene_doc(seed=3, looks=2, date="2023-04-21", orbit="DES"):
     return {
         "width": 8, "height": 6,
@@ -157,6 +164,12 @@ class TestSynthCommand:
         dict(scene_doc(), looks=10 ** 30),
         {"grid": GRID, "background": [1.0, 0.5, 0.0, 0.0],
          "scenes": [{"date": "2023-03-28"}, {"date": "2023-04-01", "looks": 32768}]},
+        dict(scene_doc(), regions=[{"rect": [1, 1, 5], "c2": [2.0, 0.2, 0.0, 0.0]}]),
+        # the campaign's own background, regions and looks are checked even
+        # when every entry gives its own
+        dict(CAMPAIGN_OVERRIDDEN, background="x"),
+        dict(CAMPAIGN_OVERRIDDEN, looks=2.9),
+        dict(CAMPAIGN_OVERRIDDEN, regions=5),
     ])
     def test_malformed_campaign_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -1247,7 +1260,7 @@ class TestJsonBoundaries:
     @example(key="t_base", value=-1e308)
     @example(key="out_dir", value="elsewhere")
     @example(key="out_dir", value=None)
-    def test_config_value(self, workspace, key, value):
+    def test_config_value(self, campaign_run, workspace, key, value):
         root, doc, _, _ = workspace
         config = root / "fuzz.json"
         config.write_text(json.dumps(dict(doc, **{key: value})))
@@ -1260,6 +1273,10 @@ class TestJsonBoundaries:
         os.chdir(root)
         try:
             for stage in ("degree-days", "trend", "report"):
+                # a trend that exits 1 removes its tables, so each stage
+                # starts from the campaign's
+                for name in ("trend.csv", "trend_groups.csv", "correlation.csv"):
+                    shutil.copy(campaign_run["out"] / name, root / "out" / name)
                 assert_exit_0_or_one_error_line([stage, "--config", str(config)], names)
         finally:
             os.chdir(cwd)
@@ -1269,6 +1286,10 @@ class TestJsonBoundaries:
            field=st.sampled_from(BUNDLE_HEADER_FIELDS), value=JSON_VALUES)
     @example(stage="zonal", field="pixel_size_x", value=1e300)
     @example(stage="sar-index", field="bands", value=[{"name": "C11"}])
+    # grids whose far edge overflows: the header names the input, and its
+    # acquisition is skipped
+    @example(stage="sar-index", field="pixel_size_x", value=8.98846567431158e307)
+    @example(stage="zonal", field="pixel_size_x", value=3.6317033027521537e306)
     def test_header_value(self, workspace, stage, field, value):
         root, _, c2, dprvi = workspace
         bundle = c2 if stage == "sar-index" else dprvi

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import save_with_nodata
@@ -37,6 +37,13 @@ class TestGridSpec:
             grid(w=0)
         with pytest.raises(ValueError):
             grid(px=0.0)
+
+    @pytest.mark.parametrize("kw", [dict(w=64, px=3.6317033027521537e306),
+                                    dict(h=3, py=-8.98846567431158e307),
+                                    dict(w=2, ox=1.7e308, px=1e307)])
+    def test_rejects_an_extent_that_overflows(self, kw):
+        with pytest.raises(ValueError, match="grid extent overflows"):
+            grid(**kw)
 
     def test_pixel_center_convention(self):
         g = grid(w=3, h=2, ox=100.0, oy=50.0, px=10.0, py=-10.0)
@@ -287,15 +294,24 @@ class TestBundleIO:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def drawn_grid(**fields) -> GridSpec:
+    """The GridSpec of drawn ``fields``; a draw whose extent overflows is
+    no grid, and hypothesis discards it."""
+    try:
+        return GridSpec(**fields)
+    except ValueError:
+        reject()
+
+
 @st.composite
 def bundles(draw):
     """Keyword arguments of save_bundle; payload bits drawn as raw uint32, so
     NaNs with any payload, +-inf, -0.0 and subnormals all occur. Band names
     are distinct, as read_header requires."""
     h, w, nb = (draw(st.integers(1, 6)) for _ in range(3))
-    spec = GridSpec(width=w, height=h, origin_x=draw(finite), origin_y=draw(finite),
-                    pixel_size_x=draw(finite.filter(bool)),
-                    pixel_size_y=draw(finite.filter(bool)), crs=draw(st.text(max_size=12)))
+    spec = drawn_grid(width=w, height=h, origin_x=draw(finite), origin_y=draw(finite),
+                      pixel_size_x=draw(finite.filter(bool)),
+                      pixel_size_y=draw(finite.filter(bool)), crs=draw(st.text(max_size=12)))
     bits = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=nb * h * w,
                          max_size=nb * h * w))
     values = np.array(bits, dtype=np.uint32).view(np.float32).reshape(nb, h, w)
@@ -312,10 +328,10 @@ def header_fields(draw):
     +-inf, a timestamp that is a date or a datetime, a crs that is a str or
     an int."""
     h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    spec = GridSpec(width=w, height=h, origin_x=draw(st.floats()), origin_y=draw(st.floats()),
-                    pixel_size_x=draw(finite.filter(bool)),
-                    pixel_size_y=draw(finite.filter(bool)),
-                    crs=draw(st.sampled_from(["EPSG:32632", "", 32632])))
+    spec = drawn_grid(width=w, height=h, origin_x=draw(st.floats()),
+                      origin_y=draw(st.floats()), pixel_size_x=draw(finite.filter(bool)),
+                      pixel_size_y=draw(finite.filter(bool)),
+                      crs=draw(st.sampled_from(["EPSG:32632", "", 32632])))
     names = draw(st.lists(st.sampled_from(["a", "b", "c", ""]), max_size=3))
     bits = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=len(names) * h * w,
                          max_size=len(names) * h * w))

@@ -144,6 +144,13 @@ class TestSceneSpec:
         assert spec.looks == 3 and spec.regions[0].rect == (1, 1, 3, 3)
         assert type(spec.looks) is int and type(spec.regions[0].rect[0]) is int
 
+    @pytest.mark.parametrize("rect", [(1, 1, 5), (1, 1, 3, 3, 5)])
+    def test_rect_of_the_wrong_length_names_the_region(self, rect):
+        with pytest.raises(ValueError, match=r"region #1: 'rect' must hold 4 integers"):
+            SceneSpec(spec=grid(4, 4), background=(1.0, 0.5, 0.0, 0.0),
+                      regions=[Region((0, 0, 1, 1), (1.0, 0.5, 0.0, 0.0)),
+                               Region(rect, (1.0, 0.5, 0.0, 0.0))])
+
 
 class TestGenerateScene:
     def test_bitwise_deterministic(self):
