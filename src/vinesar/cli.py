@@ -15,6 +15,7 @@ attributes. So a stage compiles only what it runs, and ``report`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import logging
 import os
@@ -62,6 +63,10 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+# each of a stage's reads -> the files it names (see Stage.inputs)
+Inputs = dict[str, list[Path]]
+
+
 class _AllSkipped(Exception):
     """Every acquisition of a stage was skipped, each with its error line."""
 
@@ -88,26 +93,6 @@ def _pool_size(n_scenes: int, scene_size: int) -> int:
     return max(1, min(cpus, _MAX_JOBS, n_scenes))
 
 
-def _map_scenes(fn: Callable[[T], R], scenes: Sequence[T], scene_size: int) -> Iterator[R]:
-    """``fn`` over ``scenes`` (sized as for _pool_size), results in scene order.
-
-    With one thread this is plain ``map``; otherwise the scenes run on a
-    bounded thread pool (numpy releases the GIL in the kernels). The first
-    scene in order that raises ends the iteration with its exception, and
-    scenes not yet started are cancelled.
-
-    A lazy stage module is not safe to execute from two threads at once, so
-    the caller touches every module ``fn`` uses before calling this: no
-    module may execute first inside a worker.
-    """
-    n = _pool_size(len(scenes), scene_size)
-    if n == 1:
-        yield from map(fn, scenes)
-        return
-    with ThreadPoolExecutor(max_workers=n, thread_name_prefix="vinesar-scene") as pool:
-        yield from pool.map(fn, scenes)
-
-
 def _largest_scene_px(paths: Sequence[Path]) -> int:
     """Pixels of the largest grid among the bundles ``paths``; a header that
     cannot be read counts as 0 (its acquisition's task reports it)."""
@@ -122,14 +107,21 @@ def _largest_scene_px(paths: Sequence[Path]) -> int:
 
 def _each_acquisition(paths: Sequence[Path], read: Callable[[Path], T],
                       write: Callable[[Path, T], R], scene_size: int) -> Iterator[R]:
-    """``write(path, read(path))`` for each of ``paths`` on the scene pool
-    (sized as for _pool_size; on this thread for a scene_size of 0), the
-    results in path order.
+    """``write(path, read(path))`` for each of ``paths``, the results in path
+    order; ``scene_size`` sizes the pool as for _pool_size.
 
-    A fault reading or checking an acquisition (one of _SKIPPED, from
-    ``read``) skips it with one error line; a fault in ``write`` ends the
-    stage, as in _map_scenes. A closing warning lists the skipped files, and
-    a stage that skipped them all exits 1."""
+    With one thread the acquisitions run on this one, as plain ``map``;
+    otherwise on a bounded thread pool (numpy releases the GIL in the
+    kernels). A fault reading or checking an acquisition (one of _SKIPPED,
+    from ``read``) skips it with one error line. The first acquisition in
+    order whose ``write`` raises ends the stage with its exception, and
+    acquisitions not yet started are cancelled. A closing warning lists the
+    skipped files, and a stage that skipped them all exits 1.
+
+    A lazy stage module is not safe to execute from two threads at once, so
+    the caller touches every module ``read`` and ``write`` use before calling
+    this: no module may execute first inside a worker.
+    """
     def task(path: Path) -> R | Exception:
         try:
             loaded = read(path)
@@ -137,13 +129,17 @@ def _each_acquisition(paths: Sequence[Path], read: Callable[[Path], T],
             return e
         return write(path, loaded)
 
+    n = _pool_size(len(paths), scene_size)
+    pool = (ThreadPoolExecutor(max_workers=n, thread_name_prefix="vinesar-scene")
+            if n > 1 else None)
     skipped = []
-    for path, result in zip(paths, _map_scenes(task, paths, scene_size)):
-        if isinstance(result, _SKIPPED):
-            log.error("skipping %s: %s", path, result)
-            skipped.append(path.name)
-        else:
-            yield result
+    with pool or contextlib.nullcontext():
+        for path, result in zip(paths, pool.map(task, paths) if pool else map(task, paths)):
+            if isinstance(result, _SKIPPED):
+                log.error("skipping %s: %s", path, result)
+                skipped.append(path.name)
+            else:
+                yield result
     if skipped:
         log.warning("skipped %d acquisitions: %s", len(skipped), ", ".join(skipped))
         if len(skipped) == len(paths):
@@ -155,12 +151,7 @@ def _suffix(path: Path) -> str:
     return path.stem.split("_", 1)[1]
 
 
-def _bundles(folder: Path, prefix: str) -> list[Path]:
-    """The headers of the ``prefix`` bundles in ``folder``, sorted."""
-    return sorted(folder.glob(f"{prefix}_*.json"))
-
-
-def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace, inputs: Inputs) -> int:
     """Generate covariance bundles from a scene or campaign description.
 
     Every scene is built and checked before the first one is generated;
@@ -175,42 +166,34 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"{path}: {e}") from None
 
     (prefix,) = args.stage.bundles
-    first_with: dict[str, int] = {}
+    first_with: dict[Path, int] = {}
     for idx, scene in enumerate(scenes):
         date = scene.timestamp.isoformat() if scene.timestamp else "scene"
-        name = "_".join([prefix, date] + ([scene.orbit.value] if scene.orbit else []))
-        if name in first_with:
-            raise ValueError(f"{path}: scenes #{first_with[name]} and #{idx} "
-                             f"would both write {name}")
-        first_with[name] = idx
+        out = cfg.out_dir / "_".join([prefix, date] + ([scene.orbit.value] if scene.orbit else []))
+        if out in first_with:
+            raise ValueError(f"{path}: scenes #{first_with[out]} and #{idx} "
+                             f"would both write {out.name}")
+        first_with[out] = idx
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    def write_scene(out: Path, scene: synth.SceneSpec) -> tuple[Path, synth.SceneSpec]:
+        sar.save_c2(synth.generate_scene(scene), out)
+        return out, scene
 
-    def write_scene(name: str) -> str:
-        sar.save_c2(synth.generate_scene(scenes[first_with[name]]), cfg.out_dir / name)
-        return name
-
-    names = list(first_with)
     pixel_looks = max((s.spec.width * s.spec.height * s.looks for s in scenes), default=0)
-    for name in _map_scenes(write_scene, names, pixel_looks):
-        scene = scenes[first_with[name]]
-        log.info("wrote %s (%dx%d, %d looks)", name, scene.spec.width,
+    for out, scene in _each_acquisition(list(first_with), lambda out: scenes[first_with[out]],
+                                        write_scene, pixel_looks):
+        log.info("wrote %s (%dx%d, %d looks)", out.name, scene.spec.width,
                  scene.spec.height, scene.looks)
     return 0
 
 
-def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace, inputs: Inputs) -> int:
     """Covariance bundles -> vegetation index bundles, one per acquisition:
     each scene is loaded, filtered, indexed on its own grid and saved as one
     task of a bounded thread pool."""
-    (c2_prefix,), (index_prefix,) = args.stage.reads, args.stage.bundles
-    src = args.stage.source(cfg)
-    paths = _bundles(src, c2_prefix)
-    if not paths:
-        raise ValueError(f"no {c2_prefix}_*.json bundles under {src}")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    (paths,), (index_prefix,) = inputs.values(), args.stage.bundles
     wx, wy = cfg.multilook
-    load_c2 = sar.load_c2  # executes sar on this thread, not in a worker (see _map_scenes)
+    load_c2 = sar.load_c2  # executes sar on this thread (see _each_acquisition)
 
     def index_scene(p: Path) -> raster.Raster:
         c2 = load_c2(p)
@@ -230,7 +213,7 @@ def cmd_sar_index(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace, inputs: Inputs) -> int:
     """Reflectance bundles -> NDVI and SVHI bundles; LAI passes validation.
     Each acquisition, reflectance or LAI, is one task of a bounded thread pool."""
     bands, bands10, bands20, lai_in = args.stage.reads
@@ -238,20 +221,16 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     src = args.stage.source(cfg)
     # an acquisition is a bands_* bundle, or a bands10_* bundle and the
     # bands20_* bundle of the same suffix; both would write one ndvi_/svhi_ pair
-    single, split = _bundles(src, bands), _bundles(src, bands10)
+    single, split = inputs[bands], inputs[bands10]
     halves = set(map(_suffix, split))
     both = sorted(set(map(_suffix, single)) & halves)
     if both:
         raise ValueError(f"{bands}_{both[0]} and {bands10}_{both[0]} under {src} would both "
                          f"write {ndvi_out}_{both[0]}; keep one")
     # a bands20_* bundle without its bands10_* half is an acquisition to skip
-    lone = [p for p in _bundles(src, bands20) if _suffix(p) not in halves]
-    paths = single + split + lone + _bundles(src, lai_in)
-    if not paths:
-        raise ValueError(f"no {bands}_*.json, {bands10}_*.json or {lai_in}_*.json bundles "
-                         f"under {src}")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    ndvi, svhi = optical.ndvi, optical.svhi  # executes optical here (see _map_scenes)
+    lone = [p for p in inputs[bands20] if _suffix(p) not in halves]
+    paths = single + split + lone + inputs[lai_in]
+    ndvi, svhi = optical.ndvi, optical.svhi  # executes optical here (see _each_acquisition)
 
     def read(path: Path) -> optical.BandSet | raster.Raster:
         prefix, suffix = path.stem.split("_", 1)
@@ -277,17 +256,12 @@ def cmd_optical(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_zonal(cfg: PipelineConfig, args: argparse.Namespace, inputs: Inputs) -> int:
     """Index bundles + parcels -> one zonal statistics CSV."""
     if cfg.parcels_path is None:
         raise ValueError("zonal needs a parcels file; set \"parcels\" in the config")
     plist = sorted(parcels.load_parcels(cfg.parcels_path), key=lambda p: p.id)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-
-    src = args.stage.source(cfg)
-    paths = [p for prefix in args.stage.reads for p in _bundles(src, prefix)]
-    if not paths:
-        raise ValueError(f"no index bundles ({', '.join(args.stage.reads)}) under {src}")
+    paths = [p for prefix_paths in inputs.values() for p in prefix_paths]
 
     # grid -> parcel id -> mask: one grid lookup per bundle, not per parcel
     mask_cache: dict[raster.GridSpec, dict[str, parcels.ParcelMask]] = {}
@@ -333,26 +307,23 @@ def _degree_days(weather: Path, t_base_c: float) -> phenology.DegreeDaySeries:
         raise ValueError(f"{weather}: {e}") from None
 
 
-def cmd_degree_days(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_degree_days(cfg: PipelineConfig, args: argparse.Namespace, inputs: Inputs) -> int:
     """Weather CSV -> daily degree-day CSV."""
     if cfg.weather_path is None:
         raise ValueError("degree-days needs a weather file; set \"weather\" in the config")
     series = _degree_days(cfg.weather_path, cfg.t_base_c)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (out_csv,) = args.stage.table_paths(cfg)
     phenology.write_degree_days_csv(series, out_csv)
     log.info("wrote %s (%d days)", out_csv.name, len(series.entries))
     return 0
 
 
-def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace, inputs: Inputs) -> int:
     """Zonal CSV (+ weather) -> trend, group, correlation and scatter CSVs.
 
     With the CDD abscissa the degree-day season diagnostic is logged too.
     """
-    (zonal_csv,) = (args.stage.source(cfg) / name for name in args.stage.reads)
-    if not zonal_csv.exists():
-        raise ValueError(f"{zonal_csv} not found; run the zonal stage first")
+    ((zonal_csv,),) = inputs.values()
     stats = parcels.read_zonal_csv(zonal_csv)
     if not stats:
         raise ValueError(f"{zonal_csv} holds no rows")
@@ -390,7 +361,7 @@ def cmd_trend(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_report(cfg: PipelineConfig, args: argparse.Namespace, inputs: Inputs) -> int:
     """Summarize the trend and correlation CSVs as a small text report."""
     def fixed(cell: str, spec: str) -> str:
         return format(float(cell), spec) if cell else "-"
@@ -410,13 +381,10 @@ def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         return (f"  {index_a:>6} vs {index_b:<6}{parcel_id:<12}{orbit or '-':<5}"
                 f"n={n:<4}r={float(r):.3f}")
 
-    def read_lines(name: str, convert: Callable[[list[str]], str]) -> list[str]:
-        path = args.stage.source(cfg) / name
-        return read_table(path, _TREND.tables[name], convert) if path.exists() else []
-
+    # each table's file if it is there, else no lines
     trend_lines, group_lines, corr_lines = (
-        read_lines(name, convert)
-        for name, convert in zip(args.stage.reads, (trend_line, group_line, correlation_line)))
+        [line for path in paths for line in read_table(path, _TREND.tables[path.name], convert)]
+        for paths, convert in zip(inputs.values(), (trend_line, group_line, correlation_line)))
     if not trend_lines and not corr_lines:
         raise ValueError(f"nothing to report under {cfg.out_dir}; run trend first")
 
@@ -433,8 +401,6 @@ def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         lines.append("Cross-index correlations (paired by nearest date)")
         lines += corr_lines + [""]
     text = "\n".join(lines)
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (out_txt,) = args.stage.table_paths(cfg)
     with atomic_open(out_txt) as f:
         f.write(text)
@@ -442,21 +408,26 @@ def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _named(folder: Path, names: Iterable[str]) -> list[Path]:
-    """The files in ``folder`` that the bundle prefixes or file ``names`` name."""
-    return [path for name in names
-            for pattern in ((name,) if "." in name else (f"{name}_*.json", f"{name}_*.bin"))
-            for path in sorted(folder.glob(pattern))]
+def _patterns(name: str) -> tuple[str, ...]:
+    """The glob patterns of a file ``name`` (it has a dot), or of a bundle prefix."""
+    return (name,) if "." in name else (f"{name}_*.json", f"{name}_*.bin")
+
+
+def _named(folder: Path, name: str) -> list[Path]:
+    """The files in ``folder`` that the bundle prefix or file ``name`` names."""
+    return [path for pattern in _patterns(name) for path in sorted(folder.glob(pattern))]
 
 
 class Stage(NamedTuple):
     """A subcommand and its files. It reads ``reads`` from ``source(cfg)``
     and writes ``bundles`` and ``tables`` (with their header from schema,
     None for text) into ``cfg.out_dir``, where it owns every file they name.
-    A name with a dot is a file, any other a bundle prefix: ``<prefix>_*``."""
+    A name with a dot is a file, any other a bundle prefix: ``<prefix>_*``.
+    ``run`` gets from main what each of ``reads`` names, as Stage.inputs
+    finds it but without the bundles' payloads."""
 
     name: str
-    run: Callable[[PipelineConfig, argparse.Namespace], int]
+    run: Callable[[PipelineConfig, argparse.Namespace, Inputs], int]
     help: str
     reads: tuple[str, ...] = ()
     source: Callable[[PipelineConfig], Path] = attrgetter("out_dir")
@@ -467,11 +438,13 @@ class Stage(NamedTuple):
     def table_paths(self, cfg: PipelineConfig) -> list[Path]:
         return [cfg.out_dir / name for name in self.tables]
 
-    def inputs(self, cfg: PipelineConfig) -> list[Path]:
-        return _named(self.source(cfg), self.reads)
+    def inputs(self, cfg: PipelineConfig) -> Inputs:
+        """Each of ``reads`` -> the files it names in ``source(cfg)``."""
+        src = self.source(cfg)
+        return {name: _named(src, name) for name in self.reads}
 
     def outputs(self, cfg: PipelineConfig) -> list[Path]:
-        return _named(cfg.out_dir, self.bundles + tuple(self.tables))
+        return [p for name in self.bundles + tuple(self.tables) for p in _named(cfg.out_dir, name)]
 
 
 # synth's --out folder holds the inputs of the stages after it
@@ -534,7 +507,7 @@ def _stat_keys(paths: Iterable[Path]) -> dict[Path, tuple[int, int]]:
 
 
 def _remove_stale(stage: Stage, cfg: PipelineConfig, before: dict[Path, tuple[int, int]],
-                  inputs: Sequence[Path], rc: int) -> None:
+                  inputs: Inputs, rc: int) -> None:
     """Remove, with one warning, the outputs ``stage`` owns that its run did
     not write (unchanged since ``before``), or all of them after a nonzero
     ``rc``; but never one of ``inputs``, what its reads matched in this run."""
@@ -542,7 +515,7 @@ def _remove_stale(stage: Stage, cfg: PipelineConfig, before: dict[Path, tuple[in
              if rc != 0 or before.get(p) == key]
     if not stale:
         return
-    kept = {p.resolve() for p in inputs}
+    kept = {p.resolve() for paths in inputs.values() for p in paths}
     stale = sorted(p for p in stale if p.resolve() not in kept)
     for p in stale:
         p.unlink(missing_ok=True)
@@ -560,7 +533,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args)
         inputs, before = stage.inputs(cfg), _stat_keys(stage.outputs(cfg))
-        rc = stage.run(cfg, args)
+        reads = {name: [p for p in paths if p.suffix != ".bin"] for name, paths in inputs.items()}
+        if stage.reads and not any(reads.values()):
+            raise ValueError(f"no {', '.join(_patterns(name)[0] for name in stage.reads)} "
+                             f"under {stage.source(cfg)}")
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        rc = stage.run(cfg, args, reads)
         if rc == 0 and args.stdout and stage.tables:
             sys.stdout.write(stage.table_paths(cfg)[0].read_text())
     except _SKIPPED as e:

@@ -8,7 +8,6 @@ series, because a short station outage should not invalidate a season.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import logging
 import math
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .schema import DEFAULT_BASE_TEMP_C, DEGREE_DAYS_CSV_HEADER, iso_date
-from .tables import read_table, write_table
+from .tables import read_rows, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -49,8 +48,7 @@ def load_weather_csv(path: str | Path) -> list[WeatherRecord]:
     ``precip_mm``, in any order, each once. Rows are read by ``read_table``
     under the file's own header, so every error names the file and line.
     """
-    with open(path, newline="") as f:
-        header = next(csv.reader(f), [])
+    _, header = next(read_rows(path), (0, []))
     if len(set(header)) < len(header):
         raise ValueError(f"{path}: weather CSV names a column twice: {header}")
     need = {"date", "tmin_c", "tmax_c"}

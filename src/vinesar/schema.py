@@ -64,10 +64,11 @@ def json_int(value, name: str) -> int:
     """A JSON integer field as an int.
 
     int() would truncate 2.9 and read true as 1, so a bool, a fraction or a
-    non-number is rejected; an integral float such as 3.0 is read as 3.
+    non-number is rejected; an integral float such as 3.0 is read as 3. An
+    integer beyond the float range is rejected as json_float rejects it.
     """
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
+            or not json_float(value, name, finite=False).is_integer()):
         raise ValueError(f"{name!r} must be an integer, got {value!r}")
     return int(value)
 
@@ -110,11 +111,15 @@ def iso_date(value, name: str) -> dt.date:
 
 
 def read_json_object(path: Path) -> dict:
-    """The JSON object in file ``path``; any other content is a ValueError."""
+    """The JSON object in file ``path``; any other content is a ValueError
+    naming the file, as is text that is not UTF-8, an integer of more digits
+    than int() converts and a nesting deeper than the decoder recurses."""
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # json.JSONDecodeError is one
         raise ValueError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError:
+        raise ValueError(f"{path} nests too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc
@@ -153,14 +158,19 @@ def _json_path(value, name: str) -> Path:
 
 
 def _parse_multilook(value, name: str) -> tuple[int, int]:
-    # [4, 1] is read as "4x1", so both forms meet one check
-    text = "x".join(str(v) for v in value) if isinstance(value, list) else str(value)
-    try:
-        wx, wy = (int(part) for part in text.lower().split("x"))
-    except ValueError:
-        raise ValueError(f"{name!r} must look like 4x1, got {text!r}") from None
+    """A window of two JSON integers, [4, 1], or of ASCII digits on each side
+    of one x or X, "4x1"; int() alone would read "4_0" as 40 and "４" as 4."""
+    window = value
+    if isinstance(value, str) and re.fullmatch(r"[0-9]+[xX][0-9]+", value):
+        try:
+            window = [int(part) for part in re.split("[xX]", value)]
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"{name!r} is beyond the float range") from None
+    elif not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{name!r} must look like 4x1 or [4, 1], got {value!r}")
+    wx, wy = (json_int(v, name) for v in window)
     if wx < 1 or wy < 1:
-        raise ValueError(f"{name!r} must be positive, got {text!r}")
+        raise ValueError(f"{name!r} must be positive, got {value!r}")
     return wx, wy
 
 

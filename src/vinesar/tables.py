@@ -53,30 +53,42 @@ def write_table(path: str | Path, header: Sequence[str],
         w.writerows(rows)
 
 
+def read_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(physical line, cells) of each row of the CSV file ``path``. A row csv
+    cannot parse, such as one with a cell over its field size limit, is a
+    ValueError naming the file and line."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as e:
+            raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
+
+
 def read_table(path: str | Path, header: Sequence[str],
                convert: Callable[[list[str]], T]) -> list[T]:
     """``convert(cells)`` of each row of a table written by write_table.
 
     Blank lines are skipped. Raises ValueError naming ``path`` when the
     header is not exactly ``header``, and naming its physical line as well
-    when a row has the wrong number of cells or ``convert`` raises one.
+    when a row has the wrong number of cells, csv cannot parse it or
+    ``convert`` raises one.
     """
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        found = next(reader, None)
+    with contextlib.closing(read_rows(path)) as rows:
+        _, found = next(rows, (0, None))
         if found != list(header):
             raise ValueError(f"{path}: unexpected CSV header {found}, "
                              f"expected {list(header)}")
         width = len(header)
         out = []
-        for row in reader:
+        for line, row in rows:
             if len(row) != width:
                 if not row:
                     continue
-                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells, "
-                                 f"expected {width}")
+                raise ValueError(f"{path}, line {line}: {len(row)} cells, expected {width}")
             try:
                 out.append(convert(row))
             except ValueError as e:
-                raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
+                raise ValueError(f"{path}, line {line}: {e}") from None
         return out

@@ -22,7 +22,7 @@ from conftest import (GRID, OPTICAL_DATES, PARCELS, SAR_CDD, SAR_DATES,
                       build_campaign_workspace, run_cli, seasonal_shape,
                       weather_rows, write_campaign_json, write_config,
                       write_optical_inputs, write_parcels_geojson)
-from vinesar import cli, raster, sar, schema, synth
+from vinesar import cli, optical, raster, sar, schema, synth
 from vinesar.optical import BAND_NAMES
 from vinesar.raster import Bundle, GridSpec, Orbit, load_raster, save_bundle
 from vinesar.sar import C2_BAND_NAMES, dprvi_from_eigen, eigen_decompose, load_c2, save_c2
@@ -602,6 +602,23 @@ class TestOpticalCommand:
         assert written == (sorted(f"{kind}_{tag}{suffix}" for kind in ("ndvi", "svhi")
                                   for suffix in (".bin", ".json")) if paired else [])
 
+    def test_single_grid_bundle_gives_the_indices_of_its_bands(self, tmp_path):
+        date = OPTICAL_DATES[2]
+        spec = GridSpec(**dict(GRID, width=8, height=6))
+        rng = np.random.default_rng(5)
+        config = self.optical_workspace(tmp_path, lambda stem: False)
+        bundle = save_bundle(tmp_path / "raw" / f"bands_{date}", spec,
+                             [(name, rng.uniform(0.05, 0.6, (6, 8)).astype(np.float32))
+                              for name in BAND_NAMES], timestamp=date)
+        assert run_cli("optical-index", "--config", str(config)) == 0
+        bands = optical.bandset_from_bundle(bundle)
+        for prefix, index in (("ndvi", optical.ndvi), ("svhi", optical.svhi)):
+            got, want = load_raster(tmp_path / "out" / f"{prefix}_{date}"), index(bands)
+            assert (got.spec, got.band_name, got.timestamp) == (
+                want.spec, want.band_name, want.timestamp)
+            np.testing.assert_array_equal(got.values, want.values)
+        assert len(list((tmp_path / "out").iterdir())) == 4
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_single_and_split_bundles_of_one_suffix_are_refused(
             self, tmp_path, caplog, monkeypatch, threads):
@@ -763,6 +780,35 @@ class TestScenePool:
         assert len(list(tmp_path.glob("dprvi_*.json"))) == 3
 
 
+# the one error line of each stage that reads, run on an empty source folder
+NO_INPUT_LINES = {
+    "sar-index": "no c2_*.json under {}",
+    "optical-index": "no bands_*.json, bands10_*.json, bands20_*.json, lai_*.json under {}",
+    "zonal": "no dprvi_*.json, ndvi_*.json, svhi_*.json, lai_*.json under {}",
+    "trend": "no zonal.csv under {}",
+    "report": "no trend.csv, trend_groups.csv, correlation.csv under {}",
+}
+
+
+@pytest.mark.parametrize("stage", [name for name, row in cli.STAGES.items() if row.reads])
+def test_reads_that_match_nothing_are_one_error_line(campaign_run, tmp_path, caplog, stage):
+    """Each stage with reads, its config otherwise complete (parcels and
+    weather set), exits 1 with one error line naming its empty source
+    folder, and writes nothing."""
+    for name in ("weather.csv", "parcels.geojson"):
+        shutil.copy(campaign_run["root"] / name, tmp_path / name)
+    write_config(tmp_path / "config.json", tmp_path / "out")
+    doc = json.loads((tmp_path / "config.json").read_text())
+    (tmp_path / "config.json").write_text(json.dumps(dict(doc, rasters_dir="raw")))
+    for folder in ("raw", "out"):
+        (tmp_path / folder).mkdir()
+    source = tmp_path / ("raw" if stage in ("sar-index", "optical-index") else "out")
+    assert run_cli(stage, "--config", str(tmp_path / "config.json")) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [NO_INPUT_LINES[stage].format(source)]
+    assert not list((tmp_path / "out").iterdir())
+
+
 def read_rows(path):
     with path.open(newline="") as f:
         return list(csv.DictReader(f))
@@ -797,6 +843,24 @@ class TestZonalCommand:
     def test_requires_parcels(self, tmp_path):
         (tmp_path / "out").mkdir()
         assert run_cli("zonal", "--out", str(tmp_path / "out")) == 1
+
+    def test_parcel_over_nodata_only_is_a_warning(self, campaign_run, tmp_path, caplog):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(campaign_run["root"] / "parcels.geojson", tmp_path)
+        write_config(tmp_path / "config.json", out)
+        spec = GridSpec(**GRID)
+        values = np.full((spec.height, spec.width), 0.5, dtype=np.float32)
+        pid, _, x0, y0, x1, y1 = PARCELS[0]
+        values[y0:y1, x0:x1] = np.nan
+        date = dt.date(2023, 4, 21)
+        save_bundle(out / f"dprvi_{date}_DES", spec, [("DpRVI", values)], timestamp=date,
+                    orbit=Orbit.DESCENDING)
+        assert run_cli("zonal", "--config", str(tmp_path / "config.json")) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"parcel {pid}: only nodata under the mask in dprvi_{date}_DES.json"]
+        rows = read_rows(out / "zonal.csv")
+        assert [r["parcel_id"] for r in rows] == sorted(p[0] for p in PARCELS[1:])
 
     def test_stdout_echo(self, campaign_run, capsys):
         cfg = str(campaign_run["config"])
@@ -1064,6 +1128,15 @@ class TestTrendCommand:
         (tmp_path / "out").mkdir()
         assert run_cli("trend", "--out", str(tmp_path / "out")) == 1
 
+    def test_header_only_zonal_csv_fails(self, campaign_run, tmp_path, caplog):
+        root = trend_workspace(campaign_run, tmp_path)
+        zonal = root / "out" / "zonal.csv"
+        zonal.write_text(zonal.read_text().splitlines()[0] + "\n")
+        assert run_cli("trend", "--config", str(root / "config.json")) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{zonal} holds no rows"]
+        assert sorted(p.name for p in (root / "out").iterdir()) == ["zonal.csv"]
+
     OUTPUTS = ("trend.csv", "trend_groups.csv", "correlation.csv", "scatter.csv")
 
     def test_reads_parcel_orientations_without_checking_rings(self, campaign_run, tmp_path,
@@ -1147,6 +1220,8 @@ CELL_MUTATIONS = {
     "1e400": lambda cells, k: cells[:k] + ["1e400"] + cells[k + 1:],
     "drop": lambda cells, k: cells[:k] + cells[k + 1:],
     "extra": lambda cells, k: cells[:k + 1] + ["1"] + cells[k + 1:],
+    # over csv's field size limit of 131072 characters
+    "long": lambda cells, k: cells[:k] + ["1" * 200000] + cells[k + 1:],
 }
 
 
@@ -1201,6 +1276,8 @@ class TestCsvBoundaries:
     @example(table="weather-no-precip", line=2, cell=2, mutation="drop")
     @example(table="zonal", line=6, cell=5, mutation="nan")
     @example(table="weather", line=2, cell=3, mutation="1e400")
+    @example(table="weather", line=2, cell=2, mutation="long")
+    @example(table="weather", line=0, cell=1, mutation="long")
     def test_one_cell_mutation(self, workspace, table, line, cell, mutation):
         root, texts = workspace
         file, stages = CSV_READERS[table]
@@ -1260,6 +1337,7 @@ class TestJsonBoundaries:
     @example(key="t_base", value=-1e308)
     @example(key="out_dir", value="elsewhere")
     @example(key="out_dir", value=None)
+    @example(key="erode", value=10 ** 400)
     def test_config_value(self, campaign_run, workspace, key, value):
         root, doc, _, _ = workspace
         config = root / "fuzz.json"
@@ -1290,6 +1368,8 @@ class TestJsonBoundaries:
     # acquisition is skipped
     @example(stage="sar-index", field="pixel_size_x", value=8.98846567431158e307)
     @example(stage="zonal", field="pixel_size_x", value=3.6317033027521537e306)
+    # an integer beyond the float range
+    @example(stage="sar-index", field="width", value=10 ** 400)
     def test_header_value(self, workspace, stage, field, value):
         root, _, c2, dprvi = workspace
         bundle = c2 if stage == "sar-index" else dprvi
@@ -1512,14 +1592,25 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match="64"):
             cli.load_config(self.parse("synth", "x.json", "--seed",
                                        str(2 ** 64)))
+        with pytest.raises(ValueError, match="'--seed' is beyond the float range"):
+            cli.load_config(self.parse("synth", "x.json", "--seed", str(10 ** 400)))
+        # int() reads "4_0" as 40 and a fullwidth digit as its ASCII one
+        for window in ("4_0x1", "\uff14x1", " 4x1"):
+            with pytest.raises(ValueError, match="must look like 4x1"):
+                cli.load_config(self.parse("sar-index", "--multilook", window))
 
     def test_integral_float_is_an_integer(self, tmp_path):
-        (tmp_path / "cfg.json").write_text(json.dumps({"erode": 3.0, "boxcar": 5}))
+        (tmp_path / "cfg.json").write_text(json.dumps({"erode": 3.0, "boxcar": 5,
+                                                       "multilook": [2.0, 1]}))
         cfg = cli.load_config(self.parse("zonal", "--config", str(tmp_path / "cfg.json")))
         assert cfg.erode_px == 3 and type(cfg.erode_px) is int
         assert cfg.boxcar == 5
+        assert cfg.multilook == (2, 1) and all(type(w) is int for w in cfg.multilook)
+        assert cli.load_config(self.parse("zonal", "--multilook", "3X2")).multilook == (3, 2)
 
-    def test_fatal_errors_exit_one_via_main(self, tmp_path):
+    def test_fatal_errors_exit_one_via_main(self, tmp_path, monkeypatch):
+        # main creates the default out_dir, "out", before synth reads its scene
+        monkeypatch.chdir(tmp_path)
         assert run_cli("sar-index", "--multilook", "nope") == 1
         (tmp_path / "garbage.json").write_text("{")
         assert run_cli("synth", str(tmp_path / "garbage.json")) == 1
@@ -1535,7 +1626,10 @@ class TestConfigHandling:
                                      {"abscissa": 5}, {"abscissa": ["cdd"]},
                                      {"resample": "cubic"}, {"boxcar": 4}, {"erode": -1},
                                      {"max_gap_days": -2}, {"t_base": -1e308},
-                                     {"t_base": 100.5}])
+                                     {"t_base": 100.5}, {"erode": 10 ** 400},
+                                     {"multilook": "4_0x1"}, {"multilook": "\uff14x1"},
+                                     {"multilook": ["4", "1"]},
+                                     {"multilook": "1" + "0" * 5000 + "x1"}])
     def test_wrong_typed_value_is_one_error_line(self, tmp_path, caplog, doc):
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         assert run_cli("sar-index", "--config", str(tmp_path / "cfg.json")) == 1
@@ -1545,6 +1639,13 @@ class TestConfigHandling:
         want = next(iter(doc)) if isinstance(doc, dict) else "must hold a JSON object"
         assert want in errors[0].getMessage()
         assert "cfg.json" in errors[0].getMessage()
+
+    def test_deeply_nested_file_is_one_error_line(self, tmp_path, caplog):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"a": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert run_cli("sar-index", "--config", str(config)) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{config} nests too deeply to read"]
 
     @pytest.mark.parametrize("key", sorted(k for k, (_, _, dest) in schema.CONFIG_KEYS.items()
                                            if dest))
@@ -1646,7 +1747,7 @@ print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules, "executed": sorted(
 """
 
     # the stage with its pool forced to two threads; prints the stage modules
-    # still lazy when the pool started that executed after it
+    # still lazy when the pool was sized that executed after it
     POOL_PROBE = """
 import importlib.util, json, sys
 import vinesar.cli as cli
@@ -1656,14 +1757,12 @@ def lazy():
             if type(m) is importlib.util._LazyModule}
 
 at_pool = []
-map_scenes = cli._map_scenes
 
-def recording_map_scenes(fn, scenes, scene_size):
+def recording_pool_size(n, size):
     at_pool.append(lazy())
-    yield from map_scenes(fn, scenes, scene_size)
+    return min(2, n)
 
-cli._map_scenes = recording_map_scenes
-cli._pool_size = lambda n, size: min(2, n)
+cli._pool_size = recording_pool_size
 rc = cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "pools": len(at_pool),
                   "late": sorted(at_pool[0] - lazy()) if at_pool else []}))

@@ -186,7 +186,9 @@ class TestLoadParcels:
                                        {"id": "a", "orientation": ["EW"]},
                                        # str() would read these as ids
                                        {"id": [1, 2]}, {"id": True}, {"id": 1.5},
-                                       {"id": {"a": 1}}])
+                                       {"id": {"a": 1}},
+                                       # beyond the float range
+                                       {"id": 10 ** 400}])
     def test_orientations_give_load_parcels_errors(self, tmp_path, props):
         square = ring((0, 0), (1, 0), (1, 1), (0, 1))
         doc = collection(feature("ok", [square]),
